@@ -13,5 +13,4 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=[],
-    extras_require={"vector": ["numpy"]},
 )

@@ -54,7 +54,6 @@ from .config import (
     PASCAL_P100,
     TURING_TU104,
     VOLTA_V100,
-    large_config,
     medium_config,
     small_config,
 )
@@ -63,14 +62,13 @@ SCALES = {
     "small": small_config,
     "medium": medium_config,
     "volta": lambda: VOLTA_V100,
-    "large": large_config,
     "pascal": lambda: PASCAL_P100,
     "turing": lambda: TURING_TU104,
 }
 
 #: Per-command default for ``--scale`` when the user does not pass one.
-#: ``bench`` defaults to the full Table-1 Volta — the engine comparison
-#: is only meaningful at the scale the vector strategy targets.
+#: ``bench`` defaults to the full Table-1 Volta, where one covert channel
+#: keeps only a handful of the 212 components live per busy cycle.
 DEFAULT_SCALE = "small"
 COMMAND_SCALES = {"bench": "volta"}
 
@@ -576,29 +574,17 @@ def cmd_bench(args) -> int:
         on_phase=on_phase,
     )
     for name, entry in report["workloads"].items():
-        line = (
+        print(
             f"{name:12s} naive {entry['naive_wall_s']:7.3f}s  "
             f"active {entry['active_wall_s']:7.3f}s  "
             f"speedup {entry['speedup']:.2f}x"
         )
-        if "vector_wall_s" in entry:
-            line += (
-                f"  vector {entry['vector_wall_s']:7.3f}s "
-                f"({entry['vector_speedup_vs_active']:.2f}x vs active)"
-            )
-        print(line)
     print(f"min speedup: {report['min_speedup']:.2f}x")
-    vector = report.get("vector", {})
-    if vector.get("available"):
-        volta = vector["full_volta"]
-        print(
-            f"vector @ full Volta: "
-            f"active {volta['active_cycles_per_s']:,.0f} cycles/s, "
-            f"vector {volta['vector_cycles_per_s']:,.0f} cycles/s "
-            f"({volta['speedup_vs_active']:.2f}x)"
-        )
-    elif vector:
-        print(f"vector: unavailable ({vector['error']})")
+    volta = report["full_volta"]
+    print(
+        f"active @ full Volta: "
+        f"{volta['active_cycles_per_s']:,.0f} cycles/s"
+    )
     telemetry = report["telemetry"]
     print(
         f"telemetry    off {telemetry['disabled_wall_s']:7.3f}s  "
@@ -966,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scale", choices=sorted(SCALES), default=None,
         help="simulated GPU size (default: small; bench defaults to "
-             "volta; large is volta under the vector engine)",
+             "volta)",
     )
     parser.add_argument(
         "--validate", action="store_true",
@@ -1209,10 +1195,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip the lockstep engine comparison")
     fuzz.add_argument(
         "--strategies", nargs="+", default=None, metavar="STRATEGY",
-        choices=("naive", "active", "vector"),
+        choices=("naive", "active"),
         help="engine strategies for the lockstep oracle; the first is "
-             "the baseline (default: naive active; pass 'naive active "
-             "vector' for the three-way sweep)",
+             "the baseline (default: naive active)",
     )
     fuzz.add_argument("--quick", action="store_true",
                       help="CI mode: a small time-boxed case budget")

@@ -22,16 +22,7 @@ from typing import Dict, List, Tuple
 ARBITRATION_POLICIES = ("rr", "crr", "srr", "age", "fixed", "random")
 
 #: Engine scheduling strategies accepted by ``engine_strategy``.
-ENGINE_STRATEGIES = ("active", "naive", "vector")
-
-
-class ConfigError(ValueError):
-    """A configuration is invalid or unsatisfiable in this environment.
-
-    Subclasses :class:`ValueError` so existing ``except ValueError``
-    call sites keep working; raised with an actionable message (e.g.
-    ``engine_strategy="vector"`` requested without numpy installed).
-    """
+ENGINE_STRATEGIES = ("active", "naive")
 
 
 @dataclass(frozen=True)
@@ -463,14 +454,13 @@ class GpuConfig:
     #: Master seed for all simulator randomness.
     seed: int = 2021
 
-    #: Simulation-engine scheduling strategy: "active" (active-set
-    #: scheduling with quiescence fast-forward; the default), "naive"
-    #: (the reference tick-everything loop) or "vector" (event-driven
-    #: batch scheduling over struct-of-arrays state mirrors; requires
-    #: numpy and raises :class:`ConfigError` without it).  All three are
+    #: Simulation-engine scheduling strategy: "active" (event-driven
+    #: active-set scheduling with quiescence fast-forward, sparse NoC
+    #: ticks and sole-contender batching; the default) or "naive" (the
+    #: reference tick-everything loop over the scalar ticks).  Both are
     #: cycle-exact with respect to each other; "naive" exists for
     #: equivalence testing and as a fallback while debugging new
-    #: components, "vector" for full-Volta-scale throughput.
+    #: components.
     engine_strategy: str = "active"
 
     #: Simulation-integrity validation (repro.validate): a conservation
@@ -659,19 +649,6 @@ def small_config(**changes) -> GpuConfig:
         num_l2_slices=8,
         num_memory_controllers=4,
     )
-    return base.replace(**changes) if changes else base
-
-
-def large_config(**changes) -> GpuConfig:
-    """The full Table-1 V100 driven by the vectorized batch engine.
-
-    Same simulated hardware as :data:`VOLTA_V100` (80 SMs, 48 L2
-    slices); the only difference is ``engine_strategy="vector"``, which
-    makes full-Volta experiment sweeps and golden recordings practical.
-    Requires numpy (raises :class:`ConfigError` at device build time
-    otherwise — there is deliberately no silent fallback).
-    """
-    base = GpuConfig(engine_strategy="vector")
     return base.replace(**changes) if changes else base
 
 

@@ -29,7 +29,7 @@ from ..noc.crossbar import Crossbar
 from ..noc.mux import Mux
 from ..noc.packet import Packet
 from ..sim.clock import ClockSystem
-from ..sim.engine import Component, create_engine
+from ..sim.engine import Component, Engine
 from ..sim.stats import StatsRegistry
 from ..telemetry import Telemetry, TimelineProbe, note_device
 from .dram import MemoryController
@@ -63,7 +63,7 @@ class GpuDevice:
         #: installs fan-outs over all devices instead.
         self._owns_engine = engine is None
         self.engine = (
-            create_engine(config.engine_strategy) if engine is None
+            Engine(strategy=config.engine_strategy) if engine is None
             else engine
         )
         self._seed_salt = seed_salt
@@ -77,8 +77,6 @@ class GpuDevice:
             Telemetry.from_config(config) if config.telemetry_enabled
             else None
         )
-        #: Struct-of-arrays occupancy mirror; None unless vector strategy.
-        self.soa_mirror = None
         #: Engine self-profiler (repro.metrics); None unless
         #: ``config.metrics_enabled``.
         self.profiler = None
@@ -364,8 +362,8 @@ class GpuDevice:
             engine.register(self.remote_reply_mux)
         engine.register_all(self.reply_distributors)
         self._wire_wakes()
-        if config.engine_strategy == "vector":
-            self._wire_vector()
+        if config.engine_strategy == "active":
+            self._wire_active()
 
     def _wire_wakes(self) -> None:
         """Connect every queue to its consumer's wake-up hook.
@@ -408,45 +406,30 @@ class GpuDevice:
         for sm in self.sms:
             sm.on_warp_done = self.scheduler.wake
 
-    def _wire_vector(self) -> None:
-        """Vector-strategy wiring: SoA mirrors, banks, and backpressure.
+    def _wire_active(self) -> None:
+        """Active-strategy fast paths: SM parking, sparse ticks, batching.
 
-        Builds the struct-of-arrays occupancy mirror over every NoC
-        queue, registers each mux tier as a batched bank with the
-        engine, switches the crossbars to the sparse vector tick, and
-        opts the SMs into reactive backpressure parking (a blocked LSU
+        Opts the SMs into reactive backpressure parking (a blocked LSU
         parks until queue space or credits arrive instead of being
-        re-ticked every cycle).  Purely a scheduling-layer rewiring —
-        the scalar components remain authoritative for all state, which
-        the three-way lockstep oracle verifies digest-for-digest.
+        re-ticked every cycle), switches the mux tiers and crossbars to
+        their sparse live-input ticks, and arms sole-contender packet
+        batching on the TPC muxes where it pays.  ``naive`` devices keep
+        the scalar ticks as the reference the lockstep oracle compares
+        these against, digest for digest.
         """
-        from ..noc.soa import MuxBank, SoaMirror
-
         config = self.config
-        engine = self.engine
-        queues: List[PacketQueue] = []
-        queues.extend(self.inject_queues)
-        queues.extend(self.tpc_queues)
-        queues.extend(self.gpc_queues)
-        queues.extend(self.l2_request_queues)
-        for voqs in self.l2_reply_voqs:
-            queues.extend(voqs)
-        queues.extend(self.gpc_reply_queues)
-        mirror = SoaMirror(queues)
-        self.soa_mirror = mirror
 
         # SM backpressure parking: a blocked LSU sleeps until its inject
         # queue frees space or a reply returns credits (deliver_reply
         # already wakes the SM); without this the blocked SM burns a
         # retry tick every cycle of a long stall.
         for sm in self.sms:
-            sm._vec = True
             self.inject_queues[sm.sm_id].on_space = sm.wake
         if self.fabric_inject is not None:
             # The fabric egress queue is shared by every SM of the
             # device; waking all of them on freed space is a superset of
             # the precise wake and each extra tick is a state-preserving
-            # no-op, so equivalence with the scalar strategies holds.
+            # no-op, so equivalence with the naive strategy holds.
             sms = self.sms
 
             def _wake_sms() -> None:
@@ -455,53 +438,27 @@ class GpuDevice:
 
             self.fabric_inject.on_space = _wake_sms
 
+        for mux in self.tpc_muxes:
+            mux._sparse = True
+        for mux in self.gpc_muxes:
+            mux._sparse = True
+        self.request_xbar._sparse = True
+        for reply_mux in self.reply_muxes:
+            reply_mux._sparse = True
+        if self.remote_reply_mux is not None:
+            self.remote_reply_mux._sparse = True
+
         # Sole-contender packet batching on the TPC muxes: only
         # profitable where a packet spans >2 cycles of channel occupancy
         # (write bursts on the width-1 TPC channel), and only legal
         # without per-flit observers (tracer, invariant checker).
-        for mux in self.tpc_muxes:
-            mux._vec = True
-        for mux in self.gpc_muxes:
-            mux._vec = True
-        if config.reply_voq:
-            for mux in self.reply_muxes:
-                mux._vec = True
         batching = (
             not config.telemetry_enabled and not config.validate_enabled
         )
         span = max(config.write_request_flits, config.read_request_flits)
         if batching and span > 2 * config.tpc_channel_width:
             for mux in self.tpc_muxes:
-                mux.enable_vector_batching()
-
-        self.request_xbar.enable_vector(mirror)
-        for reply_mux in self.reply_muxes:
-            if isinstance(reply_mux, Crossbar):
-                reply_mux.enable_vector(mirror)
-
-        def register_banks(tier: str, muxes: List[Mux]) -> None:
-            # Banks need contiguous registration and equal arity; a tier
-            # whose arity varies (80 SMs over 6 GPCs gives 7/7/7/7/6/6
-            # GPC muxes) splits into maximal same-arity runs.
-            run: List[Mux] = []
-            for mux in muxes:
-                if run and len(mux.inputs) != len(run[0].inputs):
-                    if len(run) > 1:
-                        engine.register_bank(
-                            MuxBank(f"{tier}.bank{len(run[0].inputs)}",
-                                    mirror, run)
-                        )
-                    run = []
-                run.append(mux)
-            if len(run) > 1:
-                engine.register_bank(
-                    MuxBank(f"{tier}.bank{len(run[0].inputs)}", mirror, run)
-                )
-
-        register_banks("tpc", self.tpc_muxes)
-        register_banks("gpc", self.gpc_muxes)
-        if config.reply_voq:
-            register_banks("reply", self.reply_muxes)
+                mux.enable_batching()
 
     def _attach_telemetry(self) -> None:
         """Opt every instrumented component into the telemetry hub.
@@ -554,8 +511,9 @@ class GpuDevice:
 
         Unlike the telemetry tracer the profiler never needs per-flit
         visibility — it observes folded batch spans at materialisation
-        time — so it composes with vector batching.  It only *reads*
-        scheduler state: seeded runs stay bit-identical with it on.
+        time — so it composes with sole-contender batching.  It only
+        *reads* scheduler state: seeded runs stay bit-identical with it
+        on.
         """
         from ..metrics.profile import EngineProfiler
 

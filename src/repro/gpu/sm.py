@@ -131,15 +131,12 @@ class StreamingMultiprocessor(Component):
         #: Conservation checker (None unless the device enables
         #: validation); same one-branch-when-disabled pattern as _tracer.
         self._validator = None
-        # -- vector mode -------------------------------------------------- #
-        #: Set by the device under ``strategy="vector"``: a backpressure-
+        #: True when this tick's last issue attempt was refused (queue
+        #: full or out of credits); cleared whenever the LSU runs.  A
         #: blocked LSU parks reactively (the injection queue's pop hook
         #: and reply deliveries wake the SM) instead of retrying every
-        #: cycle.  The retry ticks it skips are state-preserving no-ops,
+        #: cycle; the retry ticks it skips are state-preserving no-ops,
         #: so skipping them is cycle-exact.
-        self._vec = False
-        #: True when this tick's last issue attempt was refused (queue
-        #: full or out of credits); cleared whenever the LSU runs.
         self._blocked = False
 
     def attach_telemetry(self, hub) -> None:
@@ -478,22 +475,23 @@ class StreamingMultiprocessor(Component):
         """Activity contract: an SM sleeps when no warp is runnable.
 
         Warps in ``NEW``/``READY``/``ISSUING`` keep the SM active every
-        cycle (ISSUING may be retrying against backpressure); ``SLEEP``
+        cycle, except ``ISSUING`` behind a backpressure-blocked LSU,
+        which parks until queue space or credits wake the SM; ``SLEEP``
         warps and pending L1 returns contribute their wake-up cycles;
         ``WAIT_MEM``/``DONE`` warps are purely reactive (the reply path
         calls :meth:`deliver_reply`, which wakes the SM).
         """
         wake = FOREVER
-        parked_issuing = self._vec and self._blocked
+        blocked = self._blocked
         for warp in self.warps:
             state = warp.state
             if state == SLEEP:
                 if warp.wake_cycle < wake:
                     wake = warp.wake_cycle
-            elif state == ISSUING and parked_issuing:
-                # Vector mode: the LSU is backpressure-blocked; retry
-                # ticks are no-ops until the injection queue's pop hook
-                # or a reply delivery wakes the SM, so park reactively.
+            elif state == ISSUING and blocked:
+                # The LSU is backpressure-blocked; retry ticks are no-ops
+                # until the injection queue's pop hook or a reply
+                # delivery wakes the SM, so park reactively.
                 continue
             elif state != WAIT_MEM and state != DONE:
                 return None  # NEW / READY / ISSUING: busy

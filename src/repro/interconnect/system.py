@@ -36,7 +36,7 @@ from ..gpu.device import GpuDevice
 from ..noc.buffer import PacketQueue
 from ..noc.crossbar import Crossbar
 from ..noc.packet import Packet
-from ..sim.engine import create_engine
+from ..sim.engine import Engine
 from .link import FabricIngress, LinkPipe
 from .topology import FabricTopology, build_topology
 
@@ -54,7 +54,7 @@ class MultiGpuSystem:
         self.config = config
         self.link = link if link is not None else LinkConfig()
         self.topology: FabricTopology = build_topology(self.link)
-        self.engine = create_engine(config.engine_strategy)
+        self.engine = Engine(strategy=config.engine_strategy)
         #: The member devices; ``devices[d].device_id == d``.
         self.devices: List[GpuDevice] = [
             GpuDevice(
@@ -172,7 +172,7 @@ class MultiGpuSystem:
         self.engine.register_all(self.link_pipes)
         self.engine.register_all(self.ingress)
 
-        # Reactive wake wiring (active/vector strategies park idle
+        # Reactive wake wiring (the active strategy parks idle
         # fabric components; these hooks un-park them on new input).
         for node, router in enumerate(self.routers):
             if node < topo.num_devices:

@@ -41,7 +41,7 @@ DEFAULT_WINDOW = 8
 #: Fractional throughput drop that counts as a regression.
 DEFAULT_THRESHOLD = 0.20
 
-_STRATEGIES = ("naive", "active", "vector")
+_STRATEGIES = ("naive", "active")
 
 
 def host_fingerprint() -> Dict[str, Any]:
@@ -101,9 +101,6 @@ def bench_record(
         "num_bits": report.get("num_bits"),
         "throughputs": _throughputs(report),
         "min_speedup": report.get("min_speedup"),
-        "vector_speedup_vs_active": (
-            (report.get("vector") or {}).get("min_speedup_vs_active")
-        ),
     }
 
 

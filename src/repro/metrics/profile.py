@@ -6,8 +6,8 @@ lockstep oracle runs with it on).  Cost control is by sampling — the
 active-set size is recorded only every ``interval`` busy cycles (one
 integer compare per cycle when enabled, a single ``is not None`` branch
 when disabled), while the event-shaped signals (fast-forward spans,
-mux-bank dispatch widths, sole-contender batch lengths) are recorded at
-their natural, already-rare call sites.
+sole-contender batch lengths) are recorded at their natural,
+already-rare call sites.
 
 Everything lands in a :class:`MetricsRegistry` labeled by engine
 strategy, so profiles from different strategies or worker shards merge
@@ -34,8 +34,8 @@ class EngineProfiler:
 
     __slots__ = (
         "interval", "next_sample", "registry",
-        "_active", "_ff_spans", "_bank_widths", "_batch_spans",
-        "_samples", "_ff_count", "_bank_count", "_batch_count",
+        "_active", "_ff_spans", "_batch_spans",
+        "_samples", "_ff_count", "_batch_count",
     )
 
     def __init__(
@@ -64,10 +64,6 @@ class EngineProfiler:
             "Idle spans skipped by fast-forward, in cycles",
             bucket_width=64, num_buckets=128, **labels,
         )
-        self._bank_widths = self.registry.sampler(
-            "engine_bank_dispatch_width",
-            "Members per batched mux-bank dispatch", **labels,
-        )
         self._batch_spans = self.registry.sampler(
             "engine_sole_batch_cycles",
             "Cycles folded per sole-contender packet batch", **labels,
@@ -79,10 +75,6 @@ class EngineProfiler:
         self._ff_count = self.registry.counter(
             "engine_fast_forwards_total",
             "Idle fast-forward jumps taken", **labels,
-        )
-        self._bank_count = self.registry.counter(
-            "engine_bank_dispatches_total",
-            "Batched mux-bank dispatches issued", **labels,
         )
         self._batch_count = self.registry.counter(
             "engine_sole_batches_total",
@@ -101,10 +93,6 @@ class EngineProfiler:
     def note_fast_forward(self, span: int) -> None:
         self._ff_count.inc()
         self._ff_spans.add(span)
-
-    def note_bank_dispatch(self, width: int) -> None:
-        self._bank_count.inc()
-        self._bank_widths.add(width)
 
     def note_sole_batch(self, span: int) -> None:
         self._batch_count.inc()

@@ -36,7 +36,7 @@ class ArbitrationPolicy:
     #: True when the policy's per-flit behaviour is *invariant* across
     #: the silent middle of a sole-contender packet: with exactly one
     #: nonempty input, every intermediate ``choose``/``note_flit`` is
-    #: deterministic and idempotent, so the vector engine may transfer
+    #: deterministic and idempotent, so the active strategy may transfer
     #: the packet's remaining flits as one batched operation and park
     #: until the completion cycle.  False for policies that consume
     #: per-flit state regardless of contention (RANDOM draws its rng per

@@ -20,8 +20,7 @@ class PacketQueue:
     """FIFO of packets with a flit-capacity bound."""
 
     __slots__ = ("name", "capacity_flits", "_queue", "_used_flits",
-                 "_reserved_flits", "on_push", "on_space", "meter",
-                 "_soa", "_soa_idx")
+                 "_reserved_flits", "on_push", "on_space", "meter")
 
     def __init__(self, name: str, capacity_flits: int) -> None:
         if capacity_flits <= 0:
@@ -35,7 +34,7 @@ class PacketQueue:
         #: device wires it to the consuming component's ``wake`` so the
         #: engine's active-set scheduler learns about new work.
         self.on_push: Optional[Callable[[], None]] = None
-        #: Optional hook fired when a pop frees space.  The vector-mode
+        #: Optional hook fired when a pop frees space.  An active-strategy
         #: device wires an SM's injection queue to the SM's ``wake`` so
         #: a backpressure-blocked SM can park instead of retrying every
         #: cycle.
@@ -43,10 +42,6 @@ class PacketQueue:
         #: Optional telemetry occupancy meter (``QueueMeter``); stays
         #: ``None`` unless the device enables telemetry.
         self.meter = None
-        #: Struct-of-arrays mirror (``repro.noc.soa.SoaMirror``) and this
-        #: queue's index in its arrays; ``None``/-1 outside vector mode.
-        self._soa = None
-        self._soa_idx = -1
 
     # -- capacity ------------------------------------------------------ #
     @property
@@ -70,8 +65,6 @@ class PacketQueue:
                 f"({self.free_flits})"
             )
         self._reserved_flits += flits
-        if self._soa is not None:
-            self._soa.q_reserved[self._soa_idx] = self._reserved_flits
 
     def commit(self, packet: Packet) -> None:
         """Enqueue a packet whose space was previously reserved."""
@@ -82,11 +75,6 @@ class PacketQueue:
         self._reserved_flits -= packet.flits
         self._used_flits += packet.flits
         self._queue.append(packet)
-        if self._soa is not None:
-            idx = self._soa_idx
-            self._soa.q_reserved[idx] = self._reserved_flits
-            self._soa.q_used[idx] = self._used_flits
-            self._soa.q_len[idx] = len(self._queue)
         if self.meter is not None:
             self.meter.note(self._used_flits)
         if self.on_push is not None:
@@ -107,10 +95,6 @@ class PacketQueue:
     def pop(self) -> Packet:
         packet = self._queue.popleft()
         self._used_flits -= packet.flits
-        if self._soa is not None:
-            idx = self._soa_idx
-            self._soa.q_used[idx] = self._used_flits
-            self._soa.q_len[idx] = len(self._queue)
         if self.on_space is not None:
             self.on_space()
         return packet
@@ -132,11 +116,6 @@ class PacketQueue:
         self._queue.clear()
         self._used_flits = 0
         self._reserved_flits = 0
-        if self._soa is not None:
-            idx = self._soa_idx
-            self._soa.q_used[idx] = 0
-            self._soa.q_reserved[idx] = 0
-            self._soa.q_len[idx] = 0
         if self.meter is not None:
             self.meter.note_cleared()
 

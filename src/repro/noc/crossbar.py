@@ -20,10 +20,6 @@ from .arbiter import ArbitrationPolicy, make_policy
 from .buffer import PacketQueue
 from .packet import Packet
 
-#: Bound by :meth:`Crossbar.enable_vector` (vector mode implies numpy);
-#: module-level so the scalar paths never import it.
-np = None
-
 
 class Crossbar(Component):
     """Input-queued crossbar with per-port flit budgets.
@@ -68,32 +64,17 @@ class Crossbar(Component):
         ]
         self._progress: List[int] = [0] * len(inputs)
         self._reserved: List[bool] = [False] * len(inputs)
-        # -- vector mode (None/False outside strategy="vector") ---------- #
-        self._vec = False
-        self._soa_mirror = None
-        self._out_idx: Optional[List[int]] = None
+        #: Device sets this under ``strategy="active"``: tick via
+        #: :meth:`_tick_sparse` (live-input iteration) instead of the
+        #: scalar loop, which ``naive`` keeps as the reference.  The
+        #: scalar tick rebuilds a per-output candidate list over every
+        #: port each round (48 list allocations per round at Table-1
+        #: scale); the sparse tick walks only the nonempty inputs.
+        self._sparse = False
         # -- telemetry (None unless the device enables it) -------------- #
         self._tracer = None
         self._tl_id = 0
         self._tl_out: Optional[List] = None
-
-    def enable_vector(self, mirror=None) -> None:
-        """Switch to the slot-assignment tick used by the vector engine.
-
-        The vector tick only walks *nonempty* input ports (the scalar
-        tick rebuilds a per-output candidate list over every port each
-        round — 48 list allocations per round at Table-1 scale) and,
-        when a struct-of-arrays mirror is provided and many inputs are
-        live, performs the admission check (route + output free-space)
-        as one gather over the occupancy arrays.  Grant-for-grant
-        identical to the scalar tick.
-        """
-        global np
-        import numpy as np
-        self._vec = True
-        if mirror is not None:
-            self._soa_mirror = mirror
-            self._out_idx = [mirror.index_of(q) for q in self.outputs]
 
     def attach_telemetry(self, hub) -> None:
         """Opt this crossbar into tracing and per-output link series."""
@@ -105,8 +86,8 @@ class Crossbar(Component):
         ]
 
     def tick(self, cycle: int) -> None:
-        if self._vec:
-            self._tick_vector(cycle)
+        if self._sparse:
+            self._tick_sparse(cycle)
             return
         num_inputs = len(self.inputs)
         input_budget = [self.input_width] * num_inputs
@@ -166,13 +147,12 @@ class Crossbar(Component):
             if not moved:
                 break
 
-    def _tick_vector(self, cycle: int) -> None:
+    def _tick_sparse(self, cycle: int) -> None:
         """Slot-assignment tick walking only the live input ports.
 
         Semantics are identical to the scalar :meth:`tick` — same round
         structure, same ascending output order, same per-round candidacy
-        — but the candidate grouping is sparse and the admission check
-        can gather output free-space from the SoA mirror in one batch.
+        — but the candidate grouping is sparse.
         """
         inputs = self.inputs
         live = [port for port, queue in enumerate(inputs) if queue]
@@ -185,37 +165,21 @@ class Crossbar(Component):
         num_inputs = len(inputs)
         input_budget = [self.input_width] * num_inputs
         output_budget = [self.width] * len(outputs)
-        mirror = self._soa_mirror
         heads: List[Optional[Packet]] = [None] * num_inputs
         while True:
             moved = False
             for port in live:
                 heads[port] = inputs[port].head()
             per_output: dict = {}
-            if mirror is not None and len(live) >= 8:
-                cand = [p for p in live
-                        if heads[p] is not None and input_budget[p] > 0]
-                if cand:
-                    outs = [route(heads[p]) for p in cand]
-                    free = mirror.free_flits(np.asarray(
-                        [self._out_idx[out] for out in outs], dtype=np.intp
-                    ))
-                    for k, p in enumerate(cand):
-                        out = outs[k]
-                        if output_budget[out] <= 0:
-                            continue
-                        if reserved[p] or free[k] >= heads[p].flits:
-                            per_output.setdefault(out, []).append(p)
-            else:
-                for p in live:
-                    head = heads[p]
-                    if head is None or input_budget[p] <= 0:
-                        continue
-                    out = route(head)
-                    if output_budget[out] <= 0:
-                        continue
-                    if reserved[p] or outputs[out].can_reserve(head.flits):
-                        per_output.setdefault(out, []).append(p)
+            for p in live:
+                head = heads[p]
+                if head is None or input_budget[p] <= 0:
+                    continue
+                out = route(head)
+                if output_budget[out] <= 0:
+                    continue
+                if reserved[p] or outputs[out].can_reserve(head.flits):
+                    per_output.setdefault(out, []).append(p)
             for out in sorted(per_output):
                 candidates = per_output[out]
                 policy = self._policies[out]

@@ -56,19 +56,19 @@ class Mux(Component):
         self._progress: List[int] = [0] * len(inputs)
         #: Whether output space is reserved for each input's head packet.
         self._reserved: List[bool] = [False] * len(inputs)
-        # -- vector-mode sparse tick -------------------------------------- #
-        #: Device sets this under ``strategy="vector"``: tick via
+        # -- active-strategy sparse tick ---------------------------------- #
+        #: Device sets this under ``strategy="active"``: tick via
         #: :meth:`_tick_sparse` (live-input iteration) instead of the
-        #: full-width scalar loop.
-        self._vec = False
+        #: full-width scalar loop, which ``naive`` keeps as the reference.
+        self._sparse = False
         #: ``idle_until`` verdict computed by the sparse tick (None =
-        #: busy); only consulted when ``_vec`` is set.
+        #: busy); only consulted when ``_sparse`` is set.
         self._idle_hint = None
-        # -- vector-mode lazy packet batching ---------------------------- #
-        #: Enabled by the device under ``strategy="vector"`` when the
-        #: policy is flit-invariant and no tracer/validator needs per-flit
-        #: visibility; see :meth:`enable_vector_batching`.
-        self._vec_batch = False
+        # -- active-strategy lazy packet batching ------------------------ #
+        #: Enabled by the device under ``strategy="active"`` (sparse ticks
+        #: only) when the policy is flit-invariant and no tracer/validator
+        #: needs per-flit visibility; see :meth:`enable_batching`.
+        self._batching = False
         #: In-flight batched transfer ``(port, c0, p0, flits, t_star)``:
         #: the sole-contender head packet on ``port`` had ``p0`` flits
         #: transmitted before cycle ``c0`` and silently moves ``width``
@@ -83,17 +83,18 @@ class Mux(Component):
         #: compatible with lazy batching.
         self._profiler = None
 
-    def enable_vector_batching(self) -> None:
+    def enable_batching(self) -> None:
         """Opt into multi-cycle sole-contender packet batching.
 
         Only valid with a flit-invariant policy and without per-flit
         observers (telemetry tracer, invariant checker): the batched
         middle of a packet emits no per-flit events and leaves
         ``_progress`` stale until materialised, which those observers
-        would see.  The device gates this accordingly.
+        would see.  The device gates this accordingly.  Only the sparse
+        tick starts batches; the scalar tick stays the per-flit reference.
         """
         if self.policy.flit_invariant:
-            self._vec_batch = True
+            self._batching = True
 
     def attach_telemetry(self, hub) -> None:
         """Opt this mux into event tracing and link-utilization series."""
@@ -102,11 +103,9 @@ class Mux(Component):
         self._tl_link = hub.timeline.register_link(self.name, self.width)
 
     def tick(self, cycle: int) -> None:
-        if self._vec:
+        if self._sparse:
             self._tick_sparse(cycle)
             return
-        if self._batch is not None:
-            self._materialize(cycle)
         budget = self.width
         inputs = self.inputs
         allowed = self.policy.allowed_inputs(cycle)
@@ -150,11 +149,9 @@ class Mux(Component):
                 self.stats.incr(self._flits_key)
         if moved and self._tl_link is not None:
             self._tl_link.add(cycle, moved)
-        if self._vec_batch and moved:
-            self._maybe_start_batch(cycle)
 
     def _tick_sparse(self, cycle: int) -> None:
-        """Vector-mode tick: identical grants, live-input iteration.
+        """Sparse tick: identical grants, live-input iteration.
 
         The scalar loop rebuilds a full-width ``heads`` list on every
         flit of budget — 48 ``head()`` calls per round on a reply mux
@@ -227,7 +224,7 @@ class Mux(Component):
                     stats.incr(self._packets_key, completed)
             if self._tl_link is not None:
                 self._tl_link.add(cycle, moved)
-            if self._vec_batch:
+            if self._batching:
                 self._maybe_start_batch(cycle)
         for p in live:
             if inputs[p]:
@@ -235,7 +232,7 @@ class Mux(Component):
                 return
         self._idle_hint = FOREVER
 
-    # -- vector-mode lazy batching -------------------------------------- #
+    # -- lazy sole-contender batching ---------------------------------- #
     def _materialize(self, cycle: int) -> None:
         """Fold a batched transfer's silent cycles into scalar state.
 
@@ -303,7 +300,7 @@ class Mux(Component):
         """
         if self._batch is not None:
             return self._batch[4]
-        if self._vec:
+        if self._sparse:
             return self._idle_hint
         for queue in self.inputs:
             if queue:

@@ -1,11 +1,10 @@
-"""Engine-scheduling microbenchmark: naive vs active vs vector strategies.
+"""Engine-scheduling microbenchmark: naive vs active strategies.
 
 Times identical seeded workloads under ``engine_strategy="naive"`` (tick
-every component every cycle), ``"active"`` (active-set scheduling with
-idle fast-forward) and ``"vector"`` (struct-of-arrays batch kernels over
-the active strategy's schedule), checks that the measured channel results
-are bit-identical across all strategies, and emits
-``BENCH_engine.json``::
+every component every cycle) and ``"active"`` (event-driven active-set
+scheduling with idle fast-forward, sparse NoC ticks and sole-contender
+batching), checks that the measured channel results are bit-identical
+across both strategies, and emits ``BENCH_engine.json``::
 
     python -m repro bench                 # full-Volta scale by default
     python -m repro bench --scale small
@@ -17,9 +16,9 @@ Two representative workloads are measured:
 * ``fig9_sync`` — the Figure 9 synchronised latency trace, whose idle
   guard slots between symbols are where fast-forward pays off most.
 
-The report also carries a ``"vector"`` section (vector-vs-active floor
-plus a ``full_volta`` block pinning the Table-1-scale numbers the PR's
-acceptance tracks), a ``"telemetry"`` section (tracing overhead), a
+The report also carries a ``"full_volta"`` block (active-strategy
+throughput pinned at the Table-1 V100 scale), a ``"telemetry"`` section
+(tracing overhead), a
 ``"metrics"`` section (sampled engine self-profiling overhead; <2%
 budget) and a ``"supervision"`` section (fault-tolerant runner overhead
 on a clean sweep, legacy pool vs per-job supervision; must stay <5%).
@@ -29,10 +28,6 @@ Every bench run also appends a trajectory record to
 repro bench --check-history`` compares the run against the trailing
 median for the same config and host and fails on a >20% throughput
 regression.
-
-The vector strategy requires numpy; without it the vector legs are
-recorded as unavailable (with the :class:`~repro.config.ConfigError`
-message) instead of silently falling back to another strategy.
 """
 
 from __future__ import annotations
@@ -42,19 +37,10 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from ..config import ConfigError, GpuConfig, VOLTA_V100
+from ..config import GpuConfig, VOLTA_V100
 
 #: Default output file name.
 BENCH_OUTPUT = "BENCH_engine.json"
-
-
-def vector_available() -> bool:
-    """Whether the optional numpy dependency for ``vector`` is present."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def _tpc_channel(config: GpuConfig, num_bits: int) -> Tuple[int, Any]:
@@ -139,15 +125,14 @@ def _bench_metrics(config: GpuConfig, num_bits: int) -> Dict[str, Any]:
     """Measure the metrics plane's overhead on the channel workload.
 
     Runs the TPC channel with ``metrics_enabled`` off and on under the
-    fastest available strategy (vector when numpy is present, active
-    otherwise), asserts the channel results are bit-identical — the
+    active strategy, asserts the channel results are bit-identical — the
     engine profiler only *reads* scheduler state — and reports the
     wall-clock overhead of sampled self-profiling.  The budget is <2%
     (``budget_frac``); the measured ``overhead_frac`` is recorded for
     the history trail rather than hard-asserted, since sub-second wall
     clocks are noisy on shared CI hosts.
     """
-    strategy = "vector" if vector_available() else "active"
+    strategy = "active"
     base = config.replace(engine_strategy=strategy)
     off_s, off_cycles, off_fp = _time_strategy(
         _tpc_channel, base.replace(metrics_enabled=False),
@@ -231,12 +216,12 @@ def _bench_full_volta(
     num_bits: int,
     report: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """Pin the vector-vs-active numbers at the Table-1 V100 scale.
+    """Pin the active strategy's throughput at the Table-1 V100 scale.
 
-    This is the scale the vector engine exists for; the block records it
-    explicitly even when the bench itself ran at another ``--scale``.
-    When the bench config already is full-Volta the measured workload
-    entries are reused instead of re-simulated.
+    The block records that scale explicitly even when the bench itself
+    ran at another ``--scale``.  When the bench config already is
+    full-Volta the measured workload entry is reused instead of
+    re-simulated.
     """
     block: Dict[str, Any] = {
         "num_sms": VOLTA_V100.num_sms,
@@ -248,36 +233,18 @@ def _bench_full_volta(
         config.num_sms == VOLTA_V100.num_sms
         and config.num_l2_slices == VOLTA_V100.num_l2_slices
     )
-    if at_volta:
-        entry = report["workloads"]["tpc_channel"]
-        for key in ("cycles", "active_wall_s", "vector_wall_s",
-                    "active_cycles_per_s", "vector_cycles_per_s"):
-            if key in entry:
-                block[key] = entry[key]
-        if "vector_speedup_vs_active" in entry:
-            block["speedup_vs_active"] = entry["vector_speedup_vs_active"]
-        block["identical"] = entry["identical"]
+    entry = report["workloads"].get("tpc_channel")
+    if at_volta and entry is not None:
+        for key in ("cycles", "active_wall_s", "active_cycles_per_s"):
+            block[key] = entry[key]
         return block
-    active_s, cycles, active_fp = _time_strategy(
+    active_s, cycles, _ = _time_strategy(
         _tpc_channel, VOLTA_V100, "active", num_bits
-    )
-    vector_s, vector_cycles, vector_fp = _time_strategy(
-        _tpc_channel, VOLTA_V100, "vector", num_bits
-    )
-    assert active_fp == vector_fp, (
-        "full-Volta: vector engine diverged from the active baseline"
-    )
-    assert cycles == vector_cycles, (
-        f"full-Volta: cycle counts diverged ({cycles} vs {vector_cycles})"
     )
     block.update(
         cycles=cycles,
         active_wall_s=round(active_s, 4),
-        vector_wall_s=round(vector_s, 4),
         active_cycles_per_s=round(cycles / active_s, 1),
-        vector_cycles_per_s=round(cycles / vector_s, 1),
-        speedup_vs_active=round(active_s / vector_s, 3),
-        identical=True,
     )
     return block
 
@@ -289,16 +256,15 @@ def bench_engine(
     output: Union[str, Path, None] = BENCH_OUTPUT,
     on_phase: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Any]:
-    """Benchmark all engine strategies; optionally write a JSON report.
+    """Benchmark naive vs active; optionally write a JSON report.
 
     Returns the report dict.  Raises ``AssertionError`` if any workload
-    produces different results under any two strategies — the optimised
-    engines are only optimisations if they are cycle-exact.  ``on_phase``
+    produces different results under the two strategies — the active
+    engine is only an optimisation if it is cycle-exact.  ``on_phase``
     (when given) is called with a short label as each timed leg starts —
     the CLI's ``--progress`` renderer hangs off it.
     """
     names = workloads or tuple(_WORKLOADS)
-    with_vector = vector_available()
 
     def phase(label: str) -> None:
         if on_phase is not None:
@@ -312,7 +278,6 @@ def bench_engine(
         "workloads": {},
     }
     speedups = []
-    vector_speedups = []
     for name in names:
         workload = _WORKLOADS[name]
         phase(f"{name}:naive")
@@ -337,48 +302,14 @@ def bench_engine(
             "speedup": round(speedup, 3),
             "identical": True,
         }
-        if with_vector:
-            phase(f"{name}:vector")
-            vector_s, vector_cycles, vector_fp = _time_strategy(
-                workload, config, "vector", num_bits
-            )
-            assert naive_fp == vector_fp, (
-                f"{name}: vector engine diverged from naive baseline"
-            )
-            assert cycles == vector_cycles, (
-                f"{name}: vector cycle count diverged "
-                f"({cycles} vs {vector_cycles})"
-            )
-            vector_speedup = (
-                active_s / vector_s if vector_s > 0 else float("inf")
-            )
-            vector_speedups.append(vector_speedup)
-            entry["vector_wall_s"] = round(vector_s, 4)
-            entry["vector_speedup_vs_active"] = round(vector_speedup, 3)
         if cycles:
             entry["cycles"] = cycles
             entry["naive_cycles_per_s"] = round(cycles / naive_s, 1)
             entry["active_cycles_per_s"] = round(cycles / active_s, 1)
-            if with_vector:
-                entry["vector_cycles_per_s"] = round(cycles / vector_s, 1)
         report["workloads"][name] = entry
     report["min_speedup"] = round(min(speedups), 3)
-    if with_vector:
-        phase("full_volta")
-        report["vector"] = {
-            "available": True,
-            "min_speedup_vs_active": round(min(vector_speedups), 3),
-            "full_volta": _bench_full_volta(config, num_bits, report),
-        }
-    else:
-        try:
-            from ..sim.engine import create_engine
-
-            create_engine("vector")
-            message = "numpy import succeeded unexpectedly"
-        except ConfigError as error:
-            message = str(error)
-        report["vector"] = {"available": False, "error": message}
+    phase("full_volta")
+    report["full_volta"] = _bench_full_volta(config, num_bits, report)
     phase("telemetry")
     report["telemetry"] = _bench_telemetry(config, num_bits)
     phase("metrics")

@@ -43,50 +43,36 @@ Scheduling strategies
     earliest pending timer (or the end of the ``step`` window) instead of
     spinning through empty cycles.
 
+    Stepping is event-driven: the active set is a set of registration
+    indices, and each busy cycle ticks exactly those indices in pipeline
+    order (a ``sorted()`` frontier), so a busy cycle costs
+    O(#active · log #active) rather than a scan over every registered
+    component.  At the paper's Table-1 scale (212 components) one covert
+    channel keeps only a handful of components live per busy cycle.
+
 Mid-cycle wake ordering matches the naive loop: a component woken at an
-index *after* the current scan position is ticked in the same cycle (an
-upstream push is visible downstream within the cycle, as registration
-order is pipeline order); a wake at or before the current position takes
-effect next cycle (exactly when the naive loop would next reach it).
+index *after* the current scan position is pushed into the live frontier
+and ticked in the same cycle (an upstream push is visible downstream
+within the cycle, as registration order is pipeline order); a wake at or
+before the current position takes effect next cycle (exactly when the
+naive loop would next reach it).
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Set
 
 #: Sentinel returned by :meth:`Component.idle_until` for "no self-scheduled
 #: work, ever — wake me only on external input".  Any cycle number at or
 #: beyond this is treated as "no timer".
 FOREVER = 1 << 62
 
-#: Accepted Engine scheduling strategies.  "vector" is implemented by
-#: :class:`repro.sim.vector.VectorEngine` (event-driven batch scheduling
-#: over numpy state arrays) and is instantiated via :func:`create_engine`.
-STRATEGIES = ("active", "naive", "vector")
+#: Accepted Engine scheduling strategies.
+STRATEGIES = ("active", "naive")
 
-
-def create_engine(strategy: str = "active") -> "Engine":
-    """Build the engine for ``strategy``.
-
-    ``"vector"`` requires numpy: without it a
-    :class:`repro.config.ConfigError` is raised (never a silent fallback
-    to another strategy — a run must use exactly the engine it asked
-    for).
-    """
-    if strategy == "vector":
-        from ..config import ConfigError
-
-        try:
-            from .vector import VectorEngine
-        except ImportError as exc:
-            raise ConfigError(
-                "engine_strategy='vector' requires numpy, which is not "
-                "installed; install the 'vector' extra (pip install "
-                "repro[vector]) or use engine_strategy='active'"
-            ) from exc
-        return VectorEngine()
-    return Engine(strategy=strategy)
+#: ``Engine._scan_pos`` outside a busy cycle's scan (no wake can beat it).
+_NOT_SCANNING = FOREVER
 
 
 class Component:
@@ -175,21 +161,19 @@ class Engine:
                 f"unknown engine strategy {strategy!r}; "
                 f"expected one of {STRATEGIES}"
             )
-        if strategy == "vector" and type(self) is Engine:
-            raise ValueError(
-                "strategy='vector' is implemented by VectorEngine; "
-                "build it via create_engine('vector')"
-            )
         self.strategy = strategy
         self._components: List[Component] = []
         self._post_components: List[Component] = []
         self.cycle: int = 0
         # -- active-set state ------------------------------------------- #
-        #: Per-component "tick me this cycle" flag (index-parallel).
-        self._active: List[bool] = []
+        #: Registration indices to tick (the active set).
+        self._active: Set[int] = set()
+        #: Live frontier heap of the busy cycle being scanned.
+        self._frontier: List[int] = []
+        #: Index currently being ticked, or ``_NOT_SCANNING``.
+        self._scan_pos: int = _NOT_SCANNING
         #: Whether each component overrides post_tick (index-parallel).
         self._has_post: List[bool] = []
-        self._num_active: int = 0
         #: Min-heap of (wake_cycle, index) timers; entries may be stale
         #: (superseded by an earlier wake) — stale pops are harmless
         #: because waking an idle component only costs a no-op tick.
@@ -229,8 +213,12 @@ class Engine:
             self._post_components.append(component)
         self._has_post.append(has_post)
         # New components start active; the first tick prunes idle ones.
-        self._active.append(True)
-        self._num_active += 1
+        # One registered by a tick mid-scan lies ahead of the scan
+        # position, so it joins this cycle's frontier.
+        index = component._engine_index
+        self._active.add(index)
+        if index > self._scan_pos:
+            heappush(self._frontier, index)
         self._timer_at.append(None)
         return component
 
@@ -245,12 +233,12 @@ class Engine:
     @property
     def num_active(self) -> int:
         """Components currently in the active set (``active`` strategy)."""
-        return self._num_active
+        return len(self._active)
 
     @property
     def quiescent(self) -> bool:
         """True when no component is active (timers may still be pending)."""
-        return self._num_active == 0
+        return not self._active
 
     # ------------------------------------------------------------------ #
     # Wake-up plumbing (active strategy; no-ops under naive).
@@ -268,9 +256,11 @@ class Engine:
         if at is not None and at > self.cycle:
             self._schedule(index, at)
             return
-        if not self._active[index]:
-            self._active[index] = True
-            self._num_active += 1
+        active = self._active
+        if index not in active:
+            active.add(index)
+            if index > self._scan_pos:
+                heappush(self._frontier, index)
 
     def _schedule(self, index: int, at: int) -> None:
         if at >= FOREVER:
@@ -288,9 +278,7 @@ class Engine:
             due, index = heappop(timers)
             if self._timer_at[index] == due:
                 self._timer_at[index] = None
-            if not active[index]:
-                active[index] = True
-                self._num_active += 1
+            active.add(index)
 
     # ------------------------------------------------------------------ #
     # Stepping.
@@ -324,7 +312,7 @@ class Engine:
             cycle = self.cycle
             if self._timers:
                 self._fire_due_timers(cycle)
-            if self._num_active == 0:
+            if not active:
                 # Whole model quiescent: fast-forward to the earliest
                 # timer (or the end of this step window) in one jump.
                 jump = self._timers[0][0] if self._timers else target
@@ -340,28 +328,32 @@ class Engine:
                 self.cycle = jump
                 continue
             if profiler is not None and cycle >= profiler.next_sample:
-                profiler.sample(cycle, self._num_active)
+                profiler.sample(cycle, len(active))
+            # A sorted list is a valid min-heap, so mid-cycle wakes ahead
+            # of the scan position can heappush into it directly.
+            frontier = self._frontier = sorted(active)
             post_due: Optional[List[Component]] = None
-            index = 0
-            # Plain index loop: mid-cycle wakes at higher indices must be
-            # picked up within this same scan (len() can also grow if a
-            # tick registers new components).
-            while index < len(components):
-                if active[index]:
-                    component = components[index]
-                    component.tick(cycle)
-                    self.ticks_executed += 1
-                    if has_post[index]:
-                        if post_due is None:
-                            post_due = [component]
-                        else:
-                            post_due.append(component)
-                    until = component.idle_until(cycle)
-                    if until is not None and until > cycle + 1:
-                        active[index] = False
-                        self._num_active -= 1
-                        self._schedule(index, until)
-                index += 1
+            ticked = 0
+            pos = -1
+            while frontier:
+                index = heappop(frontier)
+                if index <= pos:
+                    continue  # duplicate mid-cycle wake
+                pos = self._scan_pos = index
+                component = components[index]
+                component.tick(cycle)
+                ticked += 1
+                if has_post[index]:
+                    if post_due is None:
+                        post_due = [component]
+                    else:
+                        post_due.append(component)
+                until = component.idle_until(cycle)
+                if until is not None and until > cycle + 1:
+                    active.discard(index)
+                    self._schedule(index, until)
+            self._scan_pos = _NOT_SCANNING
+            self.ticks_executed += ticked
             if post_due is not None:
                 for component in post_due:
                     component.post_tick(cycle)
@@ -410,8 +402,9 @@ class Engine:
         self.fast_forwarded_cycles = 0
         self._timers.clear()
         self._timer_at = [None] * len(self._components)
-        self._active = [True] * len(self._components)
-        self._num_active = len(self._components)
+        self._active = set(range(len(self._components)))
+        self._frontier = []
+        self._scan_pos = _NOT_SCANNING
         for component in self._components:
             component.reset()
         if self.on_reset is not None:

@@ -105,9 +105,9 @@ def _artifact_list() -> List[Artifact]:
             id="fig5a",
             title="TPC channel read/write contention (Figure 5a)",
             fn="repro.testing.workloads.fig5a_metrics",
-            # ``large`` is the full Table-1 V100 under the vector engine:
-            # the same contention ratios must hold at the paper's scale.
-            scales={"small": {"ops": 6}, "large": {"ops": 6}},
+            # ``volta`` is the full Table-1 V100: the same contention
+            # ratios must hold at the paper's scale.
+            scales={"small": {"ops": 6}, "volta": {"ops": 6}},
             shrink_configs=(_ONE_GPC,),
             expectations=(
                 ratio_near(
@@ -266,12 +266,10 @@ def _artifact_list() -> List[Artifact]:
             id="table2",
             title="Measured channel summary (Table 2)",
             fn="repro.testing.workloads.table2_metrics",
-            # ``large`` (full V100, vector engine) is the scale Table 2
-            # actually reports; only the vector engine makes a full-Volta
-            # seed sweep affordable in the harness.
+            # ``volta`` (full V100) is the scale Table 2 actually reports.
             scales={
                 "small": {"bits_per_channel": 6},
-                "large": {"bits_per_channel": 6},
+                "volta": {"bits_per_channel": 6},
             },
             expectations=(
                 ordering(

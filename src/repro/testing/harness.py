@@ -16,7 +16,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from ..config import (
     GpuConfig,
     VOLTA_V100,
-    large_config,
     medium_config,
     small_config,
 )
@@ -30,14 +29,12 @@ from .golden import (
     StaleGoldenError,
 )
 
-#: Scales the golden harness understands.  ``large`` is the full Volta
-#: under the vectorized engine — bit-identical to ``volta`` by the
-#: lockstep oracle, but fast enough to record goldens at Table-1 scale.
+#: Scales the golden harness understands.  ``volta`` is the full
+#: Table-1 V100 (80 SMs, 48 L2 slices).
 SCALE_FACTORIES = {
     "small": small_config,
     "medium": medium_config,
     "volta": lambda: VOLTA_V100,
-    "large": large_config,
 }
 
 

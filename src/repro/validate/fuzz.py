@@ -190,9 +190,7 @@ def fuzz(
 ) -> FuzzReport:
     """Run ``runs`` cases with case seeds ``seed .. seed+runs-1``.
 
-    ``strategies`` is forwarded to the lockstep oracle; pass all of
-    :data:`~repro.config.ENGINE_STRATEGIES` for a three-way sweep that
-    includes the vector engine.
+    ``strategies`` is forwarded to the lockstep oracle.
     """
     report = FuzzReport()
     for case_seed in range(seed, seed + runs):

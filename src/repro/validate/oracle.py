@@ -1,15 +1,14 @@
-"""Lockstep oracle: the naive engine as ground truth for the others.
+"""Lockstep oracle: the naive engine as ground truth for the active one.
 
-PR 2 replaced tick-everything scheduling with an active-set engine whose
-park/wake bookkeeping is the single most bug-prone piece of the simulator:
-a component that parks one cycle too long produces timing that is subtly —
-not obviously — wrong, and the covert channel *is* timing.  The vector
-engine raises the stakes again (batched mux transfers, SoA write-through,
-reactive SM parking).  The oracle makes the equivalence claim checkable
-for any config and workload: it builds the same device once per engine
-strategy, steps them all in lockstep, and compares per-component
-:meth:`state_digest` snapshots every ``compare_every`` cycles, each
-strategy against the first (the baseline).
+The active-set engine's park/wake bookkeeping — together with its sparse
+NoC ticks, lazily batched mux transfers and reactive SM parking — is the
+single most bug-prone piece of the simulator: a component that parks one
+cycle too long produces timing that is subtly — not obviously — wrong,
+and the covert channel *is* timing.  The oracle makes the equivalence
+claim checkable for any config and workload: it builds the same device
+once per engine strategy, steps them all in lockstep, and compares
+per-component :meth:`state_digest` snapshots every ``compare_every``
+cycles, each strategy against the first (the baseline).
 
 On a mismatch it does not just say "diverged somewhere before cycle N": it
 rebuilds a fresh device set (seeded runs are deterministic, so a rebuild
@@ -76,9 +75,8 @@ class LockstepOracle:
         pass recovers the exact cycle.
     strategies:
         Engine strategies to run in lockstep; the first is the baseline
-        every other strategy is compared against.  Defaults to the PR-2
-        pair ``("naive", "active")``; pass all of
-        :data:`~repro.config.ENGINE_STRATEGIES` for a three-way check.
+        every other strategy is compared against.  Defaults to
+        ``("naive", "active")``.
     builder:
         Optional factory called with the strategy-patched config; must
         return a built target exposing ``.engine`` and ``.all_idle`` (a

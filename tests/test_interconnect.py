@@ -206,18 +206,6 @@ class TestMultiDeviceDeterminism:
             max_cycles=100_000,
         ) is None
 
-    def test_lockstep_three_way_with_vector(self):
-        pytest.importorskip("numpy", exc_type=ImportError)
-        assert verify_equivalence(
-            quiet_cfg(),
-            bidirectional_stimulus,
-            strategies=("naive", "active", "vector"),
-            builder=lambda config: MultiGpuSystem(
-                config, LinkConfig(num_devices=2),
-            ),
-            max_cycles=100_000,
-        ) is None
-
 
 class TestLinkChannel:
     def test_transmits_with_low_error(self):
