@@ -23,6 +23,7 @@ worth of grant at a time; the mux loops over its per-cycle flit budget.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import List, Optional, Sequence
 
 from .packet import Packet
@@ -56,7 +57,14 @@ class ArbitrationPolicy:
     def choose(
         self, candidates: List[int], heads: List[Optional[Packet]], cycle: int
     ) -> int:
-        """Pick one of ``candidates`` (non-empty) to send a flit."""
+        """Pick one of ``candidates`` to send a flit.
+
+        ``candidates`` is non-empty and in ascending port order: every
+        caller (the scalar and sparse mux and crossbar ticks) builds it
+        by walking the input ports in index order, and the round-robin
+        policies rely on that to bisect for the next port at or after
+        their pointer.
+        """
         raise NotImplementedError
 
     def note_flit(self, port: int, packet: Packet, last: bool) -> None:
@@ -72,6 +80,16 @@ class ArbitrationPolicy:
         this with their pointer/grant/rng state.
         """
         return ()
+
+
+def _next_from(candidates: List[int], pointer: int) -> int:
+    """First candidate at or after ``pointer``, wrapping to the lowest.
+
+    ``candidates`` is ascending, so this is the round-robin winner
+    ``min(candidates, key=lambda p: (p - pointer) % num_inputs)``.
+    """
+    i = bisect_left(candidates, pointer)
+    return candidates[i] if i < len(candidates) else candidates[0]
 
 
 class RoundRobin(ArbitrationPolicy):
@@ -94,11 +112,7 @@ class RoundRobin(ArbitrationPolicy):
     def choose(self, candidates, heads, cycle):
         if self._locked is not None and self._locked in candidates:
             return self._locked
-        best = min(
-            candidates,
-            key=lambda port: (port - self._pointer) % self.num_inputs,
-        )
-        return best
+        return _next_from(candidates, self._pointer)
 
     def note_flit(self, port, packet, last):
         if last:
@@ -140,10 +154,7 @@ class CoarseRoundRobin(ArbitrationPolicy):
                 return self._hold_port
         # The held warp group is exhausted (or its port went idle):
         # rotate like plain round-robin.
-        return min(
-            candidates,
-            key=lambda port: (port - self._pointer) % self.num_inputs,
-        )
+        return _next_from(candidates, self._pointer)
 
     def note_flit(self, port, packet, last):
         self._hold_port = port

@@ -151,15 +151,28 @@ class Mux(Component):
             self._tl_link.add(cycle, moved)
 
     def _tick_sparse(self, cycle: int) -> None:
-        """Sparse tick: identical grants, live-input iteration.
+        """Sparse tick: identical grants, candidacy built once per tick.
 
-        The scalar loop rebuilds a full-width ``heads`` list on every
-        flit of budget — 48 ``head()`` calls per round on a reply mux
-        that usually has one busy input.  This walk touches only the
-        nonempty ports and skips the policy call entirely when a single
-        candidate and a flit-invariant policy make the grant forced.
-        Grant-for-grant and counter-for-counter identical to the scalar
-        tick.
+        The scalar loop rebuilds its candidate list on every flit of
+        budget.  This tick walks the nonempty ports once, keeping each
+        port whose head holds a reservation or fits the output's free
+        space, and then only patches that list after each grant.  Two
+        invariants make the patching exact:
+
+        * within a tick only the granted port's head changes, so on
+          packet completion only that port is re-read (and dropped if
+          it is now empty or its new head does not fit);
+        * the output's free space only shrinks — ``reserve`` lowers it
+          and ``commit`` moves reserved flits to used — so a port that
+          did not fit never fits later in the tick, and after each new
+          reservation the unreserved heads that no longer fit drop out.
+
+        ``allowed_inputs`` is applied once, and candidates stay in
+        ascending port order, so every policy (including the rng draw
+        of RANDOM) sees exactly the list the scalar tick builds.  A
+        single candidate under a flit-invariant policy skips the policy
+        call.  Grant-for-grant and counter-for-counter identical to the
+        scalar tick.
         """
         if self._batch is not None:
             self._materialize(cycle)
@@ -169,28 +182,25 @@ class Mux(Component):
             self._idle_hint = FOREVER
             return
         policy = self.policy
+        reserved = self._reserved
+        progress = self._progress
+        output = self.output
+        free = output.free_flits
+        heads: List[Optional[Packet]] = [None] * len(inputs)
+        candidates = []
+        for p in live:
+            head = inputs[p].head()
+            heads[p] = head
+            if reserved[p] or head.flits <= free:
+                candidates.append(p)
         allowed = policy.allowed_inputs(cycle)
+        if allowed is not None:
+            candidates = [p for p in candidates if p in allowed]
         forced = policy.flit_invariant
         budget = self.width
         moved = 0
         completed = 0
-        reserved = self._reserved
-        progress = self._progress
-        output = self.output
-        heads: List[Optional[Packet]] = [None] * len(inputs)
-        while budget > 0:
-            candidates = []
-            for p in live:
-                head = inputs[p].head()
-                heads[p] = head
-                if head is not None and (
-                    reserved[p] or output.can_reserve(head.flits)
-                ):
-                    candidates.append(p)
-            if allowed is not None:
-                candidates = [p for p in candidates if p in allowed]
-            if not candidates:
-                break
+        while budget > 0 and candidates:
             if forced and len(candidates) == 1:
                 port = candidates[0]
             else:
@@ -199,6 +209,13 @@ class Mux(Component):
             if not reserved[port]:
                 output.reserve(packet.flits)
                 reserved[port] = True
+                free -= packet.flits
+                # The list is only read by later grants of this tick.
+                if budget > 1:
+                    candidates = [
+                        p for p in candidates
+                        if reserved[p] or heads[p].flits <= free
+                    ]
             if self._tracer is not None and progress[port] == 0:
                 self._tracer.emit(cycle, MUX_GRANT, self._tl_id,
                                   port, packet.uid)
@@ -216,6 +233,11 @@ class Mux(Component):
                 if self._tracer is not None:
                     self._tracer.emit(cycle, MUX_XFER, self._tl_id,
                                       port, packet.uid)
+                if budget:
+                    head = inputs[port].head()
+                    heads[port] = head
+                    if head is None or head.flits > free:
+                        candidates.remove(port)
         if moved:
             stats = self.stats
             if stats is not None:

@@ -233,3 +233,72 @@ class TestProperties:
         while output:
             crossed.append(output.pop().uid)
         assert sorted(crossed) == sorted(pushed)
+
+
+def _rotation_reference(candidates, pointer, num_inputs):
+    """The round-robin winner by definition: nearest port at/after pointer."""
+    return min(candidates, key=lambda port: (port - pointer) % num_inputs)
+
+
+@st.composite
+def _port_subsets(draw):
+    """A port count and an ascending non-empty subset of its ports."""
+    num_inputs = draw(st.integers(1, 48))
+    ports = draw(st.lists(st.integers(0, num_inputs - 1), min_size=1,
+                          unique=True))
+    return num_inputs, sorted(ports)
+
+
+class TestRotationMatchesReference:
+    """RR/CRR ``choose`` against the rotation rule, pointer by pointer.
+
+    The naive and active strategies share the policy objects, so the
+    lockstep oracle cannot catch a wrong pick; this pins it against an
+    independent definition.  Every pointer is tried, so the subsets
+    include ones that lie wholly before the pointer (the wrap).
+    """
+
+    @given(_port_subsets(), st.data())
+    def test_round_robin(self, subset, data):
+        num_inputs, candidates = subset
+        heads = [packet() for _ in range(num_inputs)]
+        locked = data.draw(st.none() | st.integers(0, num_inputs - 1))
+        for pointer in range(num_inputs):
+            policy = RoundRobin(num_inputs)
+            # Completing a packet on the port before ``pointer`` moves
+            # the pointer there and leaves no port locked.
+            policy.note_flit((pointer - 1) % num_inputs, heads[0], True)
+            if locked is not None:
+                policy.note_flit(locked, heads[locked], False)  # mid-packet
+            if locked is not None and locked in candidates:
+                expected = locked
+            else:
+                expected = _rotation_reference(
+                    candidates, pointer, num_inputs
+                )
+            assert policy.choose(candidates, heads, 0) == expected
+
+    @given(_port_subsets(), st.data())
+    def test_coarse_round_robin(self, subset, data):
+        num_inputs, candidates = subset
+        held = data.draw(st.integers(0, num_inputs - 1))
+        held_group = data.draw(st.integers(0, 2))
+        heads = [
+            packet(group=data.draw(st.integers(0, 2)))
+            for _ in range(num_inputs)
+        ]
+        for pointer in range(num_inputs):
+            policy = CoarseRoundRobin(num_inputs)
+            policy.note_flit(
+                (pointer - 1) % num_inputs, packet(group=held_group), True
+            )
+            # Hold ``held``'s port on ``held_group`` without moving the
+            # pointer (a mid-packet flit).
+            policy.note_flit(held, packet(group=held_group), False)
+            if held in candidates and heads[held].group_id == held_group:
+                expected = held
+            else:
+                expected = _rotation_reference(
+                    candidates, pointer, num_inputs
+                )
+            assert policy.choose(candidates, heads, 0) == expected

@@ -111,11 +111,11 @@ class _BatchSpans:
         self.spans.append(span)
 
 
-def _run_lockstep(build):
+def _run_lockstep(build, run_cycles=_RUN_CYCLES):
     """Run the scalar and sparse builds side by side; compare each cycle."""
     scalar = build(sparse=False)
     sparse = build(sparse=True)
-    for _ in range(_RUN_CYCLES):
+    for _ in range(run_cycles):
         scalar["engine"].step(1)
         sparse["engine"].step(1)
         cycle = scalar["engine"].cycle
@@ -131,33 +131,55 @@ def _run_lockstep(build):
     return scalar, sparse
 
 
+class _LiveMeter(Component):
+    """Samples how many mux inputs are nonempty each injecting cycle."""
+
+    name = "live-meter"
+
+    def __init__(self, queues):
+        self.queues = queues
+        self.samples = []
+
+    def tick(self, cycle):
+        if cycle < _INJECT_CYCLES:
+            self.samples.append(sum(1 for q in self.queues if q))
+
+    def idle_until(self, cycle):
+        return None if cycle + 1 < _INJECT_CYCLES else FOREVER
+
+
+def _mux_builder(policy_name, num_inputs, width, output_flits):
+    """Build function for :func:`_run_lockstep` around one :class:`Mux`."""
+
+    def build(sparse):
+        stats = StatsRegistry()
+        inputs = [PacketQueue(f"in{i}", 24) for i in range(num_inputs)]
+        output = PacketQueue("out", output_flits)
+        mux = Mux("m", inputs, output, width,
+                  make_policy(policy_name, num_inputs, seed=7), stats)
+        spans = _BatchSpans()
+        if sparse:
+            mux._sparse = True
+            mux._profiler = spans
+            mux.enable_batching()
+            for queue in inputs:
+                queue.on_push = mux.wake
+        source = _Source(inputs, seed=11, num_outputs=1)
+        meter = _LiveMeter(inputs)
+        sink = _Sink([output])
+        engine = Engine([source, meter, mux, sink],
+                        strategy="active" if sparse else "naive")
+        return {"engine": engine, "switch": mux, "sink": sink,
+                "stats": stats, "spans": spans, "meter": meter}
+
+    return build
+
+
 class TestSparseMux:
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_sparse_tick_matches_scalar(self, policy_name, width):
-        num_inputs = 3
-
-        def build(sparse):
-            stats = StatsRegistry()
-            inputs = [PacketQueue(f"in{i}", 24) for i in range(num_inputs)]
-            output = PacketQueue("out", 16)
-            mux = Mux("m", inputs, output, width,
-                      make_policy(policy_name, num_inputs, seed=7), stats)
-            spans = _BatchSpans()
-            if sparse:
-                mux._sparse = True
-                mux._profiler = spans
-                mux.enable_batching()
-                for queue in inputs:
-                    queue.on_push = mux.wake
-            source = _Source(inputs, seed=11, num_outputs=1)
-            sink = _Sink([output])
-            engine = Engine([source, mux, sink],
-                            strategy="active" if sparse else "naive")
-            return {"engine": engine, "switch": mux, "sink": sink,
-                    "stats": stats, "spans": spans}
-
-        _, sparse = _run_lockstep(build)
+        _, sparse = _run_lockstep(_mux_builder(policy_name, 3, width, 16))
         batched = sparse["spans"].spans
         if sparse["switch"].policy.flit_invariant and width == 1:
             # Lone 4- and 7-flit packets on a width-1 channel: the
@@ -165,6 +187,26 @@ class TestSparseMux:
             assert batched and max(batched) >= 2
         elif not sparse["switch"].policy.flit_invariant:
             assert batched == []  # enable_batching refused the policy
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_reply_mux_shape_matches_scalar(self, policy_name):
+        """A reply-mux-shaped switch: many live inputs, width 3.
+
+        Sixteen oversubscribed inputs keep most ports live every cycle,
+        so a tick makes several grants over a long candidate list.  The
+        10-flit output, drained one packet per three cycles, is nearly
+        full: a reservation made mid-tick routinely leaves later 4- and
+        7-flit heads unable to fit, and a 1- or 2-flit packet completes
+        mid-tick and exposes its port's next head.  Those are the paths
+        where the sparse tick patches its candidate list instead of
+        rebuilding it.
+        """
+        num_inputs = 16
+        scalar, _ = _run_lockstep(
+            _mux_builder(policy_name, num_inputs, 3, 10), run_cycles=2500
+        )
+        samples = scalar["meter"].samples
+        assert sum(samples) / len(samples) >= 0.75 * num_inputs
 
 
 class TestSparseCrossbar:
