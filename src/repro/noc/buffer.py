@@ -6,12 +6,21 @@ buffering than single-flit read requests, and upstream muxes use
 reserve/commit semantics: space for a whole packet is reserved when its
 first flit is transmitted (virtual cut-through), the packet object is
 enqueued when its last flit arrives, and the space is released on pop.
+
+A queue may also have one consuming switch (a :class:`LiveInputs`
+subclass: :class:`~repro.noc.mux.Mux` or
+:class:`~repro.noc.crossbar.Crossbar`).  The queue then tells that switch
+whenever its head packet changes — empty to nonempty on ``commit``, a new
+head or empty on ``pop``, empty on ``clear`` — so the switch keeps its
+nonempty input ports as a live list instead of rescanning every input on
+every tick.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, List, Optional
 
 from .packet import Packet
 
@@ -20,7 +29,8 @@ class PacketQueue:
     """FIFO of packets with a flit-capacity bound."""
 
     __slots__ = ("name", "capacity_flits", "_queue", "_used_flits",
-                 "_reserved_flits", "on_push", "on_space", "meter")
+                 "_reserved_flits", "on_push", "on_space", "meter",
+                 "_consumer", "_port")
 
     def __init__(self, name: str, capacity_flits: int) -> None:
         if capacity_flits <= 0:
@@ -42,6 +52,24 @@ class PacketQueue:
         #: Optional telemetry occupancy meter (``QueueMeter``); stays
         #: ``None`` unless the device enables telemetry.
         self.meter = None
+        #: The switch this queue feeds and its input port there (see
+        #: :meth:`attach_consumer`); ``None`` for queues no switch reads.
+        self._consumer: Optional["LiveInputs"] = None
+        self._port = -1
+
+    def attach_consumer(self, switch: "LiveInputs", port: int) -> None:
+        """Make ``switch`` the one consumer told about head changes.
+
+        A queue has exactly one consumer: a second registration would
+        silently leave the first switch's live list stale, so it raises.
+        """
+        if self._consumer is not None:
+            raise ValueError(
+                f"{self.name}: already consumed by "
+                f"{self._consumer.name} port {self._port}"
+            )
+        self._consumer = switch
+        self._port = port
 
     # -- capacity ------------------------------------------------------ #
     @property
@@ -74,7 +102,10 @@ class PacketQueue:
             )
         self._reserved_flits -= packet.flits
         self._used_flits += packet.flits
-        self._queue.append(packet)
+        queue = self._queue
+        queue.append(packet)
+        if self._consumer is not None and len(queue) == 1:
+            self._consumer._note_head(self._port, packet)
         if self.meter is not None:
             self.meter.note(self._used_flits)
         if self.on_push is not None:
@@ -93,8 +124,11 @@ class PacketQueue:
         return self._queue[0] if self._queue else None
 
     def pop(self) -> Packet:
-        packet = self._queue.popleft()
+        queue = self._queue
+        packet = queue.popleft()
         self._used_flits -= packet.flits
+        if self._consumer is not None:
+            self._consumer._note_head(self._port, queue[0] if queue else None)
         if self.on_space is not None:
             self.on_space()
         return packet
@@ -111,8 +145,10 @@ class PacketQueue:
         A clear is a queue-level reset, so any attached telemetry meter is
         told the occupancy collapsed to zero — otherwise its standing
         epoch peak would keep reporting pre-clear occupancy after an
-        engine reset.
+        engine reset.  A consuming switch is told the queue went empty.
         """
+        if self._consumer is not None and self._queue:
+            self._consumer._note_head(self._port, None)
         self._queue.clear()
         self._used_flits = 0
         self._reserved_flits = 0
@@ -126,3 +162,42 @@ class PacketQueue:
             self._reserved_flits,
             tuple(packet.signature() for packet in self._queue),
         )
+
+
+class LiveInputs:
+    """Switch-side half of the queue-consumer protocol.
+
+    Holds ``_live``, the ascending input ports whose queue is nonempty;
+    ``_heads``, each port's head packet (``None`` when empty), in the
+    shape the arbitration policies take; and ``_max_flits``, the largest
+    head packet any input has exposed, an upper bound on every current
+    head.  The input queues keep all three current through
+    :meth:`_note_head`, so the lists change only when a queue's head
+    does and no tick has to rescan its inputs.  They are derived from the
+    queues and stay out of ``state_digest``.
+    """
+
+    _live: List[int]
+    _heads: List[Optional[Packet]]
+    _max_flits: int
+
+    def _attach_inputs(self, inputs: List[PacketQueue]) -> None:
+        self._live = []
+        self._heads = [None] * len(inputs)
+        self._max_flits = 0
+        for port, queue in enumerate(inputs):
+            queue.attach_consumer(self, port)
+            if queue:
+                self._note_head(port, queue.head())
+
+    def _note_head(self, port: int, head: Optional[Packet]) -> None:
+        """Input ``port``'s head packet is now ``head`` (None = empty)."""
+        heads = self._heads
+        if head is None:
+            self._live.remove(port)
+        else:
+            if heads[port] is None:
+                insort(self._live, port)
+            if head.flits > self._max_flits:
+                self._max_flits = head.flits
+        heads[port] = head

@@ -17,11 +17,11 @@ from ..sim.engine import Component, FOREVER
 from ..sim.stats import StatsRegistry
 from ..telemetry.events import XBAR_GRANT, XBAR_XFER
 from .arbiter import ArbitrationPolicy, make_policy
-from .buffer import PacketQueue
+from .buffer import LiveInputs, PacketQueue
 from .packet import Packet
 
 
-class Crossbar(Component):
+class Crossbar(LiveInputs, Component):
     """Input-queued crossbar with per-port flit budgets.
 
     Parameters
@@ -64,12 +64,15 @@ class Crossbar(Component):
         ]
         self._progress: List[int] = [0] * len(inputs)
         self._reserved: List[bool] = [False] * len(inputs)
+        # Live input ports and their heads, kept by the input queues for
+        # every strategy (see LiveInputs).
+        self._attach_inputs(inputs)
         #: Device sets this under ``strategy="active"``: tick via
         #: :meth:`_tick_sparse` (live-input iteration) instead of the
         #: scalar loop, which ``naive`` keeps as the reference.  The
         #: scalar tick rebuilds a per-output candidate list over every
         #: port each round (48 list allocations per round at Table-1
-        #: scale); the sparse tick walks only the nonempty inputs.
+        #: scale); the sparse tick walks only the live list.
         self._sparse = False
         # -- telemetry (None unless the device enables it) -------------- #
         self._tracer = None
@@ -152,29 +155,29 @@ class Crossbar(Component):
 
         Semantics are identical to the scalar :meth:`tick` — same round
         structure, same ascending output order, same per-round candidacy
-        — but the candidate grouping is sparse.
+        — but the candidate grouping walks ``_live`` and reads
+        ``_heads``, which the input queues keep current: a packet popped
+        in one round has already exposed its successor (or left the live
+        list) when the next round groups.
         """
-        inputs = self.inputs
-        live = [port for port, queue in enumerate(inputs) if queue]
+        live = self._live
         if not live:
             return
+        inputs = self.inputs
         outputs = self.outputs
         route = self.route
         reserved = self._reserved
         progress = self._progress
-        num_inputs = len(inputs)
-        input_budget = [self.input_width] * num_inputs
+        heads = self._heads
+        input_budget = [self.input_width] * len(inputs)
         output_budget = [self.width] * len(outputs)
-        heads: List[Optional[Packet]] = [None] * num_inputs
         while True:
             moved = False
-            for port in live:
-                heads[port] = inputs[port].head()
             per_output: dict = {}
             for p in live:
-                head = heads[p]
-                if head is None or input_budget[p] <= 0:
+                if input_budget[p] <= 0:
                     continue
+                head = heads[p]
                 out = route(head)
                 if output_budget[out] <= 0:
                     continue
@@ -190,7 +193,6 @@ class Crossbar(Component):
                         continue
                 port = policy.choose(candidates, heads, cycle)
                 packet = heads[port]
-                assert packet is not None
                 if not reserved[port]:
                     outputs[out].reserve(packet.flits)
                     reserved[port] = True
@@ -205,7 +207,7 @@ class Crossbar(Component):
                 last = progress[port] >= packet.flits
                 policy.note_flit(port, packet, last)
                 if last:
-                    inputs[port].pop()
+                    inputs[port].pop()  # refreshes heads[port] and live
                     outputs[out].commit(packet)
                     progress[port] = 0
                     reserved[port] = False
@@ -220,10 +222,7 @@ class Crossbar(Component):
 
     def idle_until(self, cycle: int) -> Optional[int]:
         """Purely reactive: idle exactly when every input queue is empty."""
-        for queue in self.inputs:
-            if queue:
-                return None
-        return FOREVER
+        return None if self._live else FOREVER
 
     def reserved_demand(self):
         """Yield ``(output_queue, flits)`` per held output reservation.

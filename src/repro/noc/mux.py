@@ -20,11 +20,11 @@ from ..sim.engine import Component, FOREVER
 from ..sim.stats import StatsRegistry
 from ..telemetry.events import MUX_GRANT, MUX_XFER
 from .arbiter import ArbitrationPolicy
-from .buffer import PacketQueue
+from .buffer import LiveInputs, PacketQueue
 from .packet import Packet
 
 
-class Mux(Component):
+class Mux(LiveInputs, Component):
     """Arbitrated N:1 concentrator with a flit-per-cycle budget."""
 
     def __init__(
@@ -56,14 +56,15 @@ class Mux(Component):
         self._progress: List[int] = [0] * len(inputs)
         #: Whether output space is reserved for each input's head packet.
         self._reserved: List[bool] = [False] * len(inputs)
+        # Live input ports and their heads, kept by the input queues for
+        # every strategy (see LiveInputs), so the scalar reference tick
+        # and reset keep them current too.
+        self._attach_inputs(inputs)
         # -- active-strategy sparse tick ---------------------------------- #
         #: Device sets this under ``strategy="active"``: tick via
         #: :meth:`_tick_sparse` (live-input iteration) instead of the
         #: full-width scalar loop, which ``naive`` keeps as the reference.
         self._sparse = False
-        #: ``idle_until`` verdict computed by the sparse tick (None =
-        #: busy); only consulted when ``_sparse`` is set.
-        self._idle_hint = None
         # -- active-strategy lazy packet batching ------------------------ #
         #: Enabled by the device under ``strategy="active"`` (sparse ticks
         #: only) when the policy is flit-invariant and no tracer/validator
@@ -151,14 +152,18 @@ class Mux(Component):
             self._tl_link.add(cycle, moved)
 
     def _tick_sparse(self, cycle: int) -> None:
-        """Sparse tick: identical grants, candidacy built once per tick.
+        """Sparse tick: identical grants, candidacy from the live list.
 
-        The scalar loop rebuilds its candidate list on every flit of
-        budget.  This tick walks the nonempty ports once, keeping each
-        port whose head holds a reservation or fits the output's free
-        space, and then only patches that list after each grant.  Two
-        invariants make the patching exact:
+        The scalar loop rebuilds its candidate list over every input on
+        every flit of budget.  This tick starts from ``_live``, the
+        nonempty ports the input queues maintain, keeps each port whose
+        head holds a reservation or fits the output's free space, and
+        then only patches that list after each grant.  Three facts make
+        this exact:
 
+        * ``_max_flits`` bounds every live head, so while the output has
+          at least that much free space every live head fits and the
+          fit filter is skipped;
         * within a tick only the granted port's head changes, so on
           packet completion only that port is re-read (and dropped if
           it is now empty or its new head does not fit);
@@ -176,23 +181,22 @@ class Mux(Component):
         """
         if self._batch is not None:
             self._materialize(cycle)
-        inputs = self.inputs
-        live = [p for p, q in enumerate(inputs) if q]
+        live = self._live
         if not live:
-            self._idle_hint = FOREVER
             return
+        inputs = self.inputs
         policy = self.policy
         reserved = self._reserved
         progress = self._progress
+        heads = self._heads
         output = self.output
         free = output.free_flits
-        heads: List[Optional[Packet]] = [None] * len(inputs)
-        candidates = []
-        for p in live:
-            head = inputs[p].head()
-            heads[p] = head
-            if reserved[p] or head.flits <= free:
-                candidates.append(p)
+        if free >= self._max_flits:
+            candidates = live[:]
+        else:
+            candidates = [
+                p for p in live if reserved[p] or heads[p].flits <= free
+            ]
         allowed = policy.allowed_inputs(cycle)
         if allowed is not None:
             candidates = [p for p in candidates if p in allowed]
@@ -211,7 +215,7 @@ class Mux(Component):
                 reserved[port] = True
                 free -= packet.flits
                 # The list is only read by later grants of this tick.
-                if budget > 1:
+                if budget > 1 and free < self._max_flits:
                     candidates = [
                         p for p in candidates
                         if reserved[p] or heads[p].flits <= free
@@ -225,7 +229,7 @@ class Mux(Component):
             last = progress[port] >= packet.flits
             policy.note_flit(port, packet, last)
             if last:
-                inputs[port].pop()
+                inputs[port].pop()  # refreshes heads[port] and live
                 output.commit(packet)
                 progress[port] = 0
                 reserved[port] = False
@@ -234,8 +238,7 @@ class Mux(Component):
                     self._tracer.emit(cycle, MUX_XFER, self._tl_id,
                                       port, packet.uid)
                 if budget:
-                    head = inputs[port].head()
-                    heads[port] = head
+                    head = heads[port]
                     if head is None or head.flits > free:
                         candidates.remove(port)
         if moved:
@@ -248,11 +251,6 @@ class Mux(Component):
                 self._tl_link.add(cycle, moved)
             if self._batching:
                 self._maybe_start_batch(cycle)
-        for p in live:
-            if inputs[p]:
-                self._idle_hint = None
-                return
-        self._idle_hint = FOREVER
 
     # -- lazy sole-contender batching ---------------------------------- #
     def _materialize(self, cycle: int) -> None:
@@ -285,18 +283,16 @@ class Mux(Component):
         grants are deterministic no-ops on policy state, so the engine
         can skip straight to the completion tick.
         """
-        busy_port = -1
-        for port, queue in enumerate(self.inputs):
-            if queue:
-                if busy_port >= 0:
-                    return  # contended: per-flit arbitration required
-                busy_port = port
-        if busy_port < 0 or not self._reserved[busy_port]:
+        live = self._live
+        if len(live) != 1:
+            return  # idle, or contended: per-flit arbitration required
+        busy_port = live[0]
+        if not self._reserved[busy_port]:
             return
         progress = self._progress[busy_port]
         if progress <= 0:
             return
-        head = self.inputs[busy_port].head()
+        head = self._heads[busy_port]
         remaining = head.flits - progress
         ticks = -(-remaining // self.width)  # ceil
         if ticks < 2:
@@ -322,12 +318,7 @@ class Mux(Component):
         """
         if self._batch is not None:
             return self._batch[4]
-        if self._sparse:
-            return self._idle_hint
-        for queue in self.inputs:
-            if queue:
-                return None
-        return FOREVER
+        return None if self._live else FOREVER
 
     def reserved_demand(self):
         """Yield ``(output_queue, flits)`` for each held output reservation.
@@ -368,10 +359,10 @@ class Mux(Component):
         self._progress = [0] * len(self.inputs)
         self._reserved = [False] * len(self.inputs)
         self._batch = None
-        self._idle_hint = None
         self.policy.reset()
         for queue in self.inputs:
             queue.clear()
+        self._max_flits = 0  # every input is empty now
         # Attached telemetry resets with the component, so a reset device
         # reports exactly what a freshly-built one would.
         if self._tl_link is not None:

@@ -19,7 +19,12 @@ settled end-of-cycle state, that audits:
   ``_reserved`` state is self-consistent, and every queue's reserved
   flits are exactly the sum of its upstream switches' in-flight packets,
   so a ``reserve`` that is never matched by a ``commit`` (or matched
-  twice) is caught at the first audit after it happens.
+  twice) is caught at the first audit after it happens;
+* **live-list consistency** — each switch's queue-maintained live list
+  (``_live``, ``_heads``) matches its input queues exactly and
+  ``_max_flits`` bounds every head, so a missed head-change
+  notification is caught even though the lockstep oracle's digests
+  leave that derived state out.
 
 Violations raise a structured :class:`InvariantViolation` naming the
 cycle, the component, and the failed invariant.  The checker never
@@ -51,7 +56,8 @@ class InvariantViolation(Exception):
     kind:
         Machine-readable invariant tag (``"capacity"``,
         ``"used-accounting"``, ``"reservation-leak"``,
-        ``"progress-consistency"``, ``"link-credit"``,
+        ``"progress-consistency"``, ``"live-consistency"``,
+        ``"link-credit"``,
         ``"double-delivery"``, ``"unknown-delivery"``,
         ``"duplicate-injection"``, ``"undelivered"``).
     detail:
@@ -289,6 +295,26 @@ class InvariantChecker(Component):
         progress = switch._progress
         reserved = switch._reserved
         inputs = switch.inputs
+        live = [port for port, queue in enumerate(inputs) if queue]
+        if switch._live != live:
+            self._raise(
+                cycle, switch.name, "live-consistency",
+                f"live list {switch._live} but nonempty inputs are {live}"
+            )
+        for port, queue in enumerate(inputs):
+            head = queue.head()
+            if switch._heads[port] is not head:
+                self._raise(
+                    cycle, switch.name, "live-consistency",
+                    f"port {port}: cached head is not the input queue's "
+                    f"head (missed head-change notification?)"
+                )
+            if head is not None and head.flits > switch._max_flits:
+                self._raise(
+                    cycle, switch.name, "live-consistency",
+                    f"port {port}: head of {head.flits} flits exceeds "
+                    f"the cached bound _max_flits={switch._max_flits}"
+                )
         for port in range(len(inputs)):
             if reserved[port] != (progress[port] > 0):
                 self._raise(

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.noc.arbiter import make_policy
 from repro.noc.buffer import PacketQueue
+from repro.noc.crossbar import Crossbar
+from repro.noc.mux import Mux
 from repro.noc.packet import Packet, READ
 
 
@@ -88,6 +91,52 @@ class TestReservations:
         queue.clear()
         assert queue.free_flits == 8
         assert not queue
+
+
+class TestConsumer:
+    """The one switch a queue tells about head changes (its live list)."""
+
+    def _mux(self, name, inputs):
+        return Mux(name, inputs, PacketQueue(f"{name}.out", 16), width=1,
+                   policy=make_policy("rr", len(inputs)))
+
+    def test_second_consumer_rejected(self):
+        shared = PacketQueue("shared", 8)
+        first = self._mux("first", [PacketQueue("other", 8), shared])
+        with pytest.raises(ValueError, match="first port 1"):
+            self._mux("second", [shared])
+        with pytest.raises(ValueError):
+            Crossbar("x", [shared], [PacketQueue("out", 8)],
+                     route=lambda packet: 0, width=1)
+        # The rejected registrations left the first consumer in charge.
+        shared.push(make_packet(2))
+        assert first._live == [1]
+        assert first._heads == [None, shared.head()]
+
+    def test_head_changes_reach_the_consumer(self):
+        queues = [PacketQueue(f"in{i}", 16) for i in range(3)]
+        mux = self._mux("m", queues)
+        small, big = make_packet(1), make_packet(5)
+        queues[2].push(small)
+        queues[2].push(big)
+        queues[0].push(make_packet(2))
+        assert mux._live == [0, 2]
+        assert mux._heads[2] is small and mux._max_flits == 2
+        queues[2].pop()
+        assert mux._heads[2] is big and mux._max_flits == 5
+        queues[2].pop()
+        assert mux._live == [0] and mux._heads[2] is None
+        queues[0].clear()
+        assert mux._live == [] and mux._heads == [None, None, None]
+
+    def test_consumer_built_over_nonempty_queues(self):
+        queue = PacketQueue("q", 8)
+        packet = make_packet(3)
+        queue.push(packet)
+        mux = self._mux("m", [PacketQueue("idle", 8), queue])
+        assert mux._live == [1]
+        assert mux._heads == [None, packet]
+        assert mux._max_flits == 3
 
 
 class TestInvariants:

@@ -23,6 +23,9 @@ import random
 
 import pytest
 
+from repro.config import GpuConfig
+from repro.gpu.device import GpuDevice
+from repro.gpu.workloads import make_streaming_kernel
 from repro.noc.arbiter import make_policy
 from repro.noc.buffer import PacketQueue
 from repro.noc.crossbar import Crossbar
@@ -30,6 +33,7 @@ from repro.noc.mux import Mux
 from repro.noc.packet import Packet, WRITE
 from repro.sim.engine import FOREVER, Component, Engine
 from repro.sim.stats import StatsRegistry
+from repro.validate import InvariantChecker
 
 POLICIES = ("rr", "crr", "srr", "age", "fixed", "random")
 
@@ -209,33 +213,100 @@ class TestSparseMux:
         assert sum(samples) / len(samples) >= 0.75 * num_inputs
 
 
+def _crossbar_builder(policy_name):
+    """Build function for :func:`_run_lockstep` around one :class:`Crossbar`."""
+
+    def build(sparse):
+        stats = StatsRegistry()
+        inputs = [PacketQueue(f"in{i}", 24) for i in range(4)]
+        outputs = [PacketQueue(f"out{i}", 12) for i in range(3)]
+        xbar = Crossbar(
+            "x", inputs, outputs, route=lambda p: p.slice_id,
+            width=1, input_width=2, policy_name=policy_name, seed=5,
+            stats=stats,
+        )
+        if sparse:
+            xbar._sparse = True
+            for queue in inputs:
+                queue.on_push = xbar.wake
+        source = _Source(inputs, seed=13, num_outputs=len(outputs))
+        sink = _Sink(outputs)
+        engine = Engine([source, xbar, sink],
+                        strategy="active" if sparse else "naive")
+        return {"engine": engine, "switch": xbar, "sink": sink,
+                "stats": stats}
+
+    return build
+
+
 class TestSparseCrossbar:
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_sparse_tick_matches_scalar(self, policy_name):
-        num_inputs, num_outputs = 4, 3
-
-        def build(sparse):
-            stats = StatsRegistry()
-            inputs = [PacketQueue(f"in{i}", 24) for i in range(num_inputs)]
-            outputs = [PacketQueue(f"out{i}", 12) for i in range(num_outputs)]
-            xbar = Crossbar(
-                "x", inputs, outputs, route=lambda p: p.slice_id,
-                width=1, input_width=2, policy_name=policy_name, seed=5,
-                stats=stats,
-            )
-            if sparse:
-                xbar._sparse = True
-                for queue in inputs:
-                    queue.on_push = xbar.wake
-            source = _Source(inputs, seed=13, num_outputs=num_outputs)
-            sink = _Sink(outputs)
-            engine = Engine([source, xbar, sink],
-                            strategy="active" if sparse else "naive")
-            return {"engine": engine, "switch": xbar, "sink": sink,
-                    "stats": stats}
-
-        scalar, sparse = _run_lockstep(build)
+        scalar, sparse = _run_lockstep(_crossbar_builder(policy_name))
         # Every output carried traffic, so per-output arbitration ran.
         assert {out for _, out, _ in scalar["sink"].log} == {0, 1, 2}
         # Parked while empty: the sparse side skipped idle crossbar ticks.
         assert sparse["engine"].ticks_executed < scalar["engine"].ticks_executed
+
+
+class TestLiveLists:
+    """The input queues keep each switch's live list exact.
+
+    The lockstep digests leave ``_live``/``_heads`` out (they are derived
+    from the queues), so these runs audit them directly.
+    """
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("switch", ["mux", "crossbar"])
+    def test_queues_keep_live_list(self, switch, sparse):
+        """Audit every cycle of a busy run, scalar and sparse tick alike."""
+        if switch == "mux":  # reply-mux shape: 16 mostly-live inputs
+            build = _mux_builder("rr", 16, 3, 10)
+        else:
+            build = _crossbar_builder("rr")
+        built = build(sparse=sparse)
+        checker = InvariantChecker()
+        checker.watch_switch(built["switch"])
+        built["engine"].register(checker)
+        built["engine"].step(_RUN_CYCLES)
+        assert checker.checks_run == _RUN_CYCLES
+        assert checker.violations == 0
+        assert len(built["sink"].log) > 100
+
+    def test_reset_mid_traffic_full_volta(self):
+        config = GpuConfig()
+
+        def launch(device):
+            device.preload_region(0, 1 << 20)
+            device.launch(make_streaming_kernel(
+                config, "read", ops=3, num_blocks=config.num_sms,
+            ))
+            device.launch(make_streaming_kernel(
+                config, "write", ops=3, base=1 << 20,
+                num_blocks=config.num_sms,
+            ))
+
+        def switches(device):
+            return [*device.tpc_muxes, *device.gpc_muxes,
+                    device.request_xbar, *device.reply_muxes]
+
+        def finish(device):
+            device.run()
+            return device.engine.cycle, device.stats.snapshot()
+
+        reused = GpuDevice(config)
+        launch(reused)
+        reused.engine.step(400)
+        assert any(switch._live for switch in switches(reused)), (
+            "no switch had a live input when the device was reset"
+        )
+        reused.engine.reset()
+        for switch in switches(reused):
+            assert switch._live == [], switch.name
+            assert all(head is None for head in switch._heads), switch.name
+        launch(reused)
+        after_reset = finish(reused)
+
+        fresh = GpuDevice(config)
+        launch(fresh)
+        assert after_reset == finish(fresh)

@@ -199,6 +199,23 @@ class TestFaultInjection:
         assert excinfo.value.component == "rig.mux"
 
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda mux: mux._live.remove(0),  # live port dropped
+        lambda mux: mux._live.append(0),  # port listed twice
+        lambda mux: mux._heads.__setitem__(0, None),  # stale head
+        lambda mux: setattr(mux, "_max_flits", 1),  # bound too low
+    ], ids=["dropped", "duplicated", "stale-head", "low-bound"])
+    def test_corrupted_live_list_is_caught(self, corrupt):
+        engine, in_q, out_q, mux, checker = _bare_switch_rig()
+        in_q.push(Packet(kind=WRITE, address=0, flits=4, src_sm=0,
+                         slice_id=0, birth_cycle=0))
+        corrupt(mux)
+        with pytest.raises(InvariantViolation) as excinfo:
+            engine.step(1)
+        assert excinfo.value.kind == "live-consistency"
+        assert excinfo.value.component == "rig.mux"
+
+
 class TestConservationHooks:
     def _packet(self, uid_hint=0):
         return Packet(kind=READ, address=uid_hint * 128, flits=1,
