@@ -407,34 +407,31 @@ class GpuDevice:
             sm.on_warp_done = self.scheduler.wake
 
     def _wire_active(self) -> None:
-        """Active-strategy fast paths: SM parking, sparse ticks, batching.
+        """Active-strategy fast paths: sparse ticks, batching, fabric wakes.
 
-        Opts the SMs into reactive backpressure parking (a blocked LSU
-        parks until queue space or credits arrive instead of being
-        re-ticked every cycle), switches the mux tiers and crossbars to
-        their sparse live-input ticks, and arms sole-contender packet
-        batching on the TPC muxes where it pays.  ``naive`` devices keep
-        the scalar ticks as the reference the lockstep oracle compares
-        these against, digest for digest.
+        Switches the mux tiers and crossbars to their sparse live-input
+        ticks (which park while every live head is blocked on output
+        space), arms sole-contender packet batching on the TPC muxes
+        where it pays, and wakes blocked SMs when the shared fabric
+        egress queue frees space.  ``naive`` devices keep the scalar
+        ticks as the reference the lockstep oracle compares these
+        against, digest for digest.
         """
         config = self.config
 
-        # SM backpressure parking: a blocked LSU sleeps until its inject
-        # queue frees space or a reply returns credits (deliver_reply
-        # already wakes the SM); without this the blocked SM burns a
-        # retry tick every cycle of a long stall.
-        for sm in self.sms:
-            self.inject_queues[sm.sm_id].on_space = sm.wake
         if self.fabric_inject is not None:
-            # The fabric egress queue is shared by every SM of the
-            # device; waking all of them on freed space is a superset of
-            # the precise wake and each extra tick is a state-preserving
-            # no-op, so equivalence with the naive strategy holds.
+            # Every SM of the device injects into the fabric egress
+            # queue, so it has no single producer; freed space wakes the
+            # SMs whose LSU is blocked (on this queue or on anything
+            # else: an extra tick of a blocked SM is a no-op).  Each SM's
+            # own inject queue wakes it through the producer protocol.
             sms = self.sms
 
             def _wake_sms() -> None:
                 for sm in sms:
-                    sm.wake()
+                    if sm._blocked:
+                        sm._blocked = False
+                        sm.wake()
 
             self.fabric_inject.on_space = _wake_sms
 

@@ -133,11 +133,13 @@ class StreamingMultiprocessor(Component):
         self._validator = None
         #: True when this tick's last issue attempt was refused (queue
         #: full or out of credits); cleared whenever the LSU runs.  A
-        #: blocked LSU parks reactively (the injection queue's pop hook
-        #: and reply deliveries wake the SM) instead of retrying every
-        #: cycle; the retry ticks it skips are state-preserving no-ops,
-        #: so skipping them is cycle-exact.
+        #: blocked LSU parks reactively instead of retrying every cycle:
+        #: a pop of the injection queue (whose producer this SM is), of
+        #: the fabric egress queue, or a reply returning credits wakes
+        #: it.  The retry ticks it skips are state-preserving no-ops, so
+        #: skipping them is cycle-exact.
         self._blocked = False
+        inject_queue.attach_producer(self)
 
     def attach_telemetry(self, hub) -> None:
         """Opt this SM into flit-lifecycle event tracing."""
@@ -425,8 +427,15 @@ class StreamingMultiprocessor(Component):
             self._op_done(warp, cycle)
 
     def deliver_reply(self, packet: Packet, cycle: int) -> None:
-        """Reply-subnet delivery: credit the warp and maybe wake it."""
-        self.wake()
+        """Reply-subnet delivery: credit the warp and maybe wake it.
+
+        The SM is woken only when the reply can change its next tick:
+        the returned credit may unblock a blocked LSU, or the reply
+        completes the warp's blocking op.  Otherwise the reply only
+        updates counters that no parked tick reads.
+        """
+        if self._blocked:
+            self.wake()
         if packet.kind == READ:
             self._read_credits += 1
             if packet.dst_device == self.device_id:
@@ -455,6 +464,7 @@ class StreamingMultiprocessor(Component):
                         self._tracer.emit(cycle, READ_RTT, self._tl_id,
                                           latency, packet.uid)
                 self._op_done(warp, cycle)
+                self.wake()
 
     def _complete_l1_returns(self, cycle: int) -> None:
         remaining = []
@@ -479,7 +489,8 @@ class StreamingMultiprocessor(Component):
         which parks until queue space or credits wake the SM; ``SLEEP``
         warps and pending L1 returns contribute their wake-up cycles;
         ``WAIT_MEM``/``DONE`` warps are purely reactive (the reply path
-        calls :meth:`deliver_reply`, which wakes the SM).
+        calls :meth:`deliver_reply`, which wakes the SM when the op
+        completes).
         """
         wake = FOREVER
         blocked = self._blocked
@@ -535,6 +546,7 @@ class StreamingMultiprocessor(Component):
     def reset(self) -> None:
         self.warps.clear()
         self._sched_pointer = 0
+        self._blocked = False
         self._read_credits = self.config.sm_mshrs
         self._write_credits = self.config.sm_write_buffer
         self._l1_returns.clear()

@@ -41,8 +41,8 @@ class LinkPipe(Component):
         Trace name, e.g. ``"link0-1"``.
     tx, rx:
         Boundary queues.  The pipe pops ``tx`` and commits into ``rx``;
-        it is the sole caller of ``rx.reserve``/``rx.commit`` and claims
-        ``rx.on_space`` to re-arm after a credit stall.
+        it is the sole caller of ``rx.reserve``/``rx.commit`` and the RX
+        queue's producer, so a credit stall parks it until RX pops.
     width:
         Flits accepted per cycle (link bandwidth).
     latency:
@@ -68,10 +68,10 @@ class LinkPipe(Component):
         self._in_flight: Deque[Tuple[int, Packet]] = deque()
         #: Link-utilization series (set by :meth:`attach_telemetry`).
         self._tl_link = None
-        # Credit stall release: when the far RX drains, try to start the
-        # next packet.  The pipe is the RX queue's only on_space client
-        # (the far router wakes via on_push).
-        rx.on_space = self.wake
+        #: Set on a credit stall (the far RX has no room for the TX
+        #: head); the RX queue's next pop clears it and wakes the pipe.
+        self._blocked = False
+        rx.attach_producer(self)
 
     def attach_telemetry(self, hub) -> None:
         """Opt this link into the hub's per-link utilization series.
@@ -110,7 +110,8 @@ class LinkPipe(Component):
         if head is None:
             return
         if not self.rx.can_reserve(head.flits):
-            return  # credit stall; rx.on_space re-arms us
+            self._blocked = True  # credit stall; the next RX pop wakes us
+            return
         self.rx.reserve(head.flits)
         self.tx.pop()
         if self._tl_link is not None:
@@ -128,13 +129,14 @@ class LinkPipe(Component):
                 nxt = min(nxt, self._busy_until)
             elif self.rx.can_reserve(self.tx.head().flits):
                 return None  # can start a packet right now
-            # else: credit-stalled; woken by rx.on_space
+            # else: credit-stalled (_blocked); woken by the next RX pop
         if nxt == FOREVER:
             return FOREVER
         return nxt if nxt > cycle else None
 
     def reset(self) -> None:
         self._busy_until = 0
+        self._blocked = False
         self._in_flight.clear()
         self.tx.clear()
         self.rx.clear()
@@ -179,7 +181,8 @@ class FabricIngress(Component):
 
     def idle_until(self, cycle: int) -> Optional[int]:
         # Busy-retry while holding packets (covers L2 back-pressure
-        # without claiming the request queue's single on_space slot).
+        # without registering as the L2 request queue's producer,
+        # which is the request crossbar).
         return None if self.queue else FOREVER
 
     def reset(self) -> None:

@@ -182,9 +182,16 @@ class MultiGpuSystem:
         for edge, pipe in zip(topo.links, self.link_pipes):
             self._tx[edge].on_push = pipe.wake
             self._rx[edge].on_push = self.routers[edge[1]].wake
-            # pipe claimed rx.on_space at construction (credit stalls).
+            # Space wakes need no wiring: each router and pipe registered
+            # as the producer of the queues it fills.
         for d in range(topo.num_devices):
             self.delivery_queues[d].on_push = self.ingress[d].wake
+        if config.engine_strategy == "active":
+            # Sparse live-input ticks, which also park a router while
+            # every live head waits for a credit-stalled TX queue;
+            # ``naive`` keeps the scalar reference tick.
+            for router in self.routers:
+                router._sparse = True
 
         # Fabric observability: each link's utilization series and its
         # TX/RX occupancy meters land on the hub of the link's device

@@ -14,6 +14,12 @@ whenever its head packet changes — empty to nonempty on ``commit``, a new
 head or empty on ``pop``, empty on ``clear`` — so the switch keeps its
 nonempty input ports as a live list instead of rescanning every input on
 every tick.
+
+A queue may likewise have one producer: the component that fills it (a
+switch, an SM, a link pipe).  A producer that found no room for any of
+its packets sets its ``_blocked`` flag and parks; the next ``pop`` —
+the only event that frees space — clears the flag and wakes it.  An
+unblocked producer is never woken by a pop.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ class PacketQueue:
 
     __slots__ = ("name", "capacity_flits", "_queue", "_used_flits",
                  "_reserved_flits", "on_push", "on_space", "meter",
-                 "_consumer", "_port")
+                 "_consumer", "_port", "_producer")
 
     def __init__(self, name: str, capacity_flits: int) -> None:
         if capacity_flits <= 0:
@@ -44,10 +50,10 @@ class PacketQueue:
         #: device wires it to the consuming component's ``wake`` so the
         #: engine's active-set scheduler learns about new work.
         self.on_push: Optional[Callable[[], None]] = None
-        #: Optional hook fired when a pop frees space.  An active-strategy
-        #: device wires an SM's injection queue to the SM's ``wake`` so
-        #: a backpressure-blocked SM can park instead of retrying every
-        #: cycle.
+        #: Optional hook fired when a pop frees space, for a queue shared
+        #: by several producers (the fabric egress queue every SM of a
+        #: device injects into); a queue with one producer uses
+        #: :meth:`attach_producer` instead.
         self.on_space: Optional[Callable[[], None]] = None
         #: Optional telemetry occupancy meter (``QueueMeter``); stays
         #: ``None`` unless the device enables telemetry.
@@ -56,6 +62,9 @@ class PacketQueue:
         #: :meth:`attach_consumer`); ``None`` for queues no switch reads.
         self._consumer: Optional["LiveInputs"] = None
         self._port = -1
+        #: The component that fills this queue (see
+        #: :meth:`attach_producer`); ``None`` when no one registered.
+        self._producer = None
 
     def attach_consumer(self, switch: "LiveInputs", port: int) -> None:
         """Make ``switch`` the one consumer told about head changes.
@@ -70,6 +79,19 @@ class PacketQueue:
             )
         self._consumer = switch
         self._port = port
+
+    def attach_producer(self, component) -> None:
+        """Make ``component`` the one producer woken when space frees.
+
+        ``component`` has a ``_blocked`` flag, which it sets when a tick
+        found no room for any of its packets.  A second registration
+        would leave the first producer parked forever, so it raises.
+        """
+        if self._producer is not None:
+            raise ValueError(
+                f"{self.name}: already produced by {self._producer.name}"
+            )
+        self._producer = component
 
     # -- capacity ------------------------------------------------------ #
     @property
@@ -129,6 +151,10 @@ class PacketQueue:
         self._used_flits -= packet.flits
         if self._consumer is not None:
             self._consumer._note_head(self._port, queue[0] if queue else None)
+        producer = self._producer
+        if producer is not None and producer._blocked:
+            producer._blocked = False
+            producer.wake()
         if self.on_space is not None:
             self.on_space()
         return packet

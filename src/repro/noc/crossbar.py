@@ -67,6 +67,12 @@ class Crossbar(LiveInputs, Component):
         # Live input ports and their heads, kept by the input queues for
         # every strategy (see LiveInputs).
         self._attach_inputs(inputs)
+        #: Set by a sparse tick whose first round grouped no input (every
+        #: live head waits for space at its routed output); a pop of any
+        #: output clears it and wakes the crossbar.
+        self._blocked = False
+        for queue in outputs:
+            queue.attach_producer(self)
         #: Device sets this under ``strategy="active"``: tick via
         #: :meth:`_tick_sparse` (live-input iteration) instead of the
         #: scalar loop, which ``naive`` keeps as the reference.  The
@@ -159,6 +165,11 @@ class Crossbar(LiveInputs, Component):
         ``_heads``, which the input queues keep current: a packet popped
         in one round has already exposed its successor (or left the live
         list) when the next round groups.
+
+        A first round that groups nothing means no live head can move
+        this cycle: the tick sets ``_blocked`` and :meth:`idle_until`
+        parks the crossbar until an output pops or an input exposes a
+        new head.
         """
         live = self._live
         if not live:
@@ -171,6 +182,7 @@ class Crossbar(LiveInputs, Component):
         heads = self._heads
         input_budget = [self.input_width] * len(inputs)
         output_budget = [self.width] * len(outputs)
+        blocked = True  # until a round groups a port
         while True:
             moved = False
             per_output: dict = {}
@@ -183,6 +195,9 @@ class Crossbar(LiveInputs, Component):
                     continue
                 if reserved[p] or outputs[out].can_reserve(head.flits):
                     per_output.setdefault(out, []).append(p)
+            if not per_output:
+                break
+            blocked = False
             for out in sorted(per_output):
                 candidates = per_output[out]
                 policy = self._policies[out]
@@ -219,10 +234,17 @@ class Crossbar(LiveInputs, Component):
                 moved = True
             if not moved:
                 break
+        self._blocked = blocked
 
     def idle_until(self, cycle: int) -> Optional[int]:
-        """Purely reactive: idle exactly when every input queue is empty."""
-        return None if self._live else FOREVER
+        """Purely reactive: idle when no input can move a flit.
+
+        That is when every input queue is empty, or when the sparse tick
+        found every live head blocked on space at its routed output
+        (``_blocked``).  An input's push hook or an output's pop (which
+        wakes its blocked producer) ends the wait.
+        """
+        return FOREVER if self._blocked or not self._live else None
 
     def reserved_demand(self):
         """Yield ``(output_queue, flits)`` per held output reservation.
@@ -252,6 +274,7 @@ class Crossbar(LiveInputs, Component):
     def reset(self) -> None:
         self._progress = [0] * len(self.inputs)
         self._reserved = [False] * len(self.inputs)
+        self._blocked = False
         for policy in self._policies:
             policy.reset()
         for queue in self.inputs:

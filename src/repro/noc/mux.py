@@ -60,6 +60,10 @@ class Mux(LiveInputs, Component):
         # every strategy (see LiveInputs), so the scalar reference tick
         # and reset keep them current too.
         self._attach_inputs(inputs)
+        #: Set by a sparse tick whose live heads all wait for output
+        #: space; the output's next pop clears it and wakes the mux.
+        self._blocked = False
+        output.attach_producer(self)
         # -- active-strategy sparse tick ---------------------------------- #
         #: Device sets this under ``strategy="active"``: tick via
         #: :meth:`_tick_sparse` (live-input iteration) instead of the
@@ -178,6 +182,12 @@ class Mux(LiveInputs, Component):
         single candidate under a flit-invariant policy skips the policy
         call.  Grant-for-grant and counter-for-counter identical to the
         scalar tick.
+
+        When no live port is a candidate — every head is unreserved and
+        larger than the output's free space — the tick sets ``_blocked``
+        and returns, and :meth:`idle_until` parks the mux.  The test
+        comes before ``allowed_inputs``, so a port waiting for its SRR
+        slot does not count as blocked.
         """
         if self._batch is not None:
             self._materialize(cycle)
@@ -197,6 +207,10 @@ class Mux(LiveInputs, Component):
             candidates = [
                 p for p in live if reserved[p] or heads[p].flits <= free
             ]
+            if not candidates:
+                self._blocked = True
+                return
+        self._blocked = False
         allowed = policy.allowed_inputs(cycle)
         if allowed is not None:
             candidates = [p for p in candidates if p in allowed]
@@ -307,18 +321,20 @@ class Mux(LiveInputs, Component):
         return self.output.can_reserve(head.flits)
 
     def idle_until(self, cycle: int) -> Optional[int]:
-        """Purely reactive: idle exactly when every input queue is empty.
+        """Purely reactive: idle when no input can move a flit.
 
-        An in-progress packet keeps its head in the input queue until the
-        last flit, so nonempty inputs cover the blocked/backpressured
-        cases too.  New work arrives via the input queues' push hooks.
-        A batched sole-contender transfer parks until its completion
-        tick (an early push on another input wakes the mux sooner and
-        the batch is materialised mid-flight).
+        That is when every input queue is empty, or when the sparse tick
+        found every live head blocked on output space (``_blocked``).
+        A blocked tick is a no-op, and only two events end the wait: a
+        new head on an input, whose push hook wakes the mux, and a pop
+        of the output, which wakes its blocked producer.  A batched
+        sole-contender transfer parks until its completion tick (an
+        early push on another input wakes the mux sooner and the batch
+        is materialised mid-flight).
         """
         if self._batch is not None:
             return self._batch[4]
-        return None if self._live else FOREVER
+        return FOREVER if self._blocked or not self._live else None
 
     def reserved_demand(self):
         """Yield ``(output_queue, flits)`` for each held output reservation.
@@ -359,6 +375,7 @@ class Mux(LiveInputs, Component):
         self._progress = [0] * len(self.inputs)
         self._reserved = [False] * len(self.inputs)
         self._batch = None
+        self._blocked = False
         self.policy.reset()
         for queue in self.inputs:
             queue.clear()

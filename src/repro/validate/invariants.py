@@ -24,7 +24,12 @@ settled end-of-cycle state, that audits:
   (``_live``, ``_heads``) matches its input queues exactly and
   ``_max_flits`` bounds every head, so a missed head-change
   notification is caught even though the lockstep oracle's digests
-  leave that derived state out.
+  leave that derived state out;
+* **park consistency** — under the ``active`` strategy a switch the
+  engine has parked holds no head that could move: every live port is
+  unreserved and its head exceeds its routed output's free space (a
+  switch parked on a batch timer is exempt), so a lost wake-up is
+  caught at the first audit after it happens.
 
 Violations raise a structured :class:`InvariantViolation` naming the
 cycle, the component, and the failed invariant.  The checker never
@@ -57,7 +62,7 @@ class InvariantViolation(Exception):
         Machine-readable invariant tag (``"capacity"``,
         ``"used-accounting"``, ``"reservation-leak"``,
         ``"progress-consistency"``, ``"live-consistency"``,
-        ``"link-credit"``,
+        ``"park-consistency"``, ``"link-credit"``,
         ``"double-delivery"``, ``"unknown-delivery"``,
         ``"duplicate-injection"``, ``"undelivered"``).
     detail:
@@ -315,6 +320,7 @@ class InvariantChecker(Component):
                     f"port {port}: head of {head.flits} flits exceeds "
                     f"the cached bound _max_flits={switch._max_flits}"
                 )
+        self._audit_parked(cycle, switch)
         for port in range(len(inputs)):
             if reserved[port] != (progress[port] > 0):
                 self._raise(
@@ -338,6 +344,37 @@ class InvariantChecker(Component):
                         f"port {port}: progress {progress[port]} >= "
                         f"packet length {head.flits} (missed completion)"
                     )
+
+    def _audit_parked(self, cycle: int, switch) -> None:
+        """A parked switch must have no head that could move.
+
+        Only an ``active`` engine parks; a switch outside its active set
+        and not waiting on a batch timer must be waiting for output space
+        on every live port, or the wake that should have un-parked it
+        was lost.
+        """
+        engine = switch._engine
+        if (
+            engine is None
+            or engine.strategy != "active"
+            or switch._engine_index in engine._active
+            or getattr(switch, "_batch", None) is not None
+        ):
+            return
+        for port in switch._live:
+            head = switch._heads[port]
+            if isinstance(switch, Mux):
+                output = switch.output
+            else:
+                output = switch.outputs[switch.route(head)]
+            if switch._reserved[port] or head.flits <= output.free_flits:
+                self._raise(
+                    cycle, switch.name, "park-consistency",
+                    f"parked, but port {port} can move its head "
+                    f"(reserved={switch._reserved[port]}, {head.flits} "
+                    f"flits, {output.name} has {output.free_flits} free; "
+                    f"lost wake-up?)"
+                )
 
     def _audit_link(self, cycle: int, pipe) -> None:
         """Sanity of a link pipe's in-flight window.

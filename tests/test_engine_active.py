@@ -156,9 +156,10 @@ class TestActiveWiring:
             [armed] * len(device.tpc_muxes)
         )
         assert not any(mux._batching for mux in device.gpc_muxes)
-        # SM backpressure parking is wired regardless of the gate.
+        # SM backpressure parking is wired regardless of the gate: each
+        # SM is its inject queue's producer, woken by a pop when blocked.
         assert all(
-            device.inject_queues[sm.sm_id].on_space == sm.wake
+            device.inject_queues[sm.sm_id]._producer is sm
             for sm in device.sms
         )
 

@@ -168,6 +168,24 @@ def bidirectional_stimulus(system):
     )
 
 
+def three_device_stimulus(system):
+    """Bidirectional traffic plus device 2 writing to 0 and read by 1."""
+    bidirectional_stimulus(system)
+    system.devices[2].preload_region(0, 1 << 16)
+    system.devices[2].launch(
+        remote_kernel(WRITE, 0, ops=6, warps=2, wait=False, base=1 << 14)
+    )
+    system.devices[1].launch(
+        remote_kernel(READ, 2, ops=4, base=1 << 14)
+    )
+
+
+#: The smallest link buffer a 4-flit write fits in: every RX holds one
+#: write at a time, so links credit-stall and routers park behind them.
+#: A short flight time keeps the naive reference run small.
+_STALL_LINK = dict(num_devices=3, link_buffer_depth=4, link_latency=20)
+
+
 class TestMultiDeviceDeterminism:
     def _digests(self, system):
         return [
@@ -194,7 +212,7 @@ class TestMultiDeviceDeterminism:
         assert second_cycle == first_cycle
         assert second_digests == first_digests
 
-    @pytest.mark.parametrize("topology", ["ring", "switch"])
+    @pytest.mark.parametrize("topology", ["ring", "full", "switch"])
     def test_lockstep_naive_vs_active(self, topology):
         assert verify_equivalence(
             quiet_cfg(),
@@ -205,6 +223,49 @@ class TestMultiDeviceDeterminism:
             ),
             max_cycles=100_000,
         ) is None
+
+    @pytest.mark.parametrize("topology", ["full", "switch"])
+    def test_lockstep_with_credit_stalls(self, topology):
+        link = LinkConfig(topology=topology, **_STALL_LINK)
+        assert verify_equivalence(
+            quiet_cfg(),
+            three_device_stimulus,
+            strategies=("naive", "active"),
+            builder=lambda config: MultiGpuSystem(config, link),
+            max_cycles=200_000,
+        ) is None
+
+    def test_credit_stalls_park_links_and_routers(self):
+        """The stall case really parks: pipes stall and routers block."""
+        system = MultiGpuSystem(
+            quiet_cfg(), LinkConfig(topology="switch", **_STALL_LINK)
+        )
+        assert all(router._sparse for router in system.routers)
+        three_device_stimulus(system)
+        stalled_pipes = blocked_routers = 0
+        while not system.all_idle:
+            system.engine.step(1)
+            stalled_pipes += sum(pipe._blocked for pipe in system.link_pipes)
+            blocked_routers += sum(
+                router._blocked
+                and router._engine_index not in system.engine._active
+                for router in system.routers
+            )
+        assert stalled_pipes and blocked_routers
+
+    def test_link_channel_naive_vs_active(self):
+        """Calibrate + transmit: identical cycles, symbols, measurements."""
+
+        def run(strategy):
+            channel = LinkCovertChannel(
+                small_config(engine_strategy=strategy), seed_salt=3
+            )
+            threshold = channel.calibrate(training_symbols=4)
+            result = channel.transmit([1, 0, 0, 1])
+            return (threshold, result.cycles, result.received_symbols,
+                    result.measurements)
+
+        assert run("naive") == run("active")
 
 
 class TestLinkChannel:

@@ -3,11 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.config import small_config
+from repro.gpu.sm import StreamingMultiprocessor
+from repro.interconnect.link import LinkPipe
 from repro.noc.arbiter import make_policy
 from repro.noc.buffer import PacketQueue
 from repro.noc.crossbar import Crossbar
 from repro.noc.mux import Mux
 from repro.noc.packet import Packet, READ
+from repro.sim.engine import FOREVER, Engine
 
 
 def make_packet(flits=1, uid_kind=READ):
@@ -137,6 +141,103 @@ class TestConsumer:
         assert mux._live == [1]
         assert mux._heads == [None, packet]
         assert mux._max_flits == 3
+
+
+def _mux_into(output, policy="rr", num_inputs=1):
+    inputs = [PacketQueue(f"mux.in{i}", 8) for i in range(num_inputs)]
+    return Mux("mux", inputs, output, width=1,
+               policy=make_policy(policy, num_inputs))
+
+
+def _crossbar_into(output):
+    return Crossbar("xbar", [PacketQueue("xbar.in", 8)],
+                    [PacketQueue("xbar.out0", 8), output],
+                    route=lambda packet: 1, width=1)
+
+
+def _sm_into(output):
+    return StreamingMultiprocessor(0, small_config(), output,
+                                   read_clock=lambda sm: 0)
+
+
+def _pipe_into(output):
+    return LinkPipe("pipe", PacketQueue("pipe.tx", 8), output,
+                    width=1, latency=1)
+
+
+class _StubProducer:
+    name = "stub"
+
+    def __init__(self):
+        self._blocked = False
+        self.wakes = 0
+
+    def wake(self):
+        self.wakes += 1
+
+
+class TestProducer:
+    """The one component a queue wakes when a pop frees space."""
+
+    @pytest.mark.parametrize("build", [
+        _mux_into, _crossbar_into, _sm_into, _pipe_into,
+    ], ids=["mux", "crossbar", "sm", "link-pipe"])
+    def test_second_producer_rejected(self, build):
+        shared = PacketQueue("shared", 8)
+        first = build(shared)
+        with pytest.raises(ValueError, match=f"produced by {first.name}"):
+            build(shared)
+        assert shared._producer is first
+
+    def test_pop_wakes_only_a_blocked_producer(self):
+        queue = PacketQueue("q", 8)
+        producer = _StubProducer()
+        queue.attach_producer(producer)
+        for _ in range(3):
+            queue.push(make_packet(2))
+        queue.pop()
+        assert producer.wakes == 0
+        producer._blocked = True
+        queue.pop()
+        assert producer.wakes == 1 and not producer._blocked
+        queue.pop()  # the flag was cleared: no second wake
+        assert producer.wakes == 1
+
+    @pytest.mark.parametrize("build", [_mux_into, _crossbar_into],
+                             ids=["mux", "crossbar"])
+    def test_blocked_switch_parks_until_output_pops(self, build):
+        output = PacketQueue("out", 4)
+        switch = build(output)
+        switch._sparse = True
+        (queue,) = switch.inputs
+        queue.on_push = switch.wake
+        engine = Engine([switch], strategy="active")
+        output.push(make_packet(3))  # one free flit left
+        queue.push(make_packet(2))
+        engine.step(1)
+        assert switch._blocked
+        assert switch.idle_until(0) == FOREVER
+        assert switch._engine_index not in engine._active
+        engine.step(10)  # parked: no retry ticks
+        assert engine.ticks_executed == 1 and len(queue) == 1
+        output.pop()
+        assert switch._engine_index in engine._active
+        assert not switch._blocked
+        engine.step(2)  # two flits at width 1
+        assert not queue and len(output) == 1
+        assert engine.ticks_executed == 3
+
+    def test_srr_slot_wait_is_not_blocked(self):
+        # The head fits, but cycle 0 belongs to port 0's SRR slot: the mux
+        # must keep ticking until port 1's slot comes round.
+        mux = _mux_into(PacketQueue("out", 8), policy="srr", num_inputs=2)
+        mux._sparse = True
+        engine = Engine([mux], strategy="active")
+        mux.inputs[1].push(make_packet(1))
+        engine.step(1)
+        assert not mux._blocked and mux.idle_until(0) is None
+        engine.step(1)
+        assert not mux.inputs[1] and len(mux.output) == 1
 
 
 class TestInvariants:

@@ -124,13 +124,15 @@ class LeakyQueue(PacketQueue):
         super().commit(packet)
 
 
-def _bare_switch_rig(skip_commit_at=None):
+def _bare_switch_rig(skip_commit_at=None, strategy="naive"):
     """A minimal engine: one queue -> mux -> queue, plus a checker.
 
     ``skip_commit_at`` drops the Nth (0-based) ``commit`` on the output
-    queue — the classic lost-flit bug the checker exists to catch.
+    queue — the classic lost-flit bug the checker exists to catch.  An
+    ``active`` rig runs the mux's sparse tick with its push wake wired,
+    so the mux parks exactly as it does inside a device.
     """
-    engine = Engine(strategy="naive")
+    engine = Engine(strategy=strategy)
     in_q = PacketQueue("rig.in", 32)
     if skip_commit_at is not None:
         out_q = LeakyQueue("rig.out", 32, skip_commit_at, engine)
@@ -142,6 +144,9 @@ def _bare_switch_rig(skip_commit_at=None):
     checker.watch_queue(in_q)
     checker.watch_queue(out_q)
     checker.watch_switch(mux)
+    if strategy == "active":
+        mux._sparse = True
+        in_q.on_push = mux.wake
     engine.register(mux)
     engine.register(checker)
     return engine, in_q, out_q, mux, checker
@@ -214,6 +219,51 @@ class TestFaultInjection:
             engine.step(1)
         assert excinfo.value.kind == "live-consistency"
         assert excinfo.value.component == "rig.mux"
+
+
+    def test_lost_wakeup_is_caught(self):
+        engine, in_q, out_q, mux, checker = _bare_switch_rig(
+            strategy="active"
+        )
+        in_q.push(Packet(kind=WRITE, address=0, flits=4, src_sm=0,
+                         slice_id=0, birth_cycle=0))
+        engine._active.discard(mux._engine_index)  # the push wake is lost
+        with pytest.raises(InvariantViolation) as excinfo:
+            engine.step(1)
+        assert excinfo.value.kind == "park-consistency"
+        assert excinfo.value.component == "rig.mux"
+
+    def test_output_blocked_park_passes_the_audit(self):
+        engine, in_q, out_q, mux, checker = _bare_switch_rig(
+            strategy="active"
+        )
+        out_q.push(Packet(kind=WRITE, address=0, flits=30, src_sm=0,
+                          slice_id=0, birth_cycle=0))
+        in_q.push(Packet(kind=WRITE, address=64, flits=4, src_sm=0,
+                         slice_id=0, birth_cycle=0))
+        engine.step(8)
+        assert mux._blocked
+        assert mux._engine_index not in engine._active
+        out_q.pop()  # frees space and wakes the parked mux
+        engine.step(8)
+        assert not in_q and out_q.head().flits == 4
+        assert checker.checks_run == 16 and checker.violations == 0
+
+    def test_batch_timer_park_is_exempt(self):
+        # A batched sole-contender transfer parks with a reserved head on
+        # purpose: its completion timer, not a wake, resumes it.
+        engine, in_q, out_q, mux, checker = _bare_switch_rig(
+            strategy="active"
+        )
+        mux.enable_batching()
+        in_q.push(Packet(kind=WRITE, address=0, flits=7, src_sm=0,
+                         slice_id=0, birth_cycle=0))
+        engine.step(2)
+        assert mux._batch is not None
+        assert mux._engine_index not in engine._active
+        engine.step(6)
+        assert out_q.head().flits == 7
+        assert checker.violations == 0
 
 
 class TestConservationHooks:
