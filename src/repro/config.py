@@ -456,7 +456,7 @@ class GpuConfig:
 
     #: Simulation-engine scheduling strategy: "active" (event-driven
     #: active-set scheduling with quiescence fast-forward, sparse NoC
-    #: ticks and sole-contender batching; the default) or "naive" (the
+    #: ticks and backpressure parking; the default) or "naive" (the
     #: reference tick-everything loop over the scalar ticks).  Both are
     #: cycle-exact with respect to each other; "naive" exists for
     #: equivalence testing and as a fallback while debugging new
@@ -485,13 +485,12 @@ class GpuConfig:
     #: Cycles per utilization/occupancy timeline epoch.
     telemetry_epoch_cycles: int = 64
 
-    #: Engine self-profiling (repro.metrics): sampled active-set sizes,
-    #: fast-forward span histogram, mux-bank dispatch widths and
-    #: sole-contender batch lengths, exported through the per-process
-    #: metrics registry.  Off by default; the profiler only *reads*
-    #: scheduler state, so seeded runs stay bit-identical with it on
-    #: (the lockstep oracle verifies this) and the disabled configuration
-    #: costs one branch per hook site.
+    #: Engine self-profiling (repro.metrics): sampled active-set sizes
+    #: and a fast-forward span histogram, exported through the
+    #: per-process metrics registry.  Off by default; the profiler only
+    #: *reads* scheduler state, so seeded runs stay bit-identical with it
+    #: on (the lockstep oracle verifies this) and the disabled
+    #: configuration costs one branch per hook site.
     metrics_enabled: bool = False
     #: Cycles between active-set size samples.  Sampling (rather than
     #: recording every cycle) is what keeps enabled overhead under the

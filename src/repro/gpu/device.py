@@ -407,18 +407,17 @@ class GpuDevice:
             sm.on_warp_done = self.scheduler.wake
 
     def _wire_active(self) -> None:
-        """Active-strategy fast paths: sparse ticks, batching, fabric wakes.
+        """Active-strategy fast paths: sparse ticks and fabric wakes.
 
         Switches the mux tiers and crossbars to their sparse live-input
         ticks (which park while every live head is blocked on output
-        space), arms sole-contender packet batching on the TPC muxes
-        where it pays, and wakes blocked SMs when the shared fabric
-        egress queue frees space.  ``naive`` devices keep the scalar
-        ticks as the reference the lockstep oracle compares these
-        against, digest for digest.
+        space) and wakes blocked SMs when the shared fabric egress queue
+        frees space.  The wiring is the same whatever observers
+        (tracer, invariant checker, profiler) are attached, so validated
+        and traced runs execute the production tick path.  ``naive``
+        devices keep the scalar ticks as the reference the lockstep
+        oracle compares these against, digest for digest.
         """
-        config = self.config
-
         if self.fabric_inject is not None:
             # Every SM of the device injects into the fabric egress
             # queue, so it has no single producer; freed space wakes the
@@ -444,18 +443,6 @@ class GpuDevice:
             reply_mux._sparse = True
         if self.remote_reply_mux is not None:
             self.remote_reply_mux._sparse = True
-
-        # Sole-contender packet batching on the TPC muxes: only
-        # profitable where a packet spans >2 cycles of channel occupancy
-        # (write bursts on the width-1 TPC channel), and only legal
-        # without per-flit observers (tracer, invariant checker).
-        batching = (
-            not config.telemetry_enabled and not config.validate_enabled
-        )
-        span = max(config.write_request_flits, config.read_request_flits)
-        if batching and span > 2 * config.tpc_channel_width:
-            for mux in self.tpc_muxes:
-                mux.enable_batching()
 
     def _attach_telemetry(self) -> None:
         """Opt every instrumented component into the telemetry hub.
@@ -506,11 +493,8 @@ class GpuDevice:
     def _attach_profiler(self) -> None:
         """Wire a sampled engine self-profiler (``config.metrics_enabled``).
 
-        Unlike the telemetry tracer the profiler never needs per-flit
-        visibility — it observes folded batch spans at materialisation
-        time — so it composes with sole-contender batching.  It only
-        *reads* scheduler state: seeded runs stay bit-identical with it
-        on.
+        The profiler hangs off the engine and only *reads* scheduler
+        state: seeded runs stay bit-identical with it on.
         """
         from ..metrics.profile import EngineProfiler
 
@@ -524,13 +508,6 @@ class GpuDevice:
         )
         if self._owns_engine:
             self.engine.profiler = self.profiler
-        for mux in self.tpc_muxes:
-            mux._profiler = self.profiler
-        for mux in self.gpc_muxes:
-            mux._profiler = self.profiler
-        if config.reply_voq:
-            for mux in self.reply_muxes:
-                mux._profiler = self.profiler
 
     def metrics_manifest(self) -> Optional[Dict]:
         """JSON-safe engine-profile metrics, or None when disabled."""

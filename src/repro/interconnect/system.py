@@ -84,9 +84,8 @@ class MultiGpuSystem:
 
             self.engine.on_fast_forward = _note_fast_forward
         if config.metrics_enabled:
-            # One engine, one hot loop: attribute engine-level signals to
-            # device 0's registry (labeled ``device=0``); the per-mux
-            # signals already land in their own device's profiler.
+            # One engine, one hot loop: attribute its signals to device
+            # 0's registry (labeled ``device=0``).
             self.engine.profiler = self.devices[0].profiler
 
     # ------------------------------------------------------------------ #

@@ -5,9 +5,8 @@ mutates it, so enabling it keeps simulation results bit-identical (the
 lockstep oracle runs with it on).  Cost control is by sampling — the
 active-set size is recorded only every ``interval`` busy cycles (one
 integer compare per cycle when enabled, a single ``is not None`` branch
-when disabled), while the event-shaped signals (fast-forward spans,
-sole-contender batch lengths) are recorded at their natural,
-already-rare call sites.
+when disabled), while the event-shaped signal (fast-forward spans) is
+recorded at its natural, already-rare call site.
 
 Everything lands in a :class:`MetricsRegistry` labeled by engine
 strategy, so profiles from different strategies or worker shards merge
@@ -27,15 +26,14 @@ DEFAULT_INTERVAL = 64
 class EngineProfiler:
     """Pre-resolved metric handles for the engine's hot-loop signals.
 
-    One profiler instance is shared by a device's engine and its muxes;
+    One profiler instance per device, fed by its engine's hot loop;
     handles are resolved once at construction so the hot path touches
     plain attributes only.
     """
 
     __slots__ = (
         "interval", "next_sample", "registry",
-        "_active", "_ff_spans", "_batch_spans",
-        "_samples", "_ff_count", "_batch_count",
+        "_active", "_ff_spans", "_samples", "_ff_count",
     )
 
     def __init__(
@@ -64,10 +62,6 @@ class EngineProfiler:
             "Idle spans skipped by fast-forward, in cycles",
             bucket_width=64, num_buckets=128, **labels,
         )
-        self._batch_spans = self.registry.sampler(
-            "engine_sole_batch_cycles",
-            "Cycles folded per sole-contender packet batch", **labels,
-        )
         self._samples = self.registry.counter(
             "engine_profile_samples_total",
             "Active-set size samples taken", **labels,
@@ -75,10 +69,6 @@ class EngineProfiler:
         self._ff_count = self.registry.counter(
             "engine_fast_forwards_total",
             "Idle fast-forward jumps taken", **labels,
-        )
-        self._batch_count = self.registry.counter(
-            "engine_sole_batches_total",
-            "Sole-contender packet batches materialized", **labels,
         )
 
     # ------------------------------------------------------------------ #
@@ -93,10 +83,6 @@ class EngineProfiler:
     def note_fast_forward(self, span: int) -> None:
         self._ff_count.inc()
         self._ff_spans.add(span)
-
-    def note_sole_batch(self, span: int) -> None:
-        self._batch_count.inc()
-        self._batch_spans.add(span)
 
     # ------------------------------------------------------------------ #
     # Lifecycle.

@@ -34,14 +34,11 @@ class ArbitrationPolicy:
 
     name = "abstract"
 
-    #: True when the policy's per-flit behaviour is *invariant* across
-    #: the silent middle of a sole-contender packet: with exactly one
-    #: nonempty input, every intermediate ``choose``/``note_flit`` is
-    #: deterministic and idempotent, so the active strategy may transfer
-    #: the packet's remaining flits as one batched operation and park
-    #: until the completion cycle.  False for policies that consume
-    #: per-flit state regardless of contention (RANDOM draws its rng per
-    #: grant; SRR's slot ownership gates which cycles move flits at all).
+    #: True when ``choose`` only reads policy state, so with a single
+    #: candidate it returns that candidate and changes nothing: the
+    #: sparse mux tick then grants the sole candidate without calling
+    #: the policy.  False by default; RANDOM must keep it False because
+    #: it draws its rng on every ``choose``, contended or not.
     flit_invariant = False
 
     def __init__(self, num_inputs: int) -> None:
@@ -102,7 +99,7 @@ class RoundRobin(ArbitrationPolicy):
     """
 
     name = "rr"
-    flit_invariant = True  # mid-packet: locked port, idempotent note_flit
+    flit_invariant = True  # choose only reads the pointer and lock
 
     def __init__(self, num_inputs: int) -> None:
         super().__init__(num_inputs)
@@ -139,7 +136,7 @@ class CoarseRoundRobin(ArbitrationPolicy):
     """
 
     name = "crr"
-    flit_invariant = True  # mid-packet: held port/group, idempotent
+    flit_invariant = True  # choose only reads the held port/group
 
     def __init__(self, num_inputs: int) -> None:
         super().__init__(num_inputs)

@@ -69,37 +69,10 @@ class Mux(LiveInputs, Component):
         #: :meth:`_tick_sparse` (live-input iteration) instead of the
         #: full-width scalar loop, which ``naive`` keeps as the reference.
         self._sparse = False
-        # -- active-strategy lazy packet batching ------------------------ #
-        #: Enabled by the device under ``strategy="active"`` (sparse ticks
-        #: only) when the policy is flit-invariant and no tracer/validator
-        #: needs per-flit visibility; see :meth:`enable_batching`.
-        self._batching = False
-        #: In-flight batched transfer ``(port, c0, p0, flits, t_star)``:
-        #: the sole-contender head packet on ``port`` had ``p0`` flits
-        #: transmitted before cycle ``c0`` and silently moves ``width``
-        #: flits per cycle until the completion tick at ``t_star``.
-        self._batch = None
         # -- telemetry (None unless the device enables it) -------------- #
         self._tracer = None
         self._tl_id = 0
         self._tl_link = None
-        #: Engine profiler (repro.metrics); observes folded batch spans
-        #: at materialisation time only, so unlike the tracer it is
-        #: compatible with lazy batching.
-        self._profiler = None
-
-    def enable_batching(self) -> None:
-        """Opt into multi-cycle sole-contender packet batching.
-
-        Only valid with a flit-invariant policy and without per-flit
-        observers (telemetry tracer, invariant checker): the batched
-        middle of a packet emits no per-flit events and leaves
-        ``_progress`` stale until materialised, which those observers
-        would see.  The device gates this accordingly.  Only the sparse
-        tick starts batches; the scalar tick stays the per-flit reference.
-        """
-        if self.policy.flit_invariant:
-            self._batching = True
 
     def attach_telemetry(self, hub) -> None:
         """Opt this mux into event tracing and link-utilization series."""
@@ -189,8 +162,6 @@ class Mux(LiveInputs, Component):
         comes before ``allowed_inputs``, so a port waiting for its SRR
         slot does not count as blocked.
         """
-        if self._batch is not None:
-            self._materialize(cycle)
         live = self._live
         if not live:
             return
@@ -263,56 +234,6 @@ class Mux(LiveInputs, Component):
                     stats.incr(self._packets_key, completed)
             if self._tl_link is not None:
                 self._tl_link.add(cycle, moved)
-            if self._batching:
-                self._maybe_start_batch(cycle)
-
-    # -- lazy sole-contender batching ---------------------------------- #
-    def _materialize(self, cycle: int) -> None:
-        """Fold a batched transfer's silent cycles into scalar state.
-
-        Called at the first tick after the batch was parked (either its
-        own completion timer at ``t_star`` or an early wake from a push
-        on another input): cycles ``c0 .. cycle-1`` each moved ``width``
-        flits of the sole-contender packet, so progress and the flit
-        counter advance by ``width * (cycle - c0)`` in one step, and the
-        normal per-flit loop resumes for this cycle.
-        """
-        port, c0, p0, flits, _ = self._batch
-        self._batch = None
-        skipped = self.width * (cycle - c0)
-        if skipped <= 0:
-            return
-        self._progress[port] = p0 + skipped
-        if self.stats is not None:
-            self.stats.incr(self._flits_key, skipped)
-        if self._profiler is not None:
-            self._profiler.note_sole_batch(cycle - c0)
-
-    def _maybe_start_batch(self, cycle: int) -> None:
-        """Park a sole-contender mid-packet transfer until completion.
-
-        Engages only when exactly one input is nonempty and its head
-        packet is mid-transmission with at least two full silent cycles
-        ahead: the flit-invariant policy guarantees the intermediate
-        grants are deterministic no-ops on policy state, so the engine
-        can skip straight to the completion tick.
-        """
-        live = self._live
-        if len(live) != 1:
-            return  # idle, or contended: per-flit arbitration required
-        busy_port = live[0]
-        if not self._reserved[busy_port]:
-            return
-        progress = self._progress[busy_port]
-        if progress <= 0:
-            return
-        head = self._heads[busy_port]
-        remaining = head.flits - progress
-        ticks = -(-remaining // self.width)  # ceil
-        if ticks < 2:
-            return  # completes next tick anyway; nothing to skip
-        c0 = cycle + 1
-        self._batch = (busy_port, c0, progress, head.flits, c0 + ticks - 1)
 
     def _can_start(self, port: int, head: Packet) -> bool:
         """A packet may (continue to) transmit if output space is secured."""
@@ -327,13 +248,8 @@ class Mux(LiveInputs, Component):
         found every live head blocked on output space (``_blocked``).
         A blocked tick is a no-op, and only two events end the wait: a
         new head on an input, whose push hook wakes the mux, and a pop
-        of the output, which wakes its blocked producer.  A batched
-        sole-contender transfer parks until its completion tick (an
-        early push on another input wakes the mux sooner and the batch
-        is materialised mid-flight).
+        of the output, which wakes its blocked producer.
         """
-        if self._batch is not None:
-            return self._batch[4]
         return FOREVER if self._blocked or not self._live else None
 
     def reserved_demand(self):
@@ -350,21 +266,9 @@ class Mux(LiveInputs, Component):
                 yield self.output, (0 if head is None else head.flits)
 
     def state_digest(self):
-        """Progress/reservation state plus the queues this mux touches.
-
-        A pending batched transfer is materialised *virtually*: the
-        digest reports the progress the scalar strategies hold at this
-        engine cycle, so lockstep comparison is exact mid-batch.
-        """
-        if self._batch is None:
-            progress = tuple(self._progress)
-        else:
-            port, c0, p0, _flits, _ = self._batch
-            virtual = list(self._progress)
-            virtual[port] = p0 + self.width * (self._engine.cycle - c0)
-            progress = tuple(virtual)
+        """Progress/reservation state plus the queues this mux touches."""
         return (
-            progress,
+            tuple(self._progress),
             tuple(self._reserved),
             self.policy.state_digest(),
             tuple(queue.state_digest() for queue in self.inputs),
@@ -374,7 +278,6 @@ class Mux(LiveInputs, Component):
     def reset(self) -> None:
         self._progress = [0] * len(self.inputs)
         self._reserved = [False] * len(self.inputs)
-        self._batch = None
         self._blocked = False
         self.policy.reset()
         for queue in self.inputs:

@@ -2,8 +2,8 @@
 
 Times identical seeded workloads under ``engine_strategy="naive"`` (tick
 every component every cycle) and ``"active"`` (event-driven active-set
-scheduling with idle fast-forward, sparse NoC ticks and sole-contender
-batching), checks that the measured channel results are bit-identical
+scheduling with idle fast-forward, sparse NoC ticks and backpressure
+parking), checks that the measured channel results are bit-identical
 across both strategies, and emits ``BENCH_engine.json``::
 
     python -m repro bench                 # full-Volta scale by default

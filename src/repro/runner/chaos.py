@@ -348,7 +348,7 @@ def run_chaos(
         corrupt = healthy[: min(2, len(healthy))]
         for index in corrupt:
             job = jobs[index]
-            key = cache.key(job.fn, job.resolved_config(), job.params)
+            key = job.key(cache.code_version)
             path = cache._path(key)
             entry = json.loads(path.read_text(encoding="utf-8"))
             entry["result"]["value"] = -999  # bit-rot the stored payload

@@ -3,7 +3,7 @@
 A crash, OOM kill, or Ctrl-C used to cost a sweep every in-flight result.
 The journal makes sweep progress durable: as each job finishes, the
 supervisor appends one self-contained JSON line — keyed by the same
-content-hash :func:`~repro.runner.cache.job_key` the result cache uses —
+content-hash :meth:`~repro.runner.runner.SimJob.key` the result cache uses —
 and flushes it to disk.  A later run with ``resume=True`` replays every
 completed key and re-executes only the remainder (failed or never-started
 points), so ``python -m repro fig10 --resume`` picks a sweep up exactly

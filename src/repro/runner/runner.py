@@ -25,13 +25,13 @@ import json
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from ..config import GpuConfig
 from ..sim.stats import Sampler
 from ..telemetry import collecting
-from .cache import ResultCache
+from .cache import ResultCache, job_key
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,17 @@ class SimJob:
         if self.seed is None:
             return self.config
         return self.config.replace(seed=self.seed)
+
+    def key(self, version: Optional[str] = None) -> str:
+        """The job's content-hash key in the cache, journal and service.
+
+        The seed override is folded into the config it keys on, so a
+        ``seed=7`` job and one whose config already says ``seed=7`` share
+        a result.  ``version`` is the store's pinned code version (the
+        current tree's when None).
+        """
+        return job_key(self.fn, self.resolved_config(), self.params,
+                       version=version)
 
 
 def resolve(path: str) -> Callable[..., Any]:
@@ -135,6 +146,17 @@ def _select(
     return out
 
 
+def _sections(
+    results: Sequence[Any], fresh: Optional[Sequence[int]], name: str
+) -> Iterator[Dict[str, Any]]:
+    """Yield the nonempty ``name`` section of each selected dict result."""
+    for result in _select(results, fresh):
+        if isinstance(result, dict):
+            section = result.get(name)
+            if section:
+                yield section
+
+
 def merge_telemetry(
     results: Sequence[Any],
     fresh: Optional[Sequence[int]] = None,
@@ -147,23 +169,15 @@ def merge_telemetry(
     result carried telemetry.  ``fresh`` (see :func:`_select`) restricts
     the fold to jobs that executed fresh and succeeded this run.
     """
-    merged = Sampler()
-    jobs_with = 0
-    devices = 0
-    for result in _select(results, fresh):
-        if not isinstance(result, dict):
-            continue
-        section = result.get("telemetry")
-        if not section:
-            continue
-        jobs_with += 1
-        devices += section.get("devices", 0)
-        merged.merge(Sampler.from_summary(section.get("read_latency", {})))
-    if not jobs_with:
+    sections = list(_sections(results, fresh, "telemetry"))
+    if not sections:
         return None
+    merged = Sampler()
+    for section in sections:
+        merged.merge(Sampler.from_summary(section.get("read_latency", {})))
     return {
-        "jobs": jobs_with,
-        "devices": devices,
+        "jobs": len(sections),
+        "devices": sum(section.get("devices", 0) for section in sections),
         "read_latency": merged.summary(),
     }
 
@@ -185,21 +199,17 @@ def merge_metrics(
     """
     from ..metrics.registry import MetricsRegistry
 
-    merged = MetricsRegistry()
-    jobs_with = 0
-    devices = 0
-    for result in _select(results, fresh):
-        if not isinstance(result, dict):
-            continue
-        section = result.get("metrics")
-        if not section:
-            continue
-        jobs_with += 1
-        devices += section.get("devices", 0)
-        merged.merge_manifest(section)
-    if not jobs_with:
+    sections = list(_sections(results, fresh, "metrics"))
+    if not sections:
         return None
-    return {"jobs": jobs_with, "devices": devices, **merged.to_manifest()}
+    merged = MetricsRegistry()
+    for section in sections:
+        merged.merge_manifest(section)
+    return {
+        "jobs": len(sections),
+        "devices": sum(section.get("devices", 0) for section in sections),
+        **merged.to_manifest(),
+    }
 
 
 def _pool_entry(payload: Tuple[int, SimJob]) -> Tuple[int, Any]:
@@ -304,7 +314,7 @@ def run_jobs(
     keys: Dict[int, str] = {}
     if cache is not None:
         for index, job in enumerate(jobs):
-            key = cache.key(job.fn, job.resolved_config(), job.params)
+            key = job.key(cache.code_version)
             keys[index] = key
             hit = cache.get(key)
             if hit is not None:

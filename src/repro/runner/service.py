@@ -4,7 +4,7 @@
 :mod:`repro.runner` into a service shape: callers submit *requests*
 (lists of :class:`~repro.runner.runner.SimJob`) concurrently, and the
 scheduler guarantees each unique grid point — identified by its
-content-hash :func:`~repro.runner.cache.job_key` — executes **at most
+content-hash :meth:`~repro.runner.runner.SimJob.key` — executes **at most
 once** no matter how many overlapping requests are in flight:
 
 * the first request to name a key creates an in-flight future and
@@ -183,7 +183,7 @@ class SweepService:
         version = (
             self.cache.code_version if self.cache is not None else None
         )
-        return _job_key_for(job, version)
+        return job.key(version)
 
     async def submit(self, jobs: Sequence[Any]) -> List[Any]:
         """Run one sweep request; returns results in job order.
@@ -314,18 +314,6 @@ class SweepService:
                 "max_bytes": self.cache.max_bytes,
             }
         return out
-
-
-def _job_key_for(job: Any, version: Optional[str]) -> str:
-    from .cache import job_key
-
-    return job_key(
-        job.fn,
-        job.resolved_config(),
-        job.params,
-        job.seed,
-        version=version,
-    )
 
 
 def serve_requests(

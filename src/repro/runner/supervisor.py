@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..config import SweepSupervision
 from ..metrics.registry import MetricsRegistry, get_registry
-from .cache import ResultCache, job_key
+from .cache import ResultCache
 from .journal import SweepJournal
 
 #: Failure kinds reported by the supervisor.
@@ -317,10 +317,7 @@ def run_supervised(
             progress(done, total)
 
     version = cache.code_version if cache is not None else None
-    keys = [
-        job_key(job.fn, job.resolved_config(), job.params, version=version)
-        for job in jobs
-    ]
+    keys = [job.key(version) for job in jobs]
 
     quarantine_base = cache.quarantined if cache is not None else 0
 

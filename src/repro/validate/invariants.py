@@ -27,9 +27,8 @@ settled end-of-cycle state, that audits:
   leave that derived state out;
 * **park consistency** — under the ``active`` strategy a switch the
   engine has parked holds no head that could move: every live port is
-  unreserved and its head exceeds its routed output's free space (a
-  switch parked on a batch timer is exempt), so a lost wake-up is
-  caught at the first audit after it happens.
+  unreserved and its head exceeds its routed output's free space, so a
+  lost wake-up is caught at the first audit after it happens.
 
 Violations raise a structured :class:`InvariantViolation` naming the
 cycle, the component, and the failed invariant.  The checker never
@@ -349,16 +348,14 @@ class InvariantChecker(Component):
         """A parked switch must have no head that could move.
 
         Only an ``active`` engine parks; a switch outside its active set
-        and not waiting on a batch timer must be waiting for output space
-        on every live port, or the wake that should have un-parked it
-        was lost.
+        must be waiting for output space on every live port, or the wake
+        that should have un-parked it was lost.
         """
         engine = switch._engine
         if (
             engine is None
             or engine.strategy != "active"
             or switch._engine_index in engine._active
-            or getattr(switch, "_batch", None) is not None
         ):
             return
         for port in switch._live:

@@ -1,7 +1,7 @@
 """Lockstep oracle: the naive engine as ground truth for the active one.
 
 The active-set engine's park/wake bookkeeping — together with its sparse
-NoC ticks, lazily batched mux transfers and backpressure parking — is the
+NoC ticks and backpressure parking — is the
 single most bug-prone piece of the simulator: a component that parks one
 cycle too long produces timing that is subtly — not obviously — wrong,
 and the covert channel *is* timing.  The oracle makes the equivalence

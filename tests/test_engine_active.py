@@ -1,18 +1,18 @@
 """Active-set scheduling: cycle-exactness vs the naive loop + fast-forward.
 
 The active strategy layers event-driven frontier stepping, sparse mux
-and crossbar ticks, reactive SM backpressure parking and lazy
-sole-contender packet batching over the naive reference loop; each is a
-pure optimisation.  These tests pin down the contract that makes it
-trustworthy:
+and crossbar ticks and reactive SM backpressure parking over the naive
+reference loop; each is a pure optimisation.  These tests pin down the
+contract that makes it trustworthy:
 
 * seeded covert-channel runs produce *bit-identical* results (cycle
   counts, received symbols, full latency traces, device counters) under
-  ``engine_strategy="active"`` and ``"naive"`` — with batching engaged
-  (no observers) and with it gated off (telemetry + validation on);
-* every ``active`` device wires the sparse ticks and SM parking and arms
-  batching only behind its gate, while ``naive`` devices keep the scalar
-  ticks (switch-level equivalence lives in ``test_sparse_ticks.py``);
+  ``engine_strategy="active"`` and ``"naive"`` — with and without
+  observers (telemetry + validation) attached;
+* every ``active`` device wires the sparse ticks and SM parking the same
+  way whatever observers are attached, while ``naive`` devices keep the
+  scalar ticks (switch-level equivalence lives in
+  ``test_sparse_ticks.py``);
 * when the whole model is quiescent the engine jumps the cycle counter
   to the next wake-up instead of spinning (ticks executed stay tiny);
 * mid-cycle wakes ahead of the scan position tick in the same cycle,
@@ -63,10 +63,8 @@ def _gpc_fingerprint(config):
 class TestCycleExactness:
     @pytest.mark.parametrize("observers", [False, True])
     def test_tpc_channel_identical_small(self, observers):
-        # Without observers the lazy sole-contender mux batching is armed
-        # on the TPC tier; telemetry + validation force per-flit
-        # semantics (batching gated off), and the sparse ticks and SM
-        # parking must still be exact.
+        # Telemetry + validation only observe: with or without them the
+        # sparse ticks and SM parking must be exact.
         config = small_config(
             telemetry_enabled=observers, validate_enabled=observers
         )
@@ -137,38 +135,44 @@ class TestCycleExactness:
 
 
 class TestActiveWiring:
-    @pytest.mark.parametrize("overrides, armed", [
-        ({}, True),
-        ({"telemetry_enabled": True}, False),
-        ({"validate_enabled": True}, False),
-        # 4-flit writes span only 2 cycles of a width-2 TPC channel.
-        ({"tpc_channel_width": 2}, False),
+    @staticmethod
+    def _wiring(device):
+        """Sparse flags per switch tier and each inject queue's producer."""
+        return (
+            [mux._sparse for mux in device.tpc_muxes],
+            [mux._sparse for mux in device.gpc_muxes],
+            [mux._sparse for mux in device.reply_muxes],
+            device.request_xbar._sparse,
+            [device.sms.index(queue._producer)
+             for queue in device.inject_queues],
+        )
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"telemetry_enabled": True},
+        {"validate_enabled": True},
+        {"tpc_channel_width": 2},
     ])
-    def test_batching_gate(self, overrides, armed):
-        # Batching rides on the sparse ticks, only on the TPC tier, only
-        # without per-flit observers, and only where a packet spans more
-        # than 2x the TPC channel width.
-        device = GpuDevice(small_config(engine_strategy="active", **overrides))
-        switches = device.tpc_muxes + device.gpc_muxes + device.reply_muxes
-        assert all(switch._sparse for switch in switches)
-        assert device.request_xbar._sparse
-        assert [mux._batching for mux in device.tpc_muxes] == (
-            [armed] * len(device.tpc_muxes)
-        )
-        assert not any(mux._batching for mux in device.gpc_muxes)
-        # SM backpressure parking is wired regardless of the gate: each
-        # SM is its inject queue's producer, woken by a pop when blocked.
-        assert all(
-            device.inject_queues[sm.sm_id]._producer is sm
-            for sm in device.sms
-        )
+    def test_observers_do_not_change_wiring(self, overrides):
+        # Tracer and invariant checker only observe, and the TPC channel
+        # width only sizes the channel: every variant runs the same
+        # sparse ticks and SM parking as the plain production device.
+        plain = self._wiring(GpuDevice(small_config(engine_strategy="active")))
+        wiring = self._wiring(GpuDevice(
+            small_config(engine_strategy="active", **overrides)
+        ))
+        tpc, gpc, reply, xbar, producers = wiring
+        assert all(tpc + gpc + reply) and xbar
+        # Each SM is its own inject queue's producer, woken by a pop
+        # when blocked.
+        assert producers == list(range(len(producers)))
+        assert wiring == plain
 
     def test_naive_keeps_the_scalar_reference(self):
         device = GpuDevice(small_config(engine_strategy="naive"))
         switches = device.tpc_muxes + device.gpc_muxes + device.reply_muxes
         assert not any(switch._sparse for switch in switches)
         assert not device.request_xbar._sparse
-        assert not any(mux._batching for mux in device.tpc_muxes)
         assert all(queue.on_space is None for queue in device.inject_queues)
 
 

@@ -22,6 +22,7 @@ from repro.runner import (
     SimJob,
     SweepJournal,
     SweepService,
+    run_jobs,
     serve_requests,
 )
 
@@ -100,6 +101,53 @@ class TestScheduler:
         for token in ("t0", "t1", "t2"):
             assert _ledger_count(tmp_path, token) == 1
 
+    @staticmethod
+    def _seed_jobs(cfg, ledger):
+        # The golden harness sweeps seeds as ``SimJob(..., seed=s)``.
+        return [
+            SimJob(PROBE_FN, cfg,
+                   {"token": f"s{seed}", "ledger_dir": str(ledger)},
+                   seed=seed)
+            for seed in (7, 8, 9)
+        ]
+
+    def test_seed_override_jobs_hit_run_jobs_results(
+        self, probe_cfg, tmp_path
+    ):
+        jobs = self._seed_jobs(probe_cfg, tmp_path)
+        cache_root = tmp_path / "cache"
+        stored = run_jobs(
+            jobs, workers=1,
+            cache=ResultCache(cache_root, metrics=MetricsRegistry()),
+        )
+        (served,), manifest = serve_requests(
+            [jobs],
+            cache=ResultCache(cache_root, metrics=MetricsRegistry()),
+            execution="inline",
+            metrics=MetricsRegistry(),
+        )
+        assert manifest["cache_hit"] == 3
+        assert manifest["dispatched"] == 0
+        assert served == stored
+        for seed in (7, 8, 9):
+            assert _ledger_count(tmp_path, f"s{seed}") == 1
+
+    def test_seed_override_journal_replays_under_supervisor(
+        self, probe_cfg, tmp_path
+    ):
+        jobs = self._seed_jobs(probe_cfg, tmp_path)
+        journal = tmp_path / "journal.jsonl"
+        (served,), manifest = serve_requests(
+            [jobs],
+            journal=SweepJournal(journal),
+            execution="inline",
+            metrics=MetricsRegistry(),
+        )
+        assert manifest["dispatched"] == 3
+        assert run_jobs(jobs, journal=journal, resume=True) == served
+        for seed in (7, 8, 9):
+            assert _ledger_count(tmp_path, f"s{seed}") == 1
+
     def test_no_cache_still_dedups_inflight(self, probe_cfg, tmp_path):
         job = _probe_job(probe_cfg, "nc", tmp_path)
         (a, b), manifest = serve_requests(
@@ -126,7 +174,7 @@ class TestScheduler:
         completed = SweepJournal(tmp_path / "journal.jsonl").completed()
         assert len(completed) == 3
         for job in jobs:
-            key = cache.key(job.fn, job.resolved_config(), job.params, job.seed)
+            key = job.key(cache.code_version)
             assert key in completed
             assert completed[key] == cache.get(key)
 

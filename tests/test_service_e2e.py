@@ -106,7 +106,7 @@ def test_shard_killed_mid_flight_request_still_completes(
     completed = SweepJournal(tmp_path / "journal.jsonl").completed()
     assert len(completed) == 3
     for job in jobs:
-        key = cache.key(job.fn, job.resolved_config(), job.params, job.seed)
+        key = job.key(cache.code_version)
         assert completed[key] == cache.get(key)
 
 

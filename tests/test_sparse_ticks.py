@@ -1,22 +1,21 @@
 """Sparse mux/crossbar ticks vs the scalar reference, switch by switch.
 
 Every ``active`` device runs its muxes and crossbars through the sparse
-live-input ticks (plus sole-contender batching on the TPC muxes), while
-``naive`` devices keep the scalar ticks as the reference.  The device-
+live-input ticks, while ``naive`` devices keep the scalar ticks as the
+reference.  The device-
 level fingerprint tests in ``test_engine_active.py`` only reach the
 policies and widths the default configs use; these tests drive a single
 switch with a seeded bursty workload under every arbitration policy and
 compare the two tick paths cycle by cycle:
 
 * the switch's state digest (progress, reservations, policy state and
-  every attached queue — a pending batch is materialised virtually)
-  after each cycle;
+  every attached queue) after each cycle;
 * the order and cycle in which packets leave the outputs;
 * the final flit/packet counters.
 
 The sparse side runs on an ``active`` engine with reactive wake hooks,
-so parking, early wakes of a batched transfer and quiescence
-fast-forward are all on the path under test.
+so parking, wakes and quiescence fast-forward are all on the path under
+test.
 """
 
 import random
@@ -46,8 +45,8 @@ class _Source(Component):
     """Seeded bursty injector.
 
     Every third 40-cycle phase only port 0 injects, so a lone long packet
-    has the switch to itself (the sole-contender batching case); the
-    other phases contend on every port.  The draw sequence does not
+    has the switch to itself (the single-candidate grant); the other
+    phases contend on every port.  The draw sequence does not
     depend on whether a push fits, so both builds see identical traffic.
     """
 
@@ -105,16 +104,6 @@ class _Sink(Component):
         return FOREVER
 
 
-class _BatchSpans:
-    """Stands in for the engine profiler: records folded batch spans."""
-
-    def __init__(self):
-        self.spans = []
-
-    def note_sole_batch(self, span):
-        self.spans.append(span)
-
-
 def _run_lockstep(build, run_cycles=_RUN_CYCLES):
     """Run the scalar and sparse builds side by side; compare each cycle."""
     scalar = build(sparse=False)
@@ -161,11 +150,8 @@ def _mux_builder(policy_name, num_inputs, width, output_flits):
         output = PacketQueue("out", output_flits)
         mux = Mux("m", inputs, output, width,
                   make_policy(policy_name, num_inputs, seed=7), stats)
-        spans = _BatchSpans()
         if sparse:
             mux._sparse = True
-            mux._profiler = spans
-            mux.enable_batching()
             for queue in inputs:
                 queue.on_push = mux.wake
         source = _Source(inputs, seed=11, num_outputs=1)
@@ -174,7 +160,7 @@ def _mux_builder(policy_name, num_inputs, width, output_flits):
         engine = Engine([source, meter, mux, sink],
                         strategy="active" if sparse else "naive")
         return {"engine": engine, "switch": mux, "sink": sink,
-                "stats": stats, "spans": spans, "meter": meter}
+                "stats": stats, "meter": meter}
 
     return build
 
@@ -183,14 +169,11 @@ class TestSparseMux:
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_sparse_tick_matches_scalar(self, policy_name, width):
-        _, sparse = _run_lockstep(_mux_builder(policy_name, 3, width, 16))
-        batched = sparse["spans"].spans
-        if sparse["switch"].policy.flit_invariant and width == 1:
-            # Lone 4- and 7-flit packets on a width-1 channel: the
-            # sparse side really did skip silent cycles.
-            assert batched and max(batched) >= 2
-        elif not sparse["switch"].policy.flit_invariant:
-            assert batched == []  # enable_batching refused the policy
+        scalar, sparse = _run_lockstep(
+            _mux_builder(policy_name, 3, width, 16)
+        )
+        # Parked while idle: the sparse side skipped no-op mux ticks.
+        assert sparse["engine"].ticks_executed < scalar["engine"].ticks_executed
 
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_reply_mux_shape_matches_scalar(self, policy_name):

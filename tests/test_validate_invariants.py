@@ -249,22 +249,6 @@ class TestFaultInjection:
         assert not in_q and out_q.head().flits == 4
         assert checker.checks_run == 16 and checker.violations == 0
 
-    def test_batch_timer_park_is_exempt(self):
-        # A batched sole-contender transfer parks with a reserved head on
-        # purpose: its completion timer, not a wake, resumes it.
-        engine, in_q, out_q, mux, checker = _bare_switch_rig(
-            strategy="active"
-        )
-        mux.enable_batching()
-        in_q.push(Packet(kind=WRITE, address=0, flits=7, src_sm=0,
-                         slice_id=0, birth_cycle=0))
-        engine.step(2)
-        assert mux._batch is not None
-        assert mux._engine_index not in engine._active
-        engine.step(6)
-        assert out_q.head().flits == 7
-        assert checker.violations == 0
-
 
 class TestConservationHooks:
     def _packet(self, uid_hint=0):
