@@ -2,8 +2,8 @@
 """Parallel cached sweep: Figure 10 bandwidth/error over worker processes.
 
 Each sweep point (an iteration count of the receiver's probe loop) is an
-independent simulation, so the experiment runner fans them out over a
-``multiprocessing`` pool and memoises every result in an on-disk cache
+independent simulation, so the experiment runner fans them out over
+supervised worker processes and memoises every result in an on-disk cache
 keyed by (workload, config, params, seed, code version).  Re-running this
 script replays the whole sweep from ``.repro_cache`` in milliseconds;
 editing any simulator source invalidates the cache automatically.
@@ -39,10 +39,10 @@ def main() -> None:
 
     cache = ResultCache()
     start = time.perf_counter()
-    # timeout_s/retries engage the supervised runner: each point executes
-    # in its own babysat worker process, so a crash or hang in one point
-    # is retried with backoff instead of aborting the sweep, and every
-    # completed result is checkpointed write-through as it arrives.
+    # Each point executes in its own supervised worker process: a crash,
+    # or a hang past timeout_s, is retried with backoff (up to `retries`
+    # extra attempts) instead of aborting the sweep, and every completed
+    # result is checkpointed write-through as it arrives.
     rows = run_jobs(
         jobs,
         cache=cache,

@@ -31,23 +31,27 @@ round-trip (hundreds of cycles one-way) instead of the on-chip L2 trip.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import GpuConfig, LinkConfig
 from ..gpu.kernel import Kernel
 from ..interconnect import MultiGpuSystem
-from .metrics import TransmissionResult
+from .base import CovertChannelBase
 from .protocol import (
     ChannelParams,
-    decode_binary,
     receiver_program,
     region_bytes,
     sender_program,
 )
 
 
-class LinkCovertChannel:
+class LinkCovertChannel(CovertChannelBase):
     """Covert channel over one inter-GPU link of a multi-device system.
+
+    Calibration, transmission and decoding are
+    :class:`~repro.channel.base.CovertChannelBase`'s, over one channel
+    (the single contended link); this class supplies only the fabric
+    build in :meth:`_run`.
 
     Parameters
     ----------
@@ -72,7 +76,7 @@ class LinkCovertChannel:
         seed_salt: int = 0,
         target_device: int = 1,
     ) -> None:
-        self.config = config
+        super().__init__(config, params, seed_salt)
         self.link = link if link is not None else LinkConfig()
         if not 0 < target_device < self.link.num_devices:
             raise ValueError(
@@ -80,13 +84,7 @@ class LinkCovertChannel:
                 f"{self.link.num_devices}-device fabric (or is the "
                 f"attacker's own device 0)"
             )
-        self.params = params or self.default_params()
-        self.seed_salt = seed_salt
         self.target_device = target_device
-        self._channel_thresholds: Optional[List[float]] = None
-        #: Telemetry manifests of the most recent run, one per device
-        #: (None unless ``config.telemetry_enabled``).
-        self.last_telemetry: Optional[Dict] = None
 
     def default_params(self) -> ChannelParams:
         """Slot timing sized for the remote round-trip.
@@ -105,10 +103,9 @@ class LinkCovertChannel:
             sync_mask=(1 << 15) - 1,
         )
 
-    @property
-    def num_channels(self) -> int:
-        """Independent bit pipes — one: the single contended link."""
-        return 1
+    def _role_blocks(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Block 0 of each grid carries the one channel (the link)."""
+        return {0: 0}, {0: 0}
 
     # -- transmission ---------------------------------------------------- #
     def _run(
@@ -184,6 +181,7 @@ class LinkCovertChannel:
                 f"SM {receiver_sm} — not co-located, clock sync is void"
             )
         if config.telemetry_enabled:
+            # One manifest per device.
             self.last_telemetry = {
                 f"device{d}": device.telemetry_manifest()
                 for d, device in enumerate(system.devices)
@@ -193,48 +191,3 @@ class LinkCovertChannel:
             for slot in range(len(per_channel[0]))
         ]
         return {0: series}, cycles
-
-    # -- calibration ------------------------------------------------------ #
-    def calibrate(self, training_symbols: int = 16) -> float:
-        """Transmit a known 0101... pattern and place the threshold
-        midway between the two observed latency clusters."""
-        pattern = [slot % 2 for slot in range(training_symbols)]
-        measurements, _ = self._run([pattern])
-        series = measurements[0]
-        zeros = [v for slot, v in enumerate(series) if not pattern[slot]]
-        ones = [v for slot, v in enumerate(series) if pattern[slot]]
-        if not zeros or not ones:
-            raise RuntimeError("calibration needs both symbol classes")
-        threshold = (
-            sum(zeros) / len(zeros) + sum(ones) / len(ones)
-        ) / 2.0
-        self._channel_thresholds = [threshold]
-        self.params = self.params.with_(threshold=threshold)
-        return threshold
-
-    def transmit(self, symbols: Sequence[int]) -> TransmissionResult:
-        """Send ``symbols`` (0/1 list) over the inter-GPU link."""
-        symbols = list(symbols)
-        if not symbols:
-            raise ValueError("empty payload")
-        if self.params.threshold is None:
-            self.calibrate()
-        measurements, cycles = self._run([symbols])
-        threshold = (self._channel_thresholds or [self.params.threshold])[0]
-        received = decode_binary(measurements[0], threshold)
-        return TransmissionResult(
-            config=self.config,
-            sent_symbols=symbols,
-            received_symbols=received,
-            cycles=cycles,
-            measurements=measurements,
-            thresholds=[threshold],
-            telemetry=self.last_telemetry,
-        )
-
-    def transmit_bytes(self, data: bytes) -> TransmissionResult:
-        """Convenience: send raw bytes MSB-first."""
-        bits = [
-            (byte >> (7 - bit)) & 1 for byte in data for bit in range(8)
-        ]
-        return self.transmit(bits)

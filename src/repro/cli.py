@@ -24,16 +24,17 @@ small: fastest; volta is the full Table-1 V100 and can take minutes).
 checker attached (``repro.validate``); the run aborts with a structured
 violation naming the cycle and component on the first inconsistency.
 
-Sweep commands (``fig10``, ``table2``) fan their independent points over
-worker processes (``--workers``) and reuse cached results from
-``.repro_cache`` (disable with ``--no-cache``).  Any of ``--timeout``,
-``--retries``, ``--keep-going``, ``--resume`` or ``--journal`` runs the
-sweep under per-job supervision (``repro.runner.supervisor``): hung
-workers are killed and retried, crashes become structured failure
-records instead of aborting the sweep, and completed points checkpoint
-to a journal that ``--resume`` replays after a crash or Ctrl-C.
-``--progress`` renders a live single-line status (done/total, cache
-hits, retries, per-worker elapsed) on stderr.
+Sweep commands (``fig10``, ``table2``, ``linkchan``) fan their
+independent points over supervised worker processes (``--workers``,
+``repro.runner.supervisor``) and reuse cached results from
+``.repro_cache`` (disable with ``--no-cache``).  Hung workers are killed
+after ``--timeout`` seconds and failed jobs retried ``--retries`` times;
+crashes become structured failure records (``--keep-going`` finishes
+the sweep despite them), and completed points checkpoint to a journal
+(``--journal``, default ``.repro_sweeps/<sweep>.jsonl``) that
+``--resume`` replays after a crash or Ctrl-C.  ``--progress`` renders a
+live single-line status (done/total, cache hits, retries, per-worker
+elapsed) on stderr.
 
 ``python -m repro metrics`` runs a small instrumented sweep and prints
 its Prometheus exposition; ``python -m repro bench`` appends every run
@@ -186,50 +187,39 @@ def _progress_renderer(args, name, total):
     return SweepProgress(name, total=total)
 
 
-def _run_sweep(args, jobs, name):
-    """Run a CLI sweep, engaging supervision when any flag asks for it.
-
-    Returns ``(rows, failures)``: rows in job order with failed slots
-    removed, failures as structured ``JobFailure`` records.  With
-    ``--resume`` (or ``--journal``) completed points checkpoint to an
-    append-only JSONL journal — default ``.repro_sweeps/<name>.jsonl``
-    — and a rerun replays them instead of re-simulating.  ``--progress``
-    attaches a live single-line renderer (per-worker state needs the
-    supervised event stream; the legacy path shows done/total only).
-    """
+def _sweep_policy(args):
+    """The sweep's supervision policy: env defaults, then the flags."""
     from .config import SweepSupervision
-    from .runner import JobFailure, run_jobs
-    from .runner.journal import SweepJournal, default_journal_path
-
-    renderer = _progress_renderer(args, name, len(jobs))
-    supervised = (
-        args.timeout is not None or args.retries is not None
-        or args.keep_going or args.resume or args.journal is not None
-    )
-    if not supervised:
-        try:
-            rows = run_jobs(
-                jobs, workers=args.workers, cache=_sweep_cache(args),
-                progress=renderer.progress if renderer else None,
-            )
-        finally:
-            if renderer is not None:
-                renderer.close()
-        return rows, []
 
     policy = SweepSupervision.from_env()
     if args.timeout is not None:
         policy = policy.replace(timeout_s=args.timeout)
     if args.retries is not None:
         policy = policy.replace(max_attempts=args.retries + 1)
-    journal_path = args.journal or default_journal_path(name)
-    from .runner import run_supervised
+    return policy
 
+
+def _run_sweep(args, jobs, name):
+    """Run a CLI sweep under supervision, journaled for ``--resume``.
+
+    Returns ``(rows, failures)``: rows in job order with failed slots
+    removed, failures as structured ``JobFailure`` records.  Completed
+    points checkpoint to an append-only JSONL journal — ``--journal`` or
+    ``.repro_sweeps/<name>.jsonl`` — and a rerun with ``--resume``
+    replays them instead of re-simulating.  ``--progress`` attaches a
+    live single-line renderer to the supervisor's event stream.
+    """
+    from .runner import JobFailure, SweepError, run_supervised
+    from .runner.journal import SweepJournal, default_journal_path
+
+    renderer = _progress_renderer(args, name, len(jobs))
+    journal_path = args.journal or default_journal_path(name)
     try:
         with SweepJournal(journal_path) as journal:
             outcome = run_supervised(
                 jobs, workers=args.workers, cache=_sweep_cache(args),
-                policy=policy, journal=journal, resume=args.resume,
+                policy=_sweep_policy(args), journal=journal,
+                resume=args.resume,
                 progress=renderer.progress if renderer else None,
                 on_event=renderer.on_event if renderer else None,
             )
@@ -249,8 +239,6 @@ def _run_sweep(args, jobs, name):
     for failure in outcome.failures:
         print(f"FAILED {failure}", file=sys.stderr)
     if outcome.failures and not args.keep_going:
-        from .runner import SweepError
-
         raise SweepError(outcome.failures, outcome.results)
     rows = [r for r in outcome.results if not isinstance(r, JobFailure)]
     return rows, outcome.failures
@@ -362,7 +350,7 @@ def cmd_serve(args) -> int:
     """
     import json as _json
 
-    from .config import ServiceConfig, SweepSupervision
+    from .config import ServiceConfig
     from .runner import (
         CapacitySurface,
         JobFailure,
@@ -382,13 +370,6 @@ def cmd_serve(args) -> int:
     shape = ServiceConfig.from_env()
     if args.shards is not None:
         shape = shape.replace(shards=args.shards)
-    if args.execution is not None:
-        shape = shape.replace(execution=args.execution)
-    policy = SweepSupervision.from_env()
-    if args.timeout is not None:
-        policy = policy.replace(timeout_s=args.timeout)
-    if args.retries is not None:
-        policy = policy.replace(max_attempts=args.retries + 1)
     cache = None
     if not args.no_cache:
         cache = ResultCache(
@@ -411,7 +392,7 @@ def cmd_serve(args) -> int:
         for index, count in enumerate(args.iterations)
     ]
     results, service_manifest = serve_requests(
-        [jobs], cache=cache, policy=policy, service=shape
+        [jobs], cache=cache, policy=_sweep_policy(args), service=shape
     )
     rows = [r for r in results[0] if not isinstance(r, JobFailure)]
     failures = [r for r in results[0] if isinstance(r, JobFailure)]
@@ -603,7 +584,7 @@ def cmd_bench(args) -> int:
     supervision = report.get("supervision")
     if supervision:
         print(
-            f"supervision  legacy {supervision['legacy_wall_s']:5.3f}s  "
+            f"supervision  inline {supervision['inline_wall_s']:5.3f}s  "
             f"supervised {supervision['supervised_wall_s']:7.3f}s  "
             f"overhead {supervision['overhead_frac'] * 100:+.1f}%"
         )
@@ -1045,10 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="service shard workers (default: $REPRO_SERVICE_SHARDS or 2)",
     )
     serve.add_argument(
-        "--execution", choices=("supervised", "inline"), default=None,
-        help="shard backend (default: supervised worker processes)",
-    )
-    serve.add_argument(
         "--cache-entries", type=int, default=None, metavar="N",
         help="LRU-evict the artifact store beyond N entries",
     )
@@ -1061,22 +1038,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="staleness bound: refuse answers from a surface older "
              "than this",
     )
-    serve.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the shared artifact store (.repro_cache)",
-    )
-    serve.add_argument("--timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-job supervision timeout")
-    serve.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="extra attempts per failed job")
 
-    for sweep in (fig10, table2, linkchan):
-        sweep.add_argument(
-            "--workers", type=int, default=None,
-            help="parallel worker processes (default: one per sweep point, "
-                 "capped at the CPU count; 1 runs inline)",
-        )
+    # Every command that runs sweep jobs; ``_sweep_policy`` reads these.
+    for sweep in (fig10, table2, linkchan, serve):
         sweep.add_argument(
             "--no-cache", action="store_true",
             help="bypass the on-disk result cache (.repro_cache)",
@@ -1084,12 +1048,18 @@ def build_parser() -> argparse.ArgumentParser:
         sweep.add_argument(
             "--timeout", type=float, default=None, metavar="SECONDS",
             help="per-job wall-clock budget; a worker exceeding it is "
-                 "killed and the job retried (enables supervision)",
+                 "killed and the job retried",
         )
         sweep.add_argument(
             "--retries", type=int, default=None, metavar="N",
-            help="extra attempts per failed job, with exponential backoff "
-                 "(enables supervision)",
+            help="extra attempts per failed job, with exponential backoff",
+        )
+
+    for sweep in (fig10, table2, linkchan):
+        sweep.add_argument(
+            "--workers", type=int, default=None,
+            help="parallel supervised worker processes (default: one per "
+                 "sweep point, capped at the CPU count)",
         )
         sweep.add_argument(
             "--keep-going", action="store_true",
@@ -1108,8 +1078,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sweep.add_argument(
             "--progress", action="store_true",
-            help="live single-line sweep progress on stderr (per-worker "
-                 "detail when supervision is engaged)",
+            help="live single-line sweep progress on stderr (done/total, "
+                 "cache hits, retries, per-worker elapsed)",
         )
 
     bench = sub.add_parser(

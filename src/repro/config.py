@@ -240,10 +240,9 @@ class LinkConfig:
         return dataclasses.replace(self, **changes)
 
 
-#: Environment knobs for the sweep-service defaults (see
+#: Environment knob for the sweep-service default shard count (see
 #: :meth:`ServiceConfig.from_env`).
 SERVICE_SHARDS_ENV = "REPRO_SERVICE_SHARDS"
-SERVICE_EXECUTION_ENV = "REPRO_SERVICE_EXECUTION"
 
 #: Execution backends the sweep service can dispatch shards to.
 SERVICE_EXECUTION_MODES = ("supervised", "inline")
@@ -263,7 +262,8 @@ class ServiceConfig:
     :class:`SweepSupervision` net (timeouts, retries, backoff) and is
     the production default; ``"inline"`` executes in a thread of the
     service process — no isolation, but cheap enough for the
-    property-based scheduler tests to run hundreds of jobs.
+    property-based scheduler tests to run hundreds of jobs.  Only code
+    can pick ``"inline"``: neither the CLI nor the environment does.
     """
 
     #: Number of shard workers draining the dispatch queue; each runs
@@ -271,13 +271,6 @@ class ServiceConfig:
     shards: int = 2
     #: Shard backend, one of :data:`SERVICE_EXECUTION_MODES`.
     execution: str = "supervised"
-    #: Artifact-store bounds handed to the service's default
-    #: :class:`~repro.runner.cache.ResultCache` (None = unbounded).
-    cache_max_entries: int | None = None
-    cache_max_bytes: int | None = None
-    #: Default staleness bound (seconds) for capacity surfaces built by
-    #: the serve path; ``None`` disables the age check.
-    surface_max_age_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -287,12 +280,6 @@ class ServiceConfig:
                 f"unknown execution {self.execution!r}; "
                 f"expected one of {SERVICE_EXECUTION_MODES}"
             )
-        if self.cache_max_entries is not None and self.cache_max_entries < 1:
-            raise ValueError("cache_max_entries must be positive (or None)")
-        if self.cache_max_bytes is not None and self.cache_max_bytes < 1:
-            raise ValueError("cache_max_bytes must be positive (or None)")
-        if self.surface_max_age_s is not None and self.surface_max_age_s <= 0:
-            raise ValueError("surface_max_age_s must be positive (or None)")
 
     def replace(self, **changes) -> "ServiceConfig":
         """Return a copy of this config with ``changes`` applied."""
@@ -300,12 +287,11 @@ class ServiceConfig:
 
     @staticmethod
     def from_env() -> "ServiceConfig":
-        """Default service shape, overridable via ``REPRO_SERVICE_*``.
+        """Default service shape, overridable via ``REPRO_SERVICE_SHARDS``.
 
-        ``REPRO_SERVICE_SHARDS`` (int) and ``REPRO_SERVICE_EXECUTION``
-        (``supervised``/``inline``) mirror the ``REPRO_SWEEP_*``
-        convention; unset or unparsable variables fall back to the
-        dataclass defaults.
+        The shard count (int) mirrors the ``REPRO_SWEEP_*`` convention;
+        an unset or unparsable variable falls back to the dataclass
+        default.
         """
         import os
 
@@ -316,9 +302,6 @@ class ServiceConfig:
                 changes["shards"] = int(raw)
             except ValueError:
                 pass
-        raw = os.environ.get(SERVICE_EXECUTION_ENV)
-        if raw and raw in SERVICE_EXECUTION_MODES:
-            changes["execution"] = raw
         return ServiceConfig(**changes)  # type: ignore[arg-type]
 
 

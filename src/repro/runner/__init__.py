@@ -1,4 +1,4 @@
-"""Experiment runner: parallel sweep fan-out, result caching, benchmarks.
+"""Experiment runner: supervised sweep fan-out, result caching, benchmarks.
 
 Public surface::
 
@@ -9,16 +9,18 @@ Public surface::
             for n in (1, 2, 3, 4, 5)]
     rows = run_jobs(jobs, workers=4, cache=ResultCache())
 
-Fault tolerance (``repro.runner.supervisor``) engages via keyword
-arguments on :func:`run_jobs` — per-job timeouts, bounded retries with
-deterministic backoff, crash isolation, journal checkpointing and
-resume::
+Every sweep runs under per-job supervision
+(:func:`~repro.runner.supervisor.run_supervised`): one worker process
+per attempt, per-job timeouts, bounded retries with deterministic
+backoff, crash isolation, journal checkpointing and resume, tuned by
+keyword arguments on :func:`run_jobs`::
 
     rows = run_jobs(jobs, cache=ResultCache(), timeout_s=300, retries=2,
                     strict=False, journal="sweep.jsonl", resume=True)
 
-and is drilled end-to-end by the chaos harness
+The contract is drilled end-to-end by the chaos harness
 (:func:`repro.runner.chaos.run_chaos`, ``python -m repro chaos``).
+:func:`execute` runs a single job in-process, for debugging.
 
 The service shape (``repro.runner.service`` + ``repro.runner.surface``)
 stacks an asyncio scheduler on the same primitives: concurrent sweep

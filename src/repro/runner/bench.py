@@ -21,7 +21,8 @@ throughput pinned at the Table-1 V100 scale), a ``"telemetry"`` section
 (tracing overhead), a
 ``"metrics"`` section (sampled engine self-profiling overhead; <2%
 budget) and a ``"supervision"`` section (fault-tolerant runner overhead
-on a clean sweep, legacy pool vs per-job supervision; must stay <5%).
+on a clean sweep, serial in-process execution vs per-job supervision;
+must stay <5%).
 
 Every bench run also appends a trajectory record to
 ``BENCH_history.jsonl`` (see :mod:`repro.metrics.history`); ``python -m
@@ -165,14 +166,15 @@ def _bench_metrics(config: GpuConfig, num_bits: int) -> Dict[str, Any]:
 def _bench_supervision(config: GpuConfig, num_bits: int) -> Dict[str, Any]:
     """Measure the supervised runner's overhead on a fault-free sweep.
 
-    Runs the same 4-job channel sweep through the legacy pool path and
-    the per-job supervision path (timeouts + retry machinery armed, no
-    faults injected), asserts the results are bit-identical, and reports
-    the wall-clock overhead — the price of crash isolation when nothing
+    Runs the same 4-job channel sweep serially in-process
+    (:func:`~repro.runner.runner.execute`) and through one supervised
+    worker slot (timeouts + retry machinery armed, no faults injected),
+    asserts the results are bit-identical, and reports the wall-clock
+    overhead — the price of a worker process per job when nothing
     crashes.  The acceptance bar is <5% on fault-free runs.
     """
     from ..config import SweepSupervision
-    from .runner import SimJob, run_jobs
+    from .runner import SimJob, execute
     from .supervisor import run_supervised
 
     jobs = [
@@ -184,27 +186,27 @@ def _bench_supervision(config: GpuConfig, num_bits: int) -> Dict[str, Any]:
         for i in range(4)
     ]
     start = time.perf_counter()
-    legacy = run_jobs(jobs, workers=2, supervised=False)
-    legacy_s = time.perf_counter() - start
+    inline = [execute(job) for job in jobs]
+    inline_s = time.perf_counter() - start
     start = time.perf_counter()
     outcome = run_supervised(
-        jobs, workers=2,
+        jobs, workers=1,
         policy=SweepSupervision(timeout_s=600.0, max_attempts=3),
     )
     supervised_s = time.perf_counter() - start
     assert not outcome.failures, (
         "supervised fault-free sweep reported failures"
     )
-    assert outcome.results == legacy, (
-        "supervised sweep diverged from the legacy pool path"
+    assert outcome.results == inline, (
+        "supervised sweep diverged from in-process execution"
     )
     overhead = (
-        (supervised_s - legacy_s) / legacy_s if legacy_s > 0 else 0.0
+        (supervised_s - inline_s) / inline_s if inline_s > 0 else 0.0
     )
     return {
         "workload": "channel_run x4",
         "jobs": len(jobs),
-        "legacy_wall_s": round(legacy_s, 4),
+        "inline_wall_s": round(inline_s, 4),
         "supervised_wall_s": round(supervised_s, 4),
         "overhead_frac": round(overhead, 4),
         "identical": True,

@@ -3,10 +3,12 @@
 Sweeps (Figure 10 iteration counts, Table 2 channels, seed replications)
 are embarrassingly parallel: each point builds its own
 :class:`~repro.gpu.device.GpuDevice` from a config and never shares state
-with its neighbours.  :func:`run_jobs` fans a list of :class:`SimJob`\\ s
-over a ``multiprocessing`` pool and stitches the results back in job
-order, consulting an optional :class:`~repro.runner.cache.ResultCache`
-so repeated sweeps replay instantly.
+with its neighbours.  :func:`run_jobs` hands a list of :class:`SimJob`\\ s
+to :func:`~repro.runner.supervisor.run_supervised` (one worker process
+per job attempt) and returns the results in job order, consulting an
+optional :class:`~repro.runner.cache.ResultCache` so repeated sweeps
+replay instantly.  :func:`execute` runs one job in-process — the debuggable
+entry point, and what every worker calls.
 
 Workload functions are referenced by *dotted path* (``"pkg.mod.func"``)
 rather than by object so that jobs pickle cheaply and cache keys are
@@ -22,10 +24,9 @@ from __future__ import annotations
 
 import importlib
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Union,
 )
 
 from ..config import GpuConfig
@@ -92,6 +93,11 @@ def resolve(path: str) -> Callable[..., Any]:
 
 def execute(job: SimJob) -> Any:
     """Run one job in-process and return its JSON round-tripped result.
+
+    This is the debuggable entry point: no worker process and no
+    supervision, so a workload's exception propagates with its original
+    traceback (and a breakpoint in it is hit).  Every supervised worker
+    attempt calls it too.
 
     Dict-shaped results from workloads that built at least one
     :class:`~repro.gpu.device.GpuDevice` gain a ``"telemetry"`` key — the
@@ -212,11 +218,6 @@ def merge_metrics(
     }
 
 
-def _pool_entry(payload: Tuple[int, SimJob]) -> Tuple[int, Any]:
-    index, job = payload
-    return index, execute(job)
-
-
 def run_jobs(
     jobs: Sequence[SimJob],
     workers: Optional[int] = None,
@@ -229,136 +230,62 @@ def run_jobs(
     strict: bool = True,
     journal: Union[str, "Path", "SweepJournal", None] = None,
     resume: bool = False,
-    supervised: Optional[bool] = None,
     on_event: Optional[Callable[[str, Dict[str, Any]], None]] = None,
 ) -> List[Any]:
-    """Run every job, in parallel where possible; results in job order.
+    """Run every job under supervision; results in job order.
 
-    ``workers=None`` picks ``min(len(jobs), cpu_count)``; ``workers<=1``
-    runs inline (no pool, trivially debuggable).  With a ``cache``, hits
-    are served from disk and misses are stored *write-through* — each
-    result is persisted the moment it arrives, so a crash mid-sweep
-    keeps every completed point.  ``progress(done, total)`` is invoked
-    after each job completes.
+    A thin front door over
+    :func:`~repro.runner.supervisor.run_supervised`: every job attempt
+    runs in its own worker process with per-job timeouts, bounded
+    retries with deterministic backoff, and crash isolation, at most
+    ``workers`` at a time (``None`` picks ``min(len(jobs), cpu_count)``).
+    For an in-process, debuggable run of one point call :func:`execute`.
 
-    Fault tolerance (``repro.runner.supervisor``) engages when any of
-    ``timeout_s`` / ``retries`` / ``policy`` / ``journal`` / ``resume``
-    is given, when ``strict=False``, or explicitly via
-    ``supervised=True``: each job then runs in its own supervised worker
-    with per-job timeouts, bounded retries with deterministic backoff,
-    and crash isolation.  ``retries`` counts *extra* attempts
-    (``retries=2`` means up to 3 attempts).  With ``strict=True`` (the
-    default) a sweep that still has failed jobs after retries raises
-    :class:`~repro.runner.supervisor.SweepError` — but only after every
-    healthy job has completed and been checkpointed.  With
-    ``strict=False`` failed slots hold structured
+    With a ``cache``, hits are served from disk and misses are stored
+    *write-through* — each result is persisted the moment it arrives, so
+    a crash mid-sweep keeps every completed point.  ``progress(done,
+    total)`` is invoked after each job completes.
+
+    ``policy`` defaults to :meth:`SweepSupervision.from_env`;
+    ``timeout_s`` and ``retries`` override its fields (``retries`` counts
+    *extra* attempts: ``retries=2`` means up to 3 attempts).  With
+    ``strict=True`` (the default) a sweep that still has failed jobs
+    after retries raises :class:`~repro.runner.supervisor.SweepError` —
+    but only after every healthy job has completed and been
+    checkpointed.  With ``strict=False`` failed slots hold structured
     :class:`~repro.runner.supervisor.JobFailure` records instead.
 
     ``journal`` (a path or :class:`~repro.runner.journal.SweepJournal`)
     checkpoints completed points to an append-only JSONL file;
     ``resume=True`` replays points a previous run already completed and
-    executes only the remainder.
-
-    ``on_event`` receives fine-grained supervision events (``launch`` /
-    ``ok`` / ``fail`` / ``cache-hit`` / ``replay``; see
-    :func:`~repro.runner.supervisor.run_supervised`) and forces the
-    supervised path, since only the supervisor emits them.
+    executes only the remainder.  ``on_event`` receives the supervisor's
+    fine-grained events (``launch`` / ``ok`` / ``fail`` / ``cache-hit`` /
+    ``replay``).
     """
-    if supervised is None:
-        supervised = (
-            timeout_s is not None or retries is not None
-            or policy is not None or journal is not None
-            or resume or not strict or on_event is not None
+    from ..config import SweepSupervision
+    from .journal import SweepJournal
+    from .supervisor import SweepError, run_supervised
+
+    if policy is None:
+        policy = SweepSupervision.from_env()
+    if timeout_s is not None:
+        policy = policy.replace(timeout_s=timeout_s)
+    if retries is not None:
+        policy = policy.replace(max_attempts=retries + 1)
+    owns_journal = journal is not None and not isinstance(
+        journal, SweepJournal
+    )
+    if owns_journal:
+        journal = SweepJournal(journal)
+    try:
+        outcome = run_supervised(
+            jobs, workers=workers, cache=cache, progress=progress,
+            policy=policy, journal=journal, resume=resume,
+            on_event=on_event,
         )
-
-    if supervised:
-        from ..config import SweepSupervision
-        from .journal import SweepJournal
-        from .supervisor import SweepError, run_supervised
-
-        if policy is None:
-            policy = SweepSupervision.from_env()
-        if timeout_s is not None:
-            policy = policy.replace(timeout_s=timeout_s)
-        if retries is not None:
-            policy = policy.replace(max_attempts=retries + 1)
-        journal_obj: Optional[SweepJournal]
-        owns_journal = False
-        if journal is None or isinstance(journal, SweepJournal):
-            journal_obj = journal
-        else:
-            journal_obj = SweepJournal(journal)
-            owns_journal = True
-        try:
-            outcome = run_supervised(
-                jobs, workers=workers, cache=cache, progress=progress,
-                policy=policy, journal=journal_obj, resume=resume,
-                on_event=on_event,
-            )
-        finally:
-            if owns_journal:
-                journal_obj.close()
-        if strict and outcome.failures:
-            raise SweepError(outcome.failures, outcome.results)
-        return outcome.results
-
-    total = len(jobs)
-    results: List[Any] = [None] * total
-    done = 0
-
-    def report() -> None:
-        if progress is not None:
-            progress(done, total)
-
-    pending: List[Tuple[int, SimJob]] = []
-    keys: Dict[int, str] = {}
-    if cache is not None:
-        for index, job in enumerate(jobs):
-            key = job.key(cache.code_version)
-            keys[index] = key
-            hit = cache.get(key)
-            if hit is not None:
-                results[index] = hit
-                done += 1
-                report()
-            else:
-                pending.append((index, job))
-    else:
-        pending = list(enumerate(jobs))
-
-    if not pending:
-        return results
-
-    def complete(index: int, result: Any) -> None:
-        # Write-through: persist each result as it arrives so a crash
-        # later in the sweep never discards completed work.
-        nonlocal done
-        if cache is not None:
-            result = cache.put(keys[index], result)
-        results[index] = result
-        done += 1
-        report()
-
-    if workers is None:
-        workers = min(len(pending), multiprocessing.cpu_count())
-
-    if workers <= 1 or len(pending) == 1:
-        for index, job in pending:
-            complete(index, execute(job))
-    else:
-        pool = multiprocessing.Pool(processes=workers)
-        try:
-            for index, result in pool.imap_unordered(_pool_entry, pending):
-                complete(index, result)
-        except BaseException:
-            # Deterministic teardown: a KeyboardInterrupt mid-iteration
-            # or an exception escaping progress() must not leak live
-            # workers or hang in Pool.__del__.
-            pool.terminate()
-            pool.join()
-            raise
-        else:
-            pool.close()
-            pool.join()
-
-    return results
+    finally:
+        if owns_journal:
+            journal.close()
+    if strict and outcome.failures:
+        raise SweepError(outcome.failures, outcome.results)
+    return outcome.results

@@ -1,7 +1,7 @@
 """Async sweep service: dedup scheduler over a shard pool.
 
-:class:`SweepService` grows the per-call multiprocessing pool of
-:mod:`repro.runner` into a service shape: callers submit *requests*
+:class:`SweepService` puts a service shape in front of the supervised
+executor of :mod:`repro.runner`: callers submit *requests*
 (lists of :class:`~repro.runner.runner.SimJob`) concurrently, and the
 scheduler guarantees each unique grid point — identified by its
 content-hash :meth:`~repro.runner.runner.SimJob.key` — executes **at most
@@ -23,7 +23,9 @@ process per attempt under the full :class:`~repro.config.SweepSupervision`
 net (wall-clock timeouts, retries with deterministic backoff) — so a
 shard killed mid-job is retried, not lost.  The ``"inline"`` backend
 calls :func:`~repro.runner.runner.execute` directly in the thread; it
-trades isolation for speed and exists for dense scheduler tests.
+trades isolation for speed and is a test substitute for the dense
+scheduler property tests — no CLI flag or environment variable selects
+it.
 
 Service throughput/dedup counters land in the :mod:`repro.metrics`
 registry (``service_requests_total``, ``service_jobs_total{state=...}``)

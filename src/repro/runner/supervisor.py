@@ -1,11 +1,12 @@
 """Supervised, fault-tolerant sweep execution.
 
-The legacy ``Pool.imap_unordered`` path in :func:`repro.runner.run_jobs`
-treats the sweep as an all-or-nothing batch: one worker exception aborts
-every sibling, a hung worker stalls the pool forever, and a crash
-(segfault, OOM kill, ``os._exit``) tears the pool down mid-flight.  This
-module replaces it with *per-job supervision*, the way a job scheduler
-babysits training runs:
+:func:`run_supervised` is the one sweep executor: ``run_jobs``, every
+CLI sweep and each shard of the sweep service run their jobs through it.  A plain process pool treats a sweep as an
+all-or-nothing batch — one worker exception aborts every sibling, a hung
+worker stalls the pool forever, and a crash (segfault, OOM kill,
+``os._exit``) tears the pool down mid-flight.  This module instead
+applies *per-job supervision*, the way a job scheduler babysits training
+runs:
 
 * **One process per attempt.**  Each job attempt runs in its own worker
   process that reports back over a pipe.  A worker that dies without
@@ -21,9 +22,9 @@ babysits training runs:
 * **Graceful degradation.**  A job whose attempts are exhausted becomes a
   structured :class:`JobFailure` *in the results list*; healthy jobs
   complete normally and the sweep returns a full failure manifest.
-  Callers that want the old semantics opt into strict mode
-  (``run_jobs(..., strict=True)`` raises :class:`SweepError` at the end,
-  after every healthy job has finished and been checkpointed).
+  Strict callers (``run_jobs(..., strict=True)``, the default) get a
+  :class:`SweepError` at the end, after every healthy job has finished
+  and been checkpointed.
 * **Durable progress.**  With a :class:`~repro.runner.journal.SweepJournal`
   attached, every completed point is checkpointed as it arrives (and
   cache puts are write-through), so a crash or Ctrl-C costs only the

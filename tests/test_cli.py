@@ -149,9 +149,13 @@ class TestSweepSupervisionFlags:
         assert args.keep_going and args.resume
         assert args.journal == "x.jsonl"
 
-    def test_fig10_journal_then_resume_replays(self, capsys):
+    # A plain sweep (no supervision flag) is journaled and resumable too.
+    @pytest.mark.parametrize(
+        "flags", [[], ["--retries", "0"]], ids=["plain", "retries"]
+    )
+    def test_fig10_journal_then_resume_replays(self, capsys, flags):
         argv = ["fig10", "--iterations", "1", "--bits", "4",
-                "--no-cache", "--retries", "0"]
+                "--no-cache", *flags]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert (self.tmp_path / "sweeps" / "fig10-small.jsonl").is_file()

@@ -22,6 +22,7 @@ from repro.runner import (
     run_supervised,
 )
 from repro.runner.chaos import CHAOS_FN, CHAOS_STATE_ENV, attempts_recorded
+from repro.runner.runner import execute
 from repro.runner.supervisor import backoff_delay
 
 
@@ -31,6 +32,14 @@ def double(config, factor=2):
 
 
 DOUBLE = f"{__name__}.double"
+
+
+def explode(config):
+    """Workload that always raises."""
+    raise RuntimeError("boom")
+
+
+EXPLODE = f"{__name__}.explode"
 
 #: Fast test policy: tiny backoff, no timeout unless a test sets one.
 FAST = SweepSupervision(backoff_base_s=0.01, backoff_max_s=0.04)
@@ -58,11 +67,10 @@ class TestHealthySweeps:
         return [SimJob(fn=DOUBLE, config=config, seed=seed)
                 for seed in range(1, count + 1)]
 
-    def test_matches_legacy_results_in_job_order(self):
+    def test_matches_in_process_execute_in_job_order(self):
         jobs = self._jobs(5)
-        legacy = run_jobs(jobs, workers=2, supervised=False)
         outcome = run_supervised(jobs, workers=2, policy=FAST)
-        assert outcome.results == legacy
+        assert outcome.results == [execute(job) for job in jobs]
         assert outcome.ok
         assert outcome.counters["attempts"] == 5
 
@@ -193,11 +201,24 @@ class TestStrictMode:
         assert isinstance(results[0], JobFailure)
         assert results[1]["token"] == "well2"
 
-    def test_run_jobs_defaults_to_legacy_path(self):
-        # No supervision kwargs -> the bare pool path (exceptions
-        # propagate raw, as before this module existed).
-        jobs = [SimJob(fn=DOUBLE, config=small_config(), seed=1)]
-        assert run_jobs(jobs, workers=1)[0]["value"] == 2
+    def test_run_jobs_without_supervision_kwargs_is_supervised(
+        self, tmp_path, monkeypatch
+    ):
+        # Plain run_jobs is supervised too: a raising job becomes a
+        # SweepError after its healthy sibling ran and was cached.
+        monkeypatch.setenv("REPRO_SWEEP_BACKOFF_S", "0.01")
+        cache = ResultCache(tmp_path / "cache")
+        config = small_config()
+        jobs = [SimJob(fn=EXPLODE, config=config, seed=1),
+                SimJob(fn=DOUBLE, config=config, seed=2)]
+        with pytest.raises(SweepError) as excinfo:
+            run_jobs(jobs, workers=1, cache=cache)
+        (failure,) = excinfo.value.failures
+        assert failure.index == 0 and failure.kind == "exception"
+        assert "boom" in failure.message
+        assert cache.get(jobs[1].key(cache.code_version)) == {
+            "seed": 2, "value": 4,
+        }
 
 
 class TestBackoff:
