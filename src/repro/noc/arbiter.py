@@ -34,11 +34,24 @@ class ArbitrationPolicy:
 
     name = "abstract"
 
-    #: True when ``choose`` only reads policy state, so with a single
-    #: candidate it returns that candidate and changes nothing: the
-    #: sparse mux tick then grants the sole candidate without calling
-    #: the policy.  False by default; RANDOM must keep it False because
-    #: it draws its rng on every ``choose``, contended or not.
+    #: True when the policy promises three things, which let the sparse
+    #: mux and crossbar ticks skip calls that cannot change a grant:
+    #:
+    #: * ``choose`` only reads policy state, so with a single candidate
+    #:   it returns that candidate and changes nothing (the sole
+    #:   candidate is granted without calling the policy);
+    #: * after a port is granted a flit of a packet, ``choose`` keeps
+    #:   returning that port until the packet's last flit, as long as it
+    #:   stays a candidate and the candidate set stays the same or
+    #:   shrinks (a packet takes every flit of budget it needs at once);
+    #: * repeated ``note_flit(port, packet, False)`` calls change no
+    #:   state beyond the first (one call stands for a run of mid-packet
+    #:   flits).
+    #:
+    #: Such a policy also leaves ``allowed_inputs`` unrestricted.  False
+    #: by default; RANDOM must keep it False because it draws its rng on
+    #: every ``choose``, contended or not, and SRR because its slot
+    #: owner changes every cycle.
     flit_invariant = False
 
     def __init__(self, num_inputs: int) -> None:

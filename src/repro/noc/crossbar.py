@@ -164,7 +164,10 @@ class Crossbar(LiveInputs, Component):
         — but the candidate grouping walks ``_live`` and reads
         ``_heads``, which the input queues keep current: a packet popped
         in one round has already exposed its successor (or left the live
-        list) when the next round groups.
+        list) when the next round groups.  Under a flit-invariant
+        policy a sole candidate is granted without calling the policy,
+        and :meth:`_collapse_round` grants a run of identical rounds at
+        once.
 
         A first round that groups nothing means no live head can move
         this cycle: the tick sets ``_blocked`` and :meth:`idle_until`
@@ -182,6 +185,7 @@ class Crossbar(LiveInputs, Component):
         heads = self._heads
         input_budget = [self.input_width] * len(inputs)
         output_budget = [self.width] * len(outputs)
+        invariant = self._policies[0].flit_invariant
         blocked = True  # until a round groups a port
         while True:
             moved = False
@@ -198,6 +202,9 @@ class Crossbar(LiveInputs, Component):
             if not per_output:
                 break
             blocked = False
+            if invariant:
+                self._collapse_round(cycle, per_output, input_budget,
+                                     output_budget)
             for out in sorted(per_output):
                 candidates = per_output[out]
                 policy = self._policies[out]
@@ -206,7 +213,10 @@ class Crossbar(LiveInputs, Component):
                     candidates = [p for p in candidates if p in allowed]
                     if not candidates:
                         continue
-                port = policy.choose(candidates, heads, cycle)
+                if invariant and len(candidates) == 1:
+                    port = candidates[0]
+                else:
+                    port = policy.choose(candidates, heads, cycle)
                 packet = heads[port]
                 if not reserved[port]:
                     outputs[out].reserve(packet.flits)
@@ -235,6 +245,58 @@ class Crossbar(LiveInputs, Component):
             if not moved:
                 break
         self._blocked = blocked
+
+    def _collapse_round(self, cycle, per_output, input_budget,
+                        output_budget) -> None:
+        """Grant all but the last of a run of identical rounds at once.
+
+        When a round groups exactly one candidate per output under a
+        flit-invariant policy, every following round groups the same
+        ports: a granted port keeps its reserved head, and an ungrouped
+        port stays ungrouped because budgets and output space only
+        shrink within a tick.  Each policy keeps choosing its sole
+        candidate and ignores repeated mid-packet ``note_flit`` calls,
+        so the next ``k - 1`` rounds are identical, where ``k`` is the
+        least remaining packet flits, input budget or output budget of
+        any grouped port.  This advances each port ``k - 1`` flits
+        (reserving and emitting ``XBAR_GRANT`` as the first of those
+        rounds would) and leaves the ``k``-th to the caller's round, so
+        completions, wakes and telemetry keep their order.
+        """
+        heads = self._heads
+        progress = self._progress
+        k = FOREVER
+        for out, candidates in per_output.items():
+            if len(candidates) > 1:
+                return
+            port = candidates[0]
+            left = heads[port].flits - progress[port]
+            if left < k:
+                k = left
+            if input_budget[port] < k:
+                k = input_budget[port]
+            if output_budget[out] < k:
+                k = output_budget[out]
+        if k < 2:
+            return
+        n = k - 1
+        reserved = self._reserved
+        tracer = self._tracer
+        for out in sorted(per_output):
+            port = per_output[out][0]
+            packet = heads[port]
+            if not reserved[port]:
+                self.outputs[out].reserve(packet.flits)
+                reserved[port] = True
+            if tracer is not None:
+                if progress[port] == 0:
+                    tracer.emit(cycle, XBAR_GRANT, self._tl_id,
+                                port, packet.uid, out)
+                self._tl_out[out].add(cycle, n)
+            progress[port] += n
+            input_budget[port] -= n
+            output_budget[out] -= n
+            self._policies[out].note_flit(port, packet, False)
 
     def idle_until(self, cycle: int) -> Optional[int]:
         """Purely reactive: idle when no input can move a flit.

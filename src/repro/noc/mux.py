@@ -151,10 +151,12 @@ class Mux(LiveInputs, Component):
 
         ``allowed_inputs`` is applied once, and candidates stay in
         ascending port order, so every policy (including the rng draw
-        of RANDOM) sees exactly the list the scalar tick builds.  A
-        single candidate under a flit-invariant policy skips the policy
-        call.  Grant-for-grant and counter-for-counter identical to the
-        scalar tick.
+        of RANDOM) sees exactly the list the scalar tick builds.  Under
+        a flit-invariant policy a single candidate skips the policy call,
+        and the chosen packet takes ``min(budget, flits left)`` flits in
+        one pass: the policy would keep choosing it, and its repeated
+        mid-packet ``note_flit`` calls change nothing.  Grant-for-grant
+        and counter-for-counter identical to the scalar tick.
 
         When no live port is a candidate — every head is unreserved and
         larger than the output's free space — the tick sets ``_blocked``
@@ -205,13 +207,24 @@ class Mux(LiveInputs, Component):
                         p for p in candidates
                         if reserved[p] or heads[p].flits <= free
                     ]
-            if self._tracer is not None and progress[port] == 0:
+            sent = progress[port]
+            if self._tracer is not None and sent == 0:
                 self._tracer.emit(cycle, MUX_GRANT, self._tl_id,
                                   port, packet.uid)
-            progress[port] += 1
-            budget -= 1
-            moved += 1
-            last = progress[port] >= packet.flits
+            # A flit-invariant policy keeps choosing a mid-packet port,
+            # so its packet takes every flit of budget it still needs.
+            n = 1
+            if forced:
+                n = packet.flits - sent
+                if n > budget:
+                    n = budget
+            sent += n
+            progress[port] = sent
+            budget -= n
+            moved += n
+            last = sent >= packet.flits
+            if n > 1 and last:
+                policy.note_flit(port, packet, False)
             policy.note_flit(port, packet, last)
             if last:
                 inputs[port].pop()  # refreshes heads[port] and live

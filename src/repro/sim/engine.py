@@ -43,6 +43,13 @@ Scheduling strategies
     earliest pending timer (or the end of the ``step`` window) instead of
     spinning through empty cycles.
 
+    :meth:`Engine.run_until` stretches that jump across its check
+    windows.  Its condition must be a predicate over simulated state,
+    which cannot change while every component is parked, so a check
+    that finds nothing active and the next timer more than
+    ``check_every`` cycles out crosses the whole parked span in one
+    ``step`` to the last check point at or before the timer.
+
     Stepping is event-driven: the active set is a set of registration
     indices, and each busy cycle ticks exactly those indices in pipeline
     order (a ``sorted()`` frontier), so a busy cycle costs
@@ -307,15 +314,16 @@ class Engine:
         active = self._active
         has_post = self._has_post
         profiler = self.profiler
+        timers = self._timers
         target = self.cycle + cycles
         while self.cycle < target:
             cycle = self.cycle
-            if self._timers:
+            if timers and timers[0][0] <= cycle:
                 self._fire_due_timers(cycle)
             if not active:
                 # Whole model quiescent: fast-forward to the earliest
                 # timer (or the end of this step window) in one jump.
-                jump = self._timers[0][0] if self._timers else target
+                jump = timers[0][0] if timers else target
                 if jump > target:
                     jump = target
                 if jump <= cycle:  # pragma: no cover - defensive
@@ -382,17 +390,37 @@ class Engine:
           cycles have elapsed with the condition still false.
 
         ``check_every`` amortizes the cost of expensive conditions by only
-        evaluating them every N cycles.
+        evaluating them every N cycles; it must be at least 1.
+
+        ``condition`` must be a predicate over simulated state (kernel
+        ``done`` flags, stream idleness, in-flight packet counts): that is
+        what lets a parked span be crossed in one step.  When a check
+        finds the condition false, no component active and the earliest
+        pending timer more than ``check_every`` cycles away, nothing can
+        change before that timer fires, so every check point before it
+        would read the same false condition.  The engine then takes one
+        :meth:`step` to the last check point at or before the timer
+        instead of one step per window, and returns the same cycle as
+        per-window stepping would.  With no timer pending (or under ``naive``, which never parks) it
+        steps ``check_every`` cycles at a time.
         """
+        if check_every < 1:
+            raise ValueError("check_every must be at least 1")
         start = self.cycle
+        timers = self._timers
         while not condition():
-            elapsed = self.cycle - start
-            remaining = max_cycles - elapsed
+            cycle = self.cycle
+            remaining = max_cycles - (cycle - start)
             if remaining <= 0:
                 raise TimeoutError(
                     f"condition not met within {max_cycles} cycles"
                 )
-            self.step(check_every if check_every < remaining else remaining)
+            stride = check_every
+            if timers and not self._active:
+                gap = timers[0][0] - cycle
+                if gap > check_every:
+                    stride = gap - gap % check_every
+            self.step(stride if stride < remaining else remaining)
         return self.cycle
 
     def reset(self) -> None:

@@ -61,6 +61,10 @@ def random_config(rng: random.Random) -> GpuConfig:
         validate_enabled=True,
         validate_interval=rng.choice([1, 1, 4]),
         seed=rng.randrange(1, 100_000),
+        # Packet lengths that are not a multiple of the 2/3/4/6/8-flit
+        # channel widths make multi-flit grants end mid-budget.
+        write_request_flits=rng.choice([2, 4, 5]),
+        read_reply_flits=rng.choice([2, 4, 5]),
     )
 
 
@@ -136,7 +140,8 @@ def _describe(config: GpuConfig) -> str:
     return (
         f"gpcs={config.num_gpcs} tpcs={config.tpcs_per_gpc} "
         f"l2={config.num_l2_slices} arb={config.arbitration} "
-        f"voq={config.reply_voq} wack={config.write_reply_flits} "
+        f"voq={config.reply_voq} wreq={config.write_request_flits} "
+        f"rrep={config.read_reply_flits} wack={config.write_reply_flits} "
         f"noise={config.timing_noise} tel={config.telemetry_enabled} "
         f"ival={config.validate_interval} seed={config.seed}"
     )

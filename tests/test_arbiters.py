@@ -302,3 +302,74 @@ class TestRotationMatchesReference:
                     candidates, pointer, num_inputs
                 )
             assert policy.choose(candidates, heads, 0) == expected
+
+
+#: Every policy name, and those that claim ``flit_invariant``.
+ALL_POLICIES = ("rr", "crr", "srr", "age", "fixed", "random")
+FLIT_INVARIANT = [
+    name for name in ALL_POLICIES if make_policy(name, 2).flit_invariant
+]
+
+
+@st.composite
+def _arbitrated_state(draw, name):
+    """A policy with a random grant history, its heads and candidates."""
+    num_inputs = draw(st.integers(1, 8))
+    heads = [
+        packet(flits=draw(st.integers(1, 6)), group=draw(st.integers(0, 2)),
+               birth=draw(st.integers(0, 20)))
+        for _ in range(num_inputs)
+    ]
+    policy = make_policy(name, num_inputs)
+    for _ in range(draw(st.integers(0, 4))):
+        port = draw(st.integers(0, num_inputs - 1))
+        policy.note_flit(port, heads[port], draw(st.booleans()))
+    ports = draw(st.lists(st.integers(0, num_inputs - 1), min_size=1,
+                          unique=True))
+    return policy, heads, sorted(ports)
+
+
+class TestFlitInvariantContract:
+    """What ``flit_invariant`` promises, for every policy claiming it.
+
+    The sparse mux grants a chosen packet every flit of budget it needs
+    at once, and the sparse crossbar collapses runs of identical rounds;
+    both rely on these promises instead of calling the policy per flit.
+    """
+
+    def test_claimants(self):
+        assert FLIT_INVARIANT == ["rr", "crr", "age", "fixed"]
+        # RANDOM draws its rng on every choose; SRR's slot owner moves
+        # every cycle.
+        assert not make_policy("random", 4).flit_invariant
+        assert not make_policy("srr", 4).flit_invariant
+
+    @pytest.mark.parametrize("name", FLIT_INVARIANT)
+    @given(st.data())
+    def test_mid_packet_port_keeps_the_grant(self, name, data):
+        policy, heads, candidates = data.draw(_arbitrated_state(name))
+        assert policy.allowed_inputs(data.draw(st.integers(0, 99))) is None
+        port = policy.choose(candidates, heads, 0)
+        pkt = heads[port]
+        for sent in range(1, pkt.flits + 1):
+            policy.note_flit(port, pkt, sent == pkt.flits)
+            if sent == pkt.flits:
+                break
+            # The candidate set stays the same or shrinks, keeping port.
+            keep = data.draw(st.lists(st.booleans(), min_size=len(candidates),
+                                      max_size=len(candidates)))
+            candidates = [
+                p for p, kept in zip(candidates, keep) if kept or p == port
+            ]
+            assert policy.choose(candidates, heads, 0) == port
+
+    @pytest.mark.parametrize("name", FLIT_INVARIANT)
+    @given(st.data())
+    def test_repeated_mid_packet_notes_change_nothing(self, name, data):
+        policy, heads, candidates = data.draw(_arbitrated_state(name))
+        port = data.draw(st.sampled_from(candidates))
+        policy.note_flit(port, heads[port], False)
+        digest = policy.state_digest()
+        for _ in range(data.draw(st.integers(1, 5))):
+            policy.note_flit(port, heads[port], False)
+            assert policy.state_digest() == digest

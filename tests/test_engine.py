@@ -68,6 +68,18 @@ class TestEngine:
         with pytest.raises(TimeoutError):
             engine.run_until(lambda: False, max_cycles=100)
 
+    @pytest.mark.parametrize("check_every", [0, -1])
+    @pytest.mark.parametrize("strategy", ["naive", "active"])
+    def test_run_until_rejects_nonpositive_check_every(
+        self, strategy, check_every
+    ):
+        # step(0) makes no progress, so this used to spin forever.
+        engine = Engine(strategy=strategy)
+        with pytest.raises(ValueError, match="check_every"):
+            engine.run_until(lambda: False, max_cycles=100,
+                             check_every=check_every)
+        assert engine.cycle == 0
+
     def test_reset_zeros_cycle_and_resets_components(self):
         log = []
         component = Recorder(log, "a")

@@ -11,7 +11,9 @@ compare the two tick paths cycle by cycle:
 * the switch's state digest (progress, reservations, policy state and
   every attached queue) after each cycle;
 * the order and cycle in which packets leave the outputs;
-* the final flit/packet counters.
+* the final flit/packet counters;
+* the telemetry each side emits: the GRANT/XFER event stream (packet
+  uids renumbered by first appearance) and every link series.
 
 The sparse side runs on an ``active`` engine with reactive wake hooks,
 so parking, wakes and quiescence fast-forward are all on the path under
@@ -32,7 +34,9 @@ from repro.noc.mux import Mux
 from repro.noc.packet import Packet, WRITE
 from repro.sim.engine import FOREVER, Component, Engine
 from repro.sim.stats import StatsRegistry
+from repro.telemetry.hub import Telemetry
 from repro.validate import InvariantChecker
+from tests.test_telemetry import _normalized_events
 
 POLICIES = ("rr", "crr", "srr", "age", "fixed", "random")
 
@@ -118,10 +122,18 @@ def _run_lockstep(build, run_cycles=_RUN_CYCLES):
         ), f"digests diverge after cycle {cycle - 1}"
     assert sparse["sink"].log == scalar["sink"].log
     assert sparse["stats"].snapshot() == scalar["stats"].snapshot()
+    assert _telemetry(sparse["hub"]) == _telemetry(scalar["hub"])
     # The workload drained, and it was heavy enough to mean something.
     assert not any(q for q in scalar["switch"].inputs)
     assert len(scalar["sink"].log) > 100
     return scalar, sparse
+
+
+def _telemetry(hub):
+    """Normalized event stream and per-epoch flits of every link."""
+    assert hub.tracer.dropped == 0
+    links = {series.name: series.flits for series in hub.timeline.links}
+    return _normalized_events(hub), links
 
 
 class _LiveMeter(Component):
@@ -150,6 +162,8 @@ def _mux_builder(policy_name, num_inputs, width, output_flits):
         output = PacketQueue("out", output_flits)
         mux = Mux("m", inputs, output, width,
                   make_policy(policy_name, num_inputs, seed=7), stats)
+        hub = Telemetry()
+        mux.attach_telemetry(hub)
         if sparse:
             mux._sparse = True
             for queue in inputs:
@@ -160,7 +174,7 @@ def _mux_builder(policy_name, num_inputs, width, output_flits):
         engine = Engine([source, meter, mux, sink],
                         strategy="active" if sparse else "naive")
         return {"engine": engine, "switch": mux, "sink": sink,
-                "stats": stats, "meter": meter}
+                "stats": stats, "meter": meter, "hub": hub}
 
     return build
 
@@ -196,7 +210,14 @@ class TestSparseMux:
         assert sum(samples) / len(samples) >= 0.75 * num_inputs
 
 
-def _crossbar_builder(policy_name):
+#: Crossbar (output width, input width) shapes.  Width 1 grants one
+#: flit per output per cycle; (8, 8) lets a lone packet cross in one
+#: collapsed round; (3, 2) has the input budget cut a run short of the
+#: output budget.
+XBAR_SHAPES = [(1, 2), (8, 8), (3, 2)]
+
+
+def _crossbar_builder(policy_name, width=1, input_width=2):
     """Build function for :func:`_run_lockstep` around one :class:`Crossbar`."""
 
     def build(sparse):
@@ -205,9 +226,11 @@ def _crossbar_builder(policy_name):
         outputs = [PacketQueue(f"out{i}", 12) for i in range(3)]
         xbar = Crossbar(
             "x", inputs, outputs, route=lambda p: p.slice_id,
-            width=1, input_width=2, policy_name=policy_name, seed=5,
-            stats=stats,
+            width=width, input_width=input_width, policy_name=policy_name,
+            seed=5, stats=stats,
         )
+        hub = Telemetry()
+        xbar.attach_telemetry(hub)
         if sparse:
             xbar._sparse = True
             for queue in inputs:
@@ -217,15 +240,19 @@ def _crossbar_builder(policy_name):
         engine = Engine([source, xbar, sink],
                         strategy="active" if sparse else "naive")
         return {"engine": engine, "switch": xbar, "sink": sink,
-                "stats": stats}
+                "stats": stats, "hub": hub}
 
     return build
 
 
 class TestSparseCrossbar:
+    @pytest.mark.parametrize("width,input_width", XBAR_SHAPES)
     @pytest.mark.parametrize("policy_name", POLICIES)
-    def test_sparse_tick_matches_scalar(self, policy_name):
-        scalar, sparse = _run_lockstep(_crossbar_builder(policy_name))
+    def test_sparse_tick_matches_scalar(self, policy_name, width,
+                                        input_width):
+        scalar, sparse = _run_lockstep(
+            _crossbar_builder(policy_name, width, input_width)
+        )
         # Every output carried traffic, so per-output arbitration ran.
         assert {out for _, out, _ in scalar["sink"].log} == {0, 1, 2}
         # Parked while empty: the sparse side skipped idle crossbar ticks.

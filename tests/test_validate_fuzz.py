@@ -22,6 +22,11 @@ class TestGenerators:
             assert config.num_sms <= 12
             assert config.arbitration in ARBITRATION_POLICIES
 
+    def test_random_config_varies_packet_geometry(self):
+        configs = [random_config(random.Random(seed)) for seed in range(30)]
+        assert {c.write_request_flits for c in configs} == {2, 4, 5}
+        assert {c.read_reply_flits for c in configs} == {2, 4, 5}
+
     def test_random_stimulus_replays_identically(self):
         rng = random.Random(3)
         config = random_config(rng)
@@ -60,6 +65,10 @@ class TestFuzzing:
     def test_case_records_config_summary(self):
         case = run_case(1, oracle=False)
         assert "arb=" in case.summary
+        # Packet geometry is drawn per case, so a replay needs it.
+        config = random_config(random.Random(1))
+        assert f"wreq={config.write_request_flits} " in case.summary
+        assert f"rrep={config.read_reply_flits} " in case.summary
         assert f"seed={case.seed}" != case.summary  # summary is the config
 
 
