@@ -10,7 +10,7 @@ simulation.
 import pytest
 
 from repro.analysis import format_table
-from repro.config import small_config
+from repro.config import ServiceConfig, small_config
 from repro.metrics.registry import MetricsRegistry
 from repro.runner import CapacitySurface, ResultCache, SimJob, serve_requests
 
@@ -46,8 +46,7 @@ def test_service_dedup_and_surface_queries(once, tmp_path):
         return serve_requests(
             requests,
             cache=cache,
-            execution="supervised",
-            shards=2,
+            service=ServiceConfig(shards=2),
             metrics=MetricsRegistry(),
             stagger_s=0.002,
         )
@@ -73,8 +72,7 @@ def test_service_dedup_and_surface_queries(once, tmp_path):
     (replay,), manifest2 = serve_requests(
         [jobs],
         cache=cache,
-        execution="supervised",
-        shards=2,
+        service=ServiceConfig(shards=2),
         metrics=MetricsRegistry(),
     )
     assert manifest2["dispatched"] == 0
@@ -84,9 +82,9 @@ def test_service_dedup_and_surface_queries(once, tmp_path):
     queries = [1, 1.5, 2, 3, 4, 6]
     answers = [surface.predict(iterations=q) for q in queries]
     print(format_table(
-        ["iterations", "bandwidth (kbps)", "source", "confidence"],
+        ["iterations", "bandwidth (kbps)", "source", "distance"],
         [
-            (q, f"{a.bandwidth_kbps:.1f}", a.source, f"{a.confidence:.2f}")
+            (q, f"{a.bandwidth_kbps:.1f}", a.source, f"{a.distance:.2f}")
             for q, a in zip(queries, answers)
         ],
     ))

@@ -53,6 +53,7 @@ from .analysis import format_series, format_table
 from .config import (
     GpuConfig,
     PASCAL_P100,
+    ServiceConfig,
     TURING_TU104,
     VOLTA_V100,
     medium_config,
@@ -336,21 +337,56 @@ def cmd_linkchan(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_serve(args) -> int:
-    """Batch capacity-query service: sweep, build surface, answer queries.
+def _serve_queries(path: Optional[str], grid: List[int]) -> List[dict]:
+    """Load ``serve --queries`` as ``{"iterations": x, ...}`` mappings.
 
-    ``--once`` runs one request batch and exits: the fig10-style grid is
-    submitted through the async sweep service (content-hash dedup +
-    supervised shards + shared artifact store), a capacity surface is
-    built from the completed points, and every query in ``--queries``
-    (default: the grid itself) is answered from the surface — no
-    re-simulation for already-swept points.  Answers plus service/cache
-    counters land in the ``--answers`` JSON manifest, which is what the
-    CI ``service-smoke`` job asserts on.
+    Each entry must be a number or an object with a numeric
+    ``"iterations"``; anything else raises ``ValueError`` naming it.
+    Without a file the queries are the swept grid itself.
     """
     import json as _json
 
-    from .config import ServiceConfig
+    if path is None:
+        return [{"iterations": float(count)} for count in grid]
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            raw_queries = _json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"--queries is not valid JSON: {exc}") from None
+    if not isinstance(raw_queries, list):
+        raise ValueError("--queries must be a JSON list")
+
+    def numeric(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    queries = []
+    for index, raw in enumerate(raw_queries):
+        if numeric(raw):
+            queries.append({"iterations": raw})
+        elif isinstance(raw, dict) and numeric(raw.get("iterations")):
+            queries.append(raw)
+        else:
+            raise ValueError(
+                f"--queries entry {index} ({_json.dumps(raw)}) must be a "
+                f"number or an object with a numeric \"iterations\""
+            )
+    return queries
+
+
+def cmd_serve(args) -> int:
+    """Batch capacity-query service: sweep, build surface, answer queries.
+
+    The fig10-style grid is submitted as one request through the async
+    sweep service (content-hash dedup + supervised shards + shared
+    artifact store), a capacity surface is built from the completed
+    points, and every query in ``--queries`` (default: the grid itself)
+    is answered from the surface — no re-simulation for already-swept
+    points.  The queries are validated before anything runs.  Answers
+    plus service/cache counters land in the ``--answers`` JSON manifest,
+    which is what the CI ``service-smoke`` job asserts on.
+    """
+    import json as _json
+
     from .runner import (
         CapacitySurface,
         JobFailure,
@@ -359,17 +395,12 @@ def cmd_serve(args) -> int:
         serve_requests,
     )
 
-    if not args.once:
-        print(
-            "serve: daemon mode is not implemented; pass --once for the "
-            "batch query path",
-            file=sys.stderr,
-        )
+    try:
+        queries = _serve_queries(args.queries, args.iterations)
+    except (OSError, ValueError) as exc:
+        print(f"serve: {exc}", file=sys.stderr)
         return 2
     config = _config(args)
-    shape = ServiceConfig.from_env()
-    if args.shards is not None:
-        shape = shape.replace(shards=args.shards)
     cache = None
     if not args.no_cache:
         cache = ResultCache(
@@ -392,7 +423,8 @@ def cmd_serve(args) -> int:
         for index, count in enumerate(args.iterations)
     ]
     results, service_manifest = serve_requests(
-        [jobs], cache=cache, policy=_sweep_policy(args), service=shape
+        [jobs], cache=cache, policy=_sweep_policy(args),
+        service=ServiceConfig(shards=args.shards),
     )
     rows = [r for r in results[0] if not isinstance(r, JobFailure)]
     failures = [r for r in results[0] if isinstance(r, JobFailure)]
@@ -403,30 +435,19 @@ def cmd_serve(args) -> int:
         return 1
 
     surface = CapacitySurface.from_rows(rows)
-    if args.queries is not None:
-        with open(args.queries, "r", encoding="utf-8") as handle:
-            raw_queries = _json.load(handle)
-        if not isinstance(raw_queries, list):
-            raise SystemExit("--queries must be a JSON list")
-    else:
-        raw_queries = [float(count) for count in args.iterations]
-    answers = []
-    for raw in raw_queries:
-        params = (
-            {"iterations": raw} if isinstance(raw, (int, float)) else raw
-        )
-        prediction = surface.predict(params, max_age_s=args.max_age)
-        answers.append({"query": params, **prediction.to_dict()})
-
+    answers = [
+        {"query": params,
+         **surface.predict(params, max_age_s=args.max_age).to_dict()}
+        for params in queries
+    ]
     print(format_table(
-        ["iterations", "bandwidth (kbps)", "error", "source", "confidence"],
+        ["iterations", "bandwidth (kbps)", "error", "source"],
         [
             (
                 answer["query"]["iterations"],
                 f"{answer['bandwidth_kbps']:.2f}",
                 f"{answer['error_rate']:.3f}",
                 answer["source"],
-                f"{answer['confidence']:.2f}",
             )
             for answer in answers
         ],
@@ -999,11 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
              "scheduler and answer capacity queries from the surface",
     )
     serve.add_argument(
-        "--once", action="store_true",
-        help="batch mode: sweep, answer queries, exit (required — daemon "
-             "mode is not implemented yet)",
-    )
-    serve.add_argument(
         "--panel", choices=("tpc", "multi-tpc", "gpc", "multi-gpc"),
         default="tpc",
     )
@@ -1022,8 +1038,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="answers manifest output (default: serve-answers.json)",
     )
     serve.add_argument(
-        "--shards", type=int, default=None,
-        help="service shard workers (default: $REPRO_SERVICE_SHARDS or 2)",
+        "--shards", type=int, default=ServiceConfig.shards,
+        help="service shard workers (default: %(default)s)",
     )
     serve.add_argument(
         "--cache-entries", type=int, default=None, metavar="N",

@@ -240,14 +240,6 @@ class LinkConfig:
         return dataclasses.replace(self, **changes)
 
 
-#: Environment knob for the sweep-service default shard count (see
-#: :meth:`ServiceConfig.from_env`).
-SERVICE_SHARDS_ENV = "REPRO_SERVICE_SHARDS"
-
-#: Execution backends the sweep service can dispatch shards to.
-SERVICE_EXECUTION_MODES = ("supervised", "inline")
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Shape of the async sweep service (:mod:`repro.runner.service`).
@@ -255,54 +247,22 @@ class ServiceConfig:
     Like :class:`SweepSupervision` this is a frozen record threaded
     through unchanged, and deliberately *not* part of
     :class:`GpuConfig` — how many shards answer a request must never
-    perturb result-cache keys.
-
-    ``execution`` picks the shard backend: ``"supervised"`` runs every
-    job in its own worker process under the full
-    :class:`SweepSupervision` net (timeouts, retries, backoff) and is
-    the production default; ``"inline"`` executes in a thread of the
-    service process — no isolation, but cheap enough for the
-    property-based scheduler tests to run hundreds of jobs.  Only code
-    can pick ``"inline"``: neither the CLI nor the environment does.
+    perturb result-cache keys.  Every shard runs its job in its own
+    worker process under the full :class:`SweepSupervision` net
+    (timeouts, retries, backoff).
     """
 
-    #: Number of shard workers draining the dispatch queue; each runs
-    #: one job at a time, so this is the service's concurrency.
+    #: Number of shard threads; each runs one job at a time, so this is
+    #: the service's concurrency.
     shards: int = 2
-    #: Shard backend, one of :data:`SERVICE_EXECUTION_MODES`.
-    execution: str = "supervised"
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
-        if self.execution not in SERVICE_EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution {self.execution!r}; "
-                f"expected one of {SERVICE_EXECUTION_MODES}"
-            )
 
     def replace(self, **changes) -> "ServiceConfig":
         """Return a copy of this config with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
-
-    @staticmethod
-    def from_env() -> "ServiceConfig":
-        """Default service shape, overridable via ``REPRO_SERVICE_SHARDS``.
-
-        The shard count (int) mirrors the ``REPRO_SWEEP_*`` convention;
-        an unset or unparsable variable falls back to the dataclass
-        default.
-        """
-        import os
-
-        changes: Dict[str, object] = {}
-        raw = os.environ.get(SERVICE_SHARDS_ENV)
-        if raw:
-            try:
-                changes["shards"] = int(raw)
-            except ValueError:
-                pass
-        return ServiceConfig(**changes)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

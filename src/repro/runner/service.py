@@ -1,4 +1,4 @@
-"""Async sweep service: dedup scheduler over a shard pool.
+"""Async sweep service: dedup scheduler over a bounded shard pool.
 
 :class:`SweepService` puts a service shape in front of the supervised
 executor of :mod:`repro.runner`: callers submit *requests*
@@ -7,25 +7,31 @@ scheduler guarantees each unique grid point — identified by its
 content-hash :meth:`~repro.runner.runner.SimJob.key` — executes **at most
 once** no matter how many overlapping requests are in flight:
 
-* the first request to name a key creates an in-flight future and
-  enqueues the job for a shard;
+* the first request to name a key creates an in-flight future and hands
+  the job to the shard pool;
 * later requests naming the same key *attach* to that future ("late
   subscribers") and receive the identical result object;
 * keys whose result is already in the shared artifact store
   (:class:`~repro.runner.cache.ResultCache`) resolve immediately as
-  cache hits, without touching the dispatch queue.
+  cache hits, without dispatching anything.
 
-All scheduler state (the in-flight map, the dispatch queue, the
-counters) is owned by the asyncio event-loop thread; shards hand actual
-execution to a thread pool, where the ``"supervised"`` backend wraps
-each job in :func:`~repro.runner.supervisor.run_supervised` — one worker
-process per attempt under the full :class:`~repro.config.SweepSupervision`
-net (wall-clock timeouts, retries with deterministic backoff) — so a
-shard killed mid-job is retried, not lost.  The ``"inline"`` backend
-calls :func:`~repro.runner.runner.execute` directly in the thread; it
-trades isolation for speed and is a test substitute for the dense
-scheduler property tests — no CLI flag or environment variable selects
-it.
+The shard pool is one ``ThreadPoolExecutor`` with ``shards`` threads —
+itself a bounded FIFO, so there is no second queue in front of it.  Each
+shard thread wraps its job in
+:func:`~repro.runner.supervisor.run_supervised` — one worker process per
+attempt under the full :class:`~repro.config.SweepSupervision` net
+(wall-clock timeouts, retries with deterministic backoff) — so a shard
+killed mid-job is retried, not lost.  The pool starts with the first
+dispatch, so constructing a service starts no threads.
+
+All scheduler state (the in-flight map, the counters) and the artifact
+store are owned by the asyncio event-loop thread: a finished job settles
+through a done-callback on the loop, which does the store's single
+``put`` there.  Shard threads never touch the store (``run_supervised``
+gets ``cache=None``), so :class:`~repro.runner.cache.ResultCache`, whose
+counters are not thread-safe, needs no locking.  The store's
+write-through is the recovery path: a restarted service answers every
+point that settled before the restart as a cache hit.
 
 Service throughput/dedup counters land in the :mod:`repro.metrics`
 registry (``service_requests_total``, ``service_jobs_total{state=...}``)
@@ -42,14 +48,13 @@ an event loop for the duration of a batch of requests::
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import ServiceConfig, SweepSupervision
 from ..metrics.registry import MetricsRegistry, get_registry
 from .cache import ResultCache
-from .journal import SweepJournal
-from .runner import execute
 from .supervisor import JobFailure, run_supervised
 
 __all__ = ["ServiceError", "SweepService", "serve_requests"]
@@ -73,23 +78,16 @@ class SweepService:
         (dedup still holds *within* the service's lifetime, but repeats
         across completed requests re-execute).
     policy:
-        Supervision policy for the ``"supervised"`` backend; defaults to
+        Supervision policy for each job; defaults to
         :meth:`SweepSupervision.from_env`.
     service:
-        Shape record; individual keyword arguments below override its
-        fields.
-    shards / execution:
-        Overrides for :class:`~repro.config.ServiceConfig` fields.
-    journal:
-        Optional :class:`~repro.runner.journal.SweepJournal`; completed
-        and failed points are checkpointed as they settle, keyed by the
-        same content hash as the cache.
+        Shape record (shard count); defaults to :class:`ServiceConfig`.
     metrics:
         Registry for service counters (default: the process registry).
 
-    Use as an async context manager, or call :meth:`start` / await
-    :meth:`close` explicitly.  :meth:`submit` may be called from any
-    number of tasks on the service's event loop.
+    Use as an async context manager, or await :meth:`close` explicitly.
+    :meth:`submit` may be called from any number of tasks on the
+    service's event loop.
     """
 
     def __init__(
@@ -98,22 +96,13 @@ class SweepService:
         *,
         policy: Optional[SweepSupervision] = None,
         service: Optional[ServiceConfig] = None,
-        shards: Optional[int] = None,
-        execution: Optional[str] = None,
-        journal: Optional[SweepJournal] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        shape = service if service is not None else ServiceConfig()
-        if shards is not None:
-            shape = shape.replace(shards=shards)
-        if execution is not None:
-            shape = shape.replace(execution=execution)
-        self.config = shape
+        self.config = service if service is not None else ServiceConfig()
         self.cache = cache
         self.policy = (
             policy if policy is not None else SweepSupervision.from_env()
         )
-        self.journal = journal
         self.registry = metrics if metrics is not None else get_registry()
         #: Plain-int mirror of the labeled counters, for cheap asserts
         #: and manifests: one slot per :data:`JOB_STATES` plus requests.
@@ -135,50 +124,26 @@ class SweepService:
         )
         # One in-flight future per job key; owned by the loop thread.
         self._inflight: Dict[str, asyncio.Future] = {}
-        self._queue: Optional[asyncio.Queue] = None
-        self._shard_tasks: List[asyncio.Task] = []
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._journal_seq = 0
-        self._started = False
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------- #
     async def __aenter__(self) -> "SweepService":
-        await self.start()
         return self
 
     async def __aexit__(self, *_exc) -> None:
         await self.close()
 
-    async def start(self) -> None:
-        """Spin up the dispatch queue and shard tasks (idempotent)."""
-        if self._started:
-            return
-        if self._closed:
-            raise ServiceError("service already closed")
-        self._queue = asyncio.Queue()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.shards,
-            thread_name_prefix="repro-shard",
-        )
-        self._shard_tasks = [
-            asyncio.create_task(self._shard_loop(i), name=f"shard-{i}")
-            for i in range(self.config.shards)
-        ]
-        self._started = True
-
     async def close(self) -> None:
-        """Drain queued work, stop the shards, release the thread pool."""
-        if not self._started or self._closed:
-            self._closed = True
-            return
-        for _ in self._shard_tasks:
-            await self._queue.put(None)  # one stop token per shard
-        await asyncio.gather(*self._shard_tasks)
-        self._executor.shutdown(wait=True)
-        if self.journal is not None:
-            self.journal.flush()
+        """Wait for in-flight jobs to settle, then release the pool."""
         self._closed = True
+        if self._inflight:
+            await asyncio.gather(
+                *self._inflight.values(), return_exceptions=True
+            )
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
 
     # -- request path -------------------------------------------------- #
     def _key_for(self, job: Any) -> str:
@@ -194,11 +159,11 @@ class SweepService:
         attachment to a future some concurrent request already opened,
         or a fresh dispatch.  Failed jobs come back as
         :class:`~repro.runner.supervisor.JobFailure` slots (graceful
-        mode — a request never aborts siblings); inline-backend
-        exceptions propagate to every subscriber of the failed key.
+        mode — a request never aborts siblings), each a copy whose
+        ``index`` is the job's slot in *this* request; an exception
+        raised by the executor itself propagates to every subscriber of
+        the failed key.
         """
-        if not self._started:
-            await self.start()
         if self._closed:
             raise ServiceError("service already closed")
         self._m_requests.inc()
@@ -210,101 +175,90 @@ class SweepService:
             future = self._inflight.get(key)
             if future is not None:
                 self._note("attached")
-                futures.append(future)
-                continue
-            hit = self.cache.get(key) if self.cache is not None else None
-            if hit is not None:
-                self._note("cache_hit")
-                future = loop.create_future()
-                future.set_result(hit)
-                futures.append(future)
-                continue
-            future = loop.create_future()
-            self._inflight[key] = future
-            self._m_inflight.set(len(self._inflight))
-            self._note("dispatched")
-            await self._queue.put((key, job, future))
+            else:
+                hit = self.cache.get(key) if self.cache is not None else None
+                if hit is not None:
+                    self._note("cache_hit")
+                    future = loop.create_future()
+                    future.set_result(hit)
+                else:
+                    future = self._dispatch(loop, key, job)
             futures.append(future)
-        return list(await asyncio.gather(*futures))
+        results = await asyncio.gather(*futures)
+        return [
+            dataclasses.replace(result, index=index)
+            if isinstance(result, JobFailure) else result
+            for index, result in enumerate(results)
+        ]
 
     def _note(self, state: str) -> None:
         self.stats[state] += 1
         self._m_jobs[state].inc()
 
+    def _dispatch(
+        self, loop: asyncio.AbstractEventLoop, key: str, job: Any
+    ) -> asyncio.Future:
+        """Open the in-flight future for ``key`` and queue its job."""
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.config.shards,
+                thread_name_prefix="repro-shard",
+            )
+        future = loop.create_future()
+        self._inflight[key] = future
+        self._m_inflight.set(len(self._inflight))
+        self._note("dispatched")
+        running = loop.run_in_executor(self._executor, self._run_one, job)
+        running.add_done_callback(
+            lambda done: self._settle(key, future, done)
+        )
+        return future
+
     # -- shard side ---------------------------------------------------- #
     def _run_one(self, job: Any) -> Any:
         """Execute one job on a shard thread; returns result or JobFailure."""
-        if self.config.execution == "inline":
-            return execute(job)
         outcome = run_supervised(
             [job],
             workers=1,
-            cache=None,  # the service owns store reads/writes
+            cache=None,  # the loop thread owns store reads/writes
             policy=self.policy,
             metrics=self.registry,
         )
         return outcome.results[0]
 
-    async def _shard_loop(self, shard_id: int) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            item = await self._queue.get()
-            if item is None:
-                self._queue.task_done()
-                return
-            key, job, future = item
-            try:
-                result = await loop.run_in_executor(
-                    self._executor, self._run_one, job
-                )
-            except Exception as exc:  # inline backend raised
-                self._settle(key, future, exc, failed=True)
-            else:
-                self._settle(key, future, result,
-                             failed=isinstance(result, JobFailure))
-            finally:
-                self._queue.task_done()
-
     def _settle(
-        self, key: str, future: asyncio.Future, result: Any, *, failed: bool
+        self, key: str, future: asyncio.Future, done: asyncio.Future
     ) -> None:
-        """Resolve a dispatched key: store, journal, wake subscribers.
+        """Resolve a dispatched key: store, wake subscribers.
 
-        Runs on the loop thread (shard coroutine), so the in-flight map
-        mutation and the future resolution are atomic with respect to
-        :meth:`submit` — a request observing the key gone will find the
-        artifact in the store.
+        Runs as a done-callback on the loop thread, so the store put,
+        the in-flight map mutation and the future resolution are atomic
+        with respect to :meth:`submit` — a request observing the key
+        gone will find the artifact in the store.
         """
-        if failed:
+        result = done.exception() or done.result()
+        if isinstance(result, (JobFailure, BaseException)):
             self._note("failed")
-            if isinstance(result, JobFailure) and self.journal is not None:
-                self.journal.record_failure(
-                    key, self._journal_seq, result.to_dict()
-                )
-                self._journal_seq += 1
         else:
             if self.cache is not None:
                 # put() returns the JSON round trip — hand *that* to
                 # subscribers so a fresh run and a later store hit are
                 # type-identical.
                 result = self.cache.put(key, result)
-            if self.journal is not None:
-                self.journal.record_result(key, self._journal_seq, result)
-                self._journal_seq += 1
             self._note("completed")
         self._inflight.pop(key, None)
         self._m_inflight.set(len(self._inflight))
-        if not future.done():
-            if isinstance(result, BaseException):
-                future.set_exception(result)
-            else:
-                future.set_result(result)
+        if future.done():  # every subscriber was cancelled
+            return
+        if isinstance(result, BaseException):
+            future.set_exception(result)
+        else:
+            future.set_result(result)
 
     # -- manifests ----------------------------------------------------- #
     def manifest(self) -> Dict[str, Any]:
         """Counter snapshot for answer files and smoke jobs."""
         out: Dict[str, Any] = {"shards": self.config.shards,
-                               "execution": self.config.execution,
                                **{k: self.stats[k] for k in sorted(self.stats)}}
         if self.cache is not None:
             out["cache"] = {
@@ -324,9 +278,6 @@ def serve_requests(
     cache: Optional[ResultCache] = None,
     policy: Optional[SweepSupervision] = None,
     service: Optional[ServiceConfig] = None,
-    shards: Optional[int] = None,
-    execution: Optional[str] = None,
-    journal: Optional[SweepJournal] = None,
     metrics: Optional[MetricsRegistry] = None,
     stagger_s: float = 0.0,
 ) -> Tuple[List[List[Any]], Dict[str, Any]]:
@@ -341,13 +292,7 @@ def serve_requests(
 
     async def _main() -> Tuple[List[List[Any]], Dict[str, Any]]:
         async with SweepService(
-            cache,
-            policy=policy,
-            service=service,
-            shards=shards,
-            execution=execution,
-            journal=journal,
-            metrics=metrics,
+            cache, policy=policy, service=service, metrics=metrics
         ) as svc:
 
             async def _one(index: int, jobs: Sequence[Any]) -> List[Any]:

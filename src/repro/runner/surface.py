@@ -13,8 +13,9 @@ is that read path:
 * :meth:`predict` answers a query config with a
   :class:`Prediction` — exact-point mean, piecewise-linear interpolation
   between bracketing grid points (inverse-distance weighting beyond one
-  axis), or nearest-point fallback outside the sampled hull — each with
-  a ``confidence`` that decays with distance from support;
+  axis), or nearest-point fallback outside the sampled hull — each
+  naming its ``source`` and its normalized ``distance`` from the nearest
+  swept point, so a caller can judge how far the answer reaches;
 * a **staleness bound**: the surface records the simulator
   code version it was built under and its build time; by default a
   query against a surface whose code version no longer matches the
@@ -64,9 +65,6 @@ class Prediction:
 
     bandwidth_kbps: float
     error_rate: float
-    #: 1.0 for exact grid points, decaying with normalized distance from
-    #: the supporting points; nearest-point fallbacks cap at 0.5.
-    confidence: float
     #: One of :data:`QUERY_SOURCES`.
     source: str
     #: Normalized distance from the query to its nearest support point
@@ -79,7 +77,6 @@ class Prediction:
         return {
             "bandwidth_kbps": self.bandwidth_kbps,
             "error_rate": self.error_rate,
-            "confidence": self.confidence,
             "source": self.source,
             "distance": self.distance,
             "samples": self.samples,
@@ -237,7 +234,7 @@ class CapacitySurface:
         if target in self._points:
             bandwidth, error, n = self._mean(target)
             self._m_queries["exact"].inc()
-            return Prediction(bandwidth, error, 1.0, "exact", 0.0, n)
+            return Prediction(bandwidth, error, "exact", 0.0, n)
 
         coords = self.coordinates
         spans = self._spans()
@@ -269,9 +266,7 @@ class CapacitySurface:
             edge = xs[0] if below is None else xs[-1]
             bandwidth, error, n = self._mean((edge,))
             return Prediction(
-                bandwidth, error,
-                self._fallback_confidence(nearest_distance),
-                "nearest", nearest_distance, n,
+                bandwidth, error, "nearest", nearest_distance, n
             )
         lo_bw, lo_err, lo_n = self._mean((below,))
         hi_bw, hi_err, hi_n = self._mean((above,))
@@ -279,7 +274,6 @@ class CapacitySurface:
         return Prediction(
             lo_bw + frac * (hi_bw - lo_bw),
             lo_err + frac * (hi_err - lo_err),
-            self._interp_confidence(nearest_distance),
             "interpolated", nearest_distance, lo_n + hi_n,
         )
 
@@ -295,13 +289,10 @@ class CapacitySurface:
         if len(support) < 2:
             bandwidth, error, n = self._mean(support[0])
             return Prediction(
-                bandwidth, error,
-                self._fallback_confidence(nearest_distance),
-                "nearest", nearest_distance, n,
+                bandwidth, error, "nearest", nearest_distance, n
             )
-        weights, total = [], 0.0
         pooled = 0
-        bw_acc = err_acc = 0.0
+        total = bw_acc = err_acc = 0.0
         for coords in support:
             distance = self._distance(target, coords, spans)
             weight = 1.0 / (distance * distance + 1e-12)
@@ -310,59 +301,8 @@ class CapacitySurface:
             err_acc += weight * error
             total += weight
             pooled += n
-            weights.append(weight)
         return Prediction(
             bw_acc / total, err_acc / total,
-            self._interp_confidence(nearest_distance),
             "interpolated", nearest_distance, pooled,
         )
 
-    @staticmethod
-    def _interp_confidence(distance: float) -> float:
-        return max(0.1, 1.0 - distance)
-
-    @staticmethod
-    def _fallback_confidence(distance: float) -> float:
-        return min(0.5, max(0.05, 0.5 * (1.0 - distance)))
-
-    # -- (de)serialisation --------------------------------------------- #
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready snapshot (answers manifests, future daemon mode)."""
-        return {
-            "axes": list(self.axes),
-            "bandwidth_key": self.bandwidth_key,
-            "error_key": self.error_key,
-            "version": self.version,
-            "built_at": self.built_at,
-            "points": [
-                {
-                    "coords": list(coords),
-                    "samples": [list(s) for s in samples],
-                }
-                for coords, samples in sorted(self._points.items())
-            ],
-        }
-
-    @classmethod
-    def from_dict(
-        cls,
-        payload: Mapping[str, Any],
-        *,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> "CapacitySurface":
-        surface = cls(
-            payload["axes"],
-            bandwidth_key=payload.get("bandwidth_key", "bandwidth_kbps"),
-            error_key=payload.get("error_key", "error_rate"),
-            version=payload["version"],
-            built_at=payload.get("built_at"),
-            metrics=metrics,
-        )
-        for point in payload["points"]:
-            coords = tuple(float(v) for v in point["coords"])
-            for bandwidth, error in point["samples"]:
-                surface._points.setdefault(coords, []).append(
-                    (float(bandwidth), float(error))
-                )
-        surface._m_points.set(len(surface._points))
-        return surface

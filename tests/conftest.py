@@ -7,6 +7,8 @@ example generation is a pure function of the test source — no hidden
 RNG state, no flaky shrink targets in CI.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import GpuConfig, VOLTA_V100, medium_config, small_config
@@ -52,3 +54,20 @@ def small_device(small_cfg) -> GpuDevice:
 @pytest.fixture
 def quiet_device(quiet_cfg) -> GpuDevice:
     return GpuDevice(quiet_cfg)
+
+
+@pytest.fixture
+def inline_service(monkeypatch):
+    """Run the sweep service's jobs in-process on its shard threads.
+
+    Replaces the service's ``run_supervised`` binding with a fake that
+    calls :func:`repro.runner.execute` directly: no worker processes, so
+    the scheduler property tests can run hundreds of jobs, and a job's
+    exception propagates to every subscriber of its key.
+    """
+    from repro.runner import execute, service
+
+    def fake_run_supervised(jobs, **_kwargs):
+        return SimpleNamespace(results=[execute(job) for job in jobs])
+
+    monkeypatch.setattr(service, "run_supervised", fake_run_supervised)

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -328,3 +331,102 @@ class TestBenchHistoryCommand:
              "--history-file", str(tmp_path / "empty.jsonl")]
         ) == 0
         assert "skipped" in capsys.readouterr().out.lower()
+
+
+class TestServeCommand:
+    """``serve`` end to end, with jobs run in-process on the shards."""
+
+    GRID = ["--iterations", "1", "2", "--bits", "2"]
+
+    @pytest.fixture(autouse=True)
+    def _isolated_dirs(self, tmp_path, monkeypatch, inline_service):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        self.tmp_path = tmp_path
+
+    def _serve(self, *argv, name="answers.json"):
+        path = self.tmp_path / name
+        code = main(["serve", *self.GRID, "--answers", str(path), *argv])
+        manifest = json.loads(path.read_text()) if path.exists() else None
+        return code, manifest
+
+    def test_answers_manifest(self, capsys):
+        code, manifest = self._serve()
+        assert code == 0
+        assert [a["query"]["iterations"] for a in manifest["answers"]] == [
+            1.0, 2.0]
+        assert all(a["source"] == "exact" for a in manifest["answers"])
+        assert all("confidence" not in a for a in manifest["answers"])
+        service = manifest["service"]
+        assert "execution" not in service
+        assert service["dispatched"] == service["completed"] == 2
+        assert service["shards"] == 2
+        assert manifest["failures"] == []
+        table = capsys.readouterr().out
+        assert "source" in table and "confidence" not in table
+
+    def test_warm_run_answers_from_the_store(self):
+        _, cold = self._serve(name="cold.json")
+        code, warm = self._serve(name="warm.json")
+        assert code == 0
+        assert warm["service"]["dispatched"] == 0
+        assert warm["service"]["cache_hit"] == 2
+        assert warm["answers"] == cold["answers"]
+
+    def test_queries_file(self):
+        queries = self.tmp_path / "queries.json"
+        queries.write_text(json.dumps([1.5, {"iterations": 9}]))
+        code, manifest = self._serve("--queries", str(queries))
+        assert code == 0
+        sources = [a["source"] for a in manifest["answers"]]
+        assert sources == ["interpolated", "nearest"]
+
+    @pytest.mark.parametrize(
+        "entries, named",
+        [
+            ('["3"]', '"3"'),
+            ('[{"bits": 2}]', '{"bits": 2}'),
+            ("[true]", "true"),
+            ('[1, {"iterations": "2"}]', '{"iterations": "2"}'),
+            ('{"iterations": 1}', "JSON list"),
+            ("[1,", "--queries"),
+        ],
+        ids=["string", "no-iterations", "bool", "string-iterations",
+             "not-a-list", "bad-json"],
+    )
+    def test_malformed_queries_exit_before_sweeping(
+        self, capsys, monkeypatch, entries, named
+    ):
+        from repro.runner import service
+
+        ran = []
+        monkeypatch.setattr(
+            service, "run_supervised", lambda jobs, **_: ran.extend(jobs)
+        )
+        queries = self.tmp_path / "queries.json"
+        queries.write_text(entries)
+        code, manifest = self._serve("--queries", str(queries))
+        assert code == 2
+        assert manifest is None
+        assert ran == []
+        assert named in capsys.readouterr().err
+
+    def test_failure_reports_its_grid_slot(self, capsys, monkeypatch):
+        from repro.runner import JobFailure, service
+
+        run = service.run_supervised
+
+        def fail_second_point(jobs, **kwargs):
+            (job,) = jobs
+            if job.params["iteration_count"] != 2:
+                return run(jobs, **kwargs)
+            # The supervisor numbers the one job it was given as job 0.
+            failure = JobFailure(0, job.fn, job.key(None), "exception",
+                                 "injected", 1)
+            return SimpleNamespace(results=[failure])
+
+        monkeypatch.setattr(service, "run_supervised", fail_second_point)
+        code, manifest = self._serve()
+        assert code == 1
+        assert [f["index"] for f in manifest["failures"]] == [1]
+        assert len(manifest["answers"]) == 2
+        assert "FAILED JobFailure(job 1," in capsys.readouterr().err

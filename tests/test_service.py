@@ -10,6 +10,7 @@ once" is measured against.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -20,7 +21,6 @@ from repro.runner import (
     ResultCache,
     ServiceError,
     SimJob,
-    SweepJournal,
     SweepService,
     run_jobs,
     serve_requests,
@@ -50,6 +50,7 @@ def probe_cfg(quiet_cfg):
     return quiet_cfg
 
 
+@pytest.mark.usefixtures("inline_service")
 class TestScheduler:
     def test_results_in_job_order(self, probe_cfg, tmp_path):
         jobs = [
@@ -59,7 +60,6 @@ class TestScheduler:
         (results,), manifest = serve_requests(
             [jobs],
             cache=ResultCache(tmp_path / "cache", metrics=MetricsRegistry()),
-            execution="inline",
             metrics=MetricsRegistry(),
         )
         assert [r["value"] for r in results] == [0.0, 1.0, 2.0, 3.0]
@@ -71,7 +71,6 @@ class TestScheduler:
         (results,), manifest = serve_requests(
             [[job, job, job]],
             cache=ResultCache(tmp_path / "cache", metrics=MetricsRegistry()),
-            execution="inline",
             metrics=MetricsRegistry(),
         )
         assert _ledger_count(tmp_path, "dup") == 1
@@ -87,7 +86,6 @@ class TestScheduler:
             return serve_requests(
                 [jobs],
                 cache=ResultCache(cache_root, metrics=MetricsRegistry()),
-                execution="inline",
                 metrics=MetricsRegistry(),
             )
 
@@ -123,7 +121,6 @@ class TestScheduler:
         (served,), manifest = serve_requests(
             [jobs],
             cache=ResultCache(cache_root, metrics=MetricsRegistry()),
-            execution="inline",
             metrics=MetricsRegistry(),
         )
         assert manifest["cache_hit"] == 3
@@ -132,51 +129,16 @@ class TestScheduler:
         for seed in (7, 8, 9):
             assert _ledger_count(tmp_path, f"s{seed}") == 1
 
-    def test_seed_override_journal_replays_under_supervisor(
-        self, probe_cfg, tmp_path
-    ):
-        jobs = self._seed_jobs(probe_cfg, tmp_path)
-        journal = tmp_path / "journal.jsonl"
-        (served,), manifest = serve_requests(
-            [jobs],
-            journal=SweepJournal(journal),
-            execution="inline",
-            metrics=MetricsRegistry(),
-        )
-        assert manifest["dispatched"] == 3
-        assert run_jobs(jobs, journal=journal, resume=True) == served
-        for seed in (7, 8, 9):
-            assert _ledger_count(tmp_path, f"s{seed}") == 1
-
     def test_no_cache_still_dedups_inflight(self, probe_cfg, tmp_path):
         job = _probe_job(probe_cfg, "nc", tmp_path)
         (a, b), manifest = serve_requests(
             [[job], [job]],
             cache=None,
-            execution="inline",
             metrics=MetricsRegistry(),
             stagger_s=0.01,
         )
         assert manifest["dispatched"] + manifest["attached"] == 2
         assert a[0] == b[0]
-
-    def test_journal_agrees_with_cache(self, probe_cfg, tmp_path):
-        cache = ResultCache(tmp_path / "cache", metrics=MetricsRegistry())
-        journal = SweepJournal(tmp_path / "journal.jsonl")
-        jobs = [_probe_job(probe_cfg, f"t{i}", tmp_path) for i in range(3)]
-        serve_requests(
-            [jobs],
-            cache=cache,
-            journal=journal,
-            execution="inline",
-            metrics=MetricsRegistry(),
-        )
-        completed = SweepJournal(tmp_path / "journal.jsonl").completed()
-        assert len(completed) == 3
-        for job in jobs:
-            key = job.key(cache.code_version)
-            assert key in completed
-            assert completed[key] == cache.get(key)
 
     def test_manifest_reports_store_counters(self, probe_cfg, tmp_path):
         cache = ResultCache(
@@ -184,8 +146,8 @@ class TestScheduler:
         )
         jobs = [_probe_job(probe_cfg, f"t{i}", tmp_path) for i in range(3)]
         _, manifest = serve_requests(
-            [jobs], cache=cache, execution="inline",
-            metrics=MetricsRegistry(), shards=1,
+            [jobs], cache=cache,
+            metrics=MetricsRegistry(), service=ServiceConfig(shards=1),
         )
         assert manifest["cache"]["evictions"] >= 2
         assert manifest["cache"]["max_entries"] == 1
@@ -196,7 +158,6 @@ class TestScheduler:
         _, manifest = serve_requests(
             [jobs, jobs],
             cache=ResultCache(tmp_path / "cache", metrics=MetricsRegistry()),
-            execution="inline",
             metrics=registry,
             stagger_s=0.01,
         )
@@ -212,10 +173,43 @@ class TestScheduler:
         inflight = metrics["service_inflight_jobs"]["series"][0]["value"]
         assert inflight == 0  # everything settled
 
+    def test_store_writes_stay_on_the_loop_thread(
+        self, probe_cfg, tmp_path, monkeypatch
+    ):
+        from repro.runner import service
+
+        put_threads, job_threads = [], []
+        original_put = ResultCache.put
+        original_run = service.run_supervised
+
+        def recording_put(cache, key, result):
+            put_threads.append(threading.get_ident())
+            return original_put(cache, key, result)
+
+        def recording_run(jobs, **kwargs):
+            job_threads.append(threading.get_ident())
+            return original_run(jobs, **kwargs)
+
+        monkeypatch.setattr(ResultCache, "put", recording_put)
+        monkeypatch.setattr(service, "run_supervised", recording_run)
+        jobs = [_probe_job(probe_cfg, f"t{i}", tmp_path) for i in range(8)]
+        _, manifest = serve_requests(
+            [jobs],
+            cache=ResultCache(tmp_path / "cache", metrics=MetricsRegistry()),
+            service=ServiceConfig(shards=4),
+            metrics=MetricsRegistry(),
+        )
+        # serve_requests runs its event loop on the calling thread.
+        loop_thread = threading.get_ident()
+        assert manifest["completed"] == 8
+        assert put_threads == [loop_thread] * 8
+        assert len(job_threads) == 8
+        assert loop_thread not in job_threads
+
 
 class TestFailureModes:
     def test_inline_exception_propagates_to_subscribers(
-        self, probe_cfg, tmp_path, monkeypatch
+        self, probe_cfg, tmp_path, monkeypatch, inline_service
     ):
         # Without a chaos state dir every attempt is attempt 1: plan
         # "raise" raises deterministically, in-process.
@@ -224,7 +218,7 @@ class TestFailureModes:
 
         async def _main():
             async with SweepService(
-                None, execution="inline", shards=1,
+                None, service=ServiceConfig(shards=1),
                 metrics=MetricsRegistry(),
             ) as svc:
                 with pytest.raises(RuntimeError):
@@ -243,7 +237,6 @@ class TestFailureModes:
         monkeypatch.delenv("REPRO_CHAOS_STATE", raising=False)
         bad = SimJob(CHAOS_FN, probe_cfg, {"token": "boom", "plan": "raise"})
         good = _probe_job(probe_cfg, "good", tmp_path)
-        journal = SweepJournal(tmp_path / "journal.jsonl")
         policy = SweepSupervision(
             timeout_s=60.0, max_attempts=2, backoff_base_s=0.01
         )
@@ -251,9 +244,7 @@ class TestFailureModes:
             [[bad, good]],
             cache=ResultCache(tmp_path / "cache", metrics=MetricsRegistry()),
             policy=policy,
-            journal=journal,
-            execution="supervised",
-            shards=2,
+            service=ServiceConfig(shards=2),
             metrics=MetricsRegistry(),
         )
         assert isinstance(results[0], JobFailure)
@@ -262,18 +253,60 @@ class TestFailureModes:
         assert results[1]["token"] == "good"
         assert manifest["failed"] == 1
         assert manifest["completed"] == 1
-        state = SweepJournal(tmp_path / "journal.jsonl").load()
-        assert len(state.results) == 1
-        assert len(state.failures) == 1
+
+
+    @staticmethod
+    def _failing_policy():
+        return SweepSupervision(
+            timeout_s=60.0, max_attempts=1, backoff_base_s=0.01
+        )
+
+    def test_failure_reports_its_slot(self, probe_cfg, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CHAOS_STATE", raising=False)
+        bad = SimJob(CHAOS_FN, probe_cfg, {"token": "boom", "plan": "raise"})
+        good = [_probe_job(probe_cfg, f"g{i}", tmp_path) for i in range(2)]
+        (results,), manifest = serve_requests(
+            [good + [bad]],
+            policy=self._failing_policy(),
+            metrics=MetricsRegistry(),
+        )
+        failure = results[2]
+        assert isinstance(failure, JobFailure)
+        assert failure.index == 2
+        assert str(failure).startswith("JobFailure(job 2,")
+        assert failure.to_dict()["index"] == 2
+        assert manifest["failed"] == 1
+
+    def test_shared_failure_carries_each_requests_slot(
+        self, probe_cfg, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_CHAOS_STATE", raising=False)
+        bad = SimJob(CHAOS_FN, probe_cfg, {"token": "boom", "plan": "raise"})
+        good = _probe_job(probe_cfg, "good", tmp_path)
+        (first, second), manifest = serve_requests(
+            [[bad], [good, good, bad]],
+            policy=self._failing_policy(),
+            metrics=MetricsRegistry(),
+        )
+        # One execution of the bad key, two slots reporting it.
+        assert manifest["failed"] == 1
+        assert first[0].key == second[2].key
+        assert first[0].index == 0
+        assert second[2].index == 2
 
 
 class TestLifecycle:
+    def test_construction_starts_no_threads(self):
+        before = threading.active_count()
+        SweepService(None, metrics=MetricsRegistry())
+        assert threading.active_count() == before
+        assert not any(
+            t.name.startswith("repro-shard") for t in threading.enumerate()
+        )
+
     def test_submit_after_close_raises(self, probe_cfg, tmp_path):
         async def _main():
-            svc = SweepService(
-                None, execution="inline", metrics=MetricsRegistry()
-            )
-            await svc.start()
+            svc = SweepService(None, metrics=MetricsRegistry())
             await svc.close()
             with pytest.raises(ServiceError):
                 await svc.submit([_probe_job(probe_cfg, "late", tmp_path)])
@@ -283,6 +316,4 @@ class TestLifecycle:
     def test_service_config_validation(self):
         with pytest.raises(ValueError):
             ServiceConfig(shards=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(execution="teleport")
         assert ServiceConfig().replace(shards=7).shards == 7

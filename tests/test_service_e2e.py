@@ -5,8 +5,8 @@ points:
 
 * **shard killed mid-flight** — one job in the request hard-exits its
   worker process on attempt 1 (``FAULT_PLANS["transient-exit"]``); the
-  supervision net retries it and the request completes with journal and
-  artifact store agreeing on every key.
+  supervision net retries it and the request completes with the artifact
+  store holding exactly the returned result for every key.
 * **acceptance: surface answers from the store alone** — a second
   service pass over an already-swept grid answers every point from the
   artifact store (``cache_hit`` equals the query count, zero
@@ -16,14 +16,13 @@ points:
 
 import pytest
 
-from repro.config import SweepSupervision
+from repro.config import ServiceConfig, SweepSupervision
 from repro.metrics.registry import MetricsRegistry
 from repro.runner import (
     CapacitySurface,
     JobFailure,
     ResultCache,
     SimJob,
-    SweepJournal,
     serve_requests,
 )
 from repro.runner.chaos import (
@@ -78,7 +77,6 @@ def test_shard_killed_mid_flight_request_still_completes(
         ),
     ]
     cache = ResultCache(tmp_path / "cache", metrics=MetricsRegistry())
-    journal = SweepJournal(tmp_path / "journal.jsonl")
     policy = SweepSupervision(
         timeout_s=120.0, max_attempts=3, backoff_base_s=0.01
     )
@@ -86,9 +84,7 @@ def test_shard_killed_mid_flight_request_still_completes(
         [jobs],
         cache=cache,
         policy=policy,
-        journal=journal,
-        execution="supervised",
-        shards=2,
+        service=ServiceConfig(shards=2),
         metrics=MetricsRegistry(),
     )
 
@@ -102,12 +98,9 @@ def test_shard_killed_mid_flight_request_still_completes(
     assert manifest["completed"] == 3
     assert manifest["failed"] == 0
 
-    # Journal and artifact store agree on every key.
-    completed = SweepJournal(tmp_path / "journal.jsonl").completed()
-    assert len(completed) == 3
-    for job in jobs:
-        key = job.key(cache.code_version)
-        assert completed[key] == cache.get(key)
+    # The artifact store holds exactly what the request returned.
+    for job, result in zip(jobs, results):
+        assert cache.get(job.key(cache.code_version)) == result
 
 
 @pytest.mark.slow
@@ -135,8 +128,7 @@ def test_surface_answers_match_golden_without_simulation(
         [jobs],
         cache=ResultCache(cache_root, metrics=MetricsRegistry()),
         policy=SweepSupervision(timeout_s=120.0, max_attempts=2),
-        execution="supervised",
-        shards=2,
+        service=ServiceConfig(shards=2),
         metrics=MetricsRegistry(),
     )
     assert not any(isinstance(r, JobFailure) for r in first)
@@ -151,8 +143,7 @@ def test_surface_answers_match_golden_without_simulation(
     (second,), manifest_b = serve_requests(
         [jobs],
         cache=cache,
-        execution="supervised",
-        shards=2,
+        service=ServiceConfig(shards=2),
         metrics=registry,
     )
     assert manifest_b["cache_hit"] == len(jobs)

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.config import ServiceConfig
 from repro.metrics.registry import MetricsRegistry
 from repro.runner import ResultCache, SimJob, serve_requests
 
@@ -34,7 +35,7 @@ def _ledger_count(ledger, token):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_overlapping_requests_execute_each_key_exactly_once(
-    seed, quiet_cfg, tmp_path
+    seed, quiet_cfg, tmp_path, inline_service
 ):
     rng = random.Random(0xC0FFEE + seed)
     tokens = [f"tok{i}" for i in range(rng.randint(3, 8))]
@@ -65,8 +66,7 @@ def test_overlapping_requests_execute_each_key_exactly_once(
     per_request, manifest = serve_requests(
         requests,
         cache=ResultCache(tmp_path / "cache", metrics=MetricsRegistry()),
-        execution="inline",
-        shards=rng.randint(1, 4),
+        service=ServiceConfig(shards=rng.randint(1, 4)),
         metrics=MetricsRegistry(),
         stagger_s=0.005,
     )

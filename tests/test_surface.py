@@ -1,10 +1,10 @@
-"""Capacity-surface tests: interpolation, confidence, staleness, metrics.
+"""Capacity-surface tests: interpolation, distance, staleness, metrics.
 
 :class:`CapacitySurface` turns swept (config → bandwidth/error) points
 into a queryable model.  These tests pin the query semantics — exact
 lookups pool repeated samples, off-grid 1-D queries interpolate
 piecewise-linearly between brackets, out-of-hull queries clamp to the
-nearest point with reduced confidence — plus the staleness contract
+nearest point and report how far they reach — plus the staleness contract
 (code-version and age bounds) and the query counters.
 """
 
@@ -39,7 +39,6 @@ class TestQueries:
         assert pred.source == "exact"
         assert pred.bandwidth_kbps == pytest.approx(80.0)
         assert pred.error_rate == pytest.approx(0.10)
-        assert pred.confidence == 1.0
         assert pred.distance == 0.0
 
     def test_exact_point_pools_repeated_samples(self):
@@ -57,7 +56,8 @@ class TestQueries:
         # Halfway between (2, 80) and (4, 50).
         assert pred.bandwidth_kbps == pytest.approx(65.0)
         assert pred.error_rate == pytest.approx(0.06)
-        assert 0.0 < pred.confidence < 1.0
+        # One grid unit from (2, 80) over a sampled span of 3.
+        assert pred.distance == pytest.approx(1 / 3)
 
     def test_nearest_clamp_beyond_hull(self):
         surface = _surface()
@@ -67,14 +67,15 @@ class TestQueries:
         assert low.bandwidth_kbps == pytest.approx(100.0)
         assert high.source == "nearest"
         assert high.bandwidth_kbps == pytest.approx(50.0)
-        assert high.confidence <= 0.5
+        assert high.distance == pytest.approx(5 / 3)
 
-    def test_confidence_orders_by_distance(self):
+    def test_distance_grows_away_from_support(self):
         surface = _surface()
         exact = surface.predict(iterations=2)
         near = surface.predict(iterations=2.2)
         far = surface.predict(iterations=40)
-        assert exact.confidence > near.confidence > far.confidence
+        assert exact.distance < near.distance < far.distance
+        assert "confidence" not in far.to_dict()
 
     def test_query_accepts_params_dict_and_kwargs(self):
         surface = _surface()
@@ -136,21 +137,7 @@ class TestStaleness:
         assert surface.predict(iterations=2).source == "exact"
 
 
-class TestSerializationAndMetrics:
-    def test_round_trip(self):
-        surface = _surface(version="v-test", built_at=123.0)
-        clone = CapacitySurface.from_dict(
-            surface.to_dict(), metrics=MetricsRegistry()
-        )
-        assert len(clone) == len(surface)
-        assert clone.version == "v-test"
-        assert clone.built_at == 123.0
-        for it in (1, 2, 3, 4, 9):
-            a = surface.predict(iterations=it, allow_stale=True)
-            b = clone.predict(iterations=it, allow_stale=True)
-            assert b.bandwidth_kbps == pytest.approx(a.bandwidth_kbps)
-            assert b.source == a.source
-
+class TestMetrics:
     def test_query_counters(self):
         registry = MetricsRegistry()
         surface = CapacitySurface.from_rows(_rows(), metrics=registry)
