@@ -1,16 +1,23 @@
 """Set-associative cache models for the per-SM L1 and the banked L2.
 
 Both caches are tag-only (no data payloads are simulated — the covert
-channel is a *timing* channel) with true-LRU replacement.  The L1 supports
-the ``-dlcm=cg`` bypass mode the paper compiles with: when bypassed, every
-access goes straight to the interconnect, which raises covert-channel
-bandwidth ~20% (Section 4.2, footnote 6).
+channel is a *timing* channel) with LRU or seeded-random replacement.
+The L1 supports the ``-dlcm=cg`` bypass mode the paper compiles with:
+when bypassed, every access goes straight to the interconnect, which
+raises covert-channel bandwidth ~20% (Section 4.2, footnote 6).
+
+Tag-store sets are built on first touch: a set exists only once a line
+has been installed in it.  A full Volta device has 22,784 sets across
+its 80 L1s and 48 L2 slices, and a bypassed L1 is never read, so
+building them up front cost most of a device's construction time and
+GC-tracked objects without changing any result.
 """
 
 from __future__ import annotations
 
+import random
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 class SetAssociativeCache:
@@ -21,6 +28,12 @@ class SetAssociativeCache:
     working set against a streaming interferer indefinitely, random
     replacement displaces it probabilistically (the mechanism behind the
     paper's third-kernel noise discussion, Section 5).
+
+    ``_sets`` maps a set index to its ``OrderedDict`` (tag -> True, most
+    recent last).  A set is created by the first install or allocating
+    access that lands in it; lookups that do not allocate create
+    nothing, and an invalidation drops every set.  Only random
+    replacement builds an rng.
 
     Parameters
     ----------
@@ -50,19 +63,21 @@ class SetAssociativeCache:
         self.ways = ways
         self.num_sets = num_lines // ways
         self.replacement = replacement
-        # Each set is an OrderedDict tag -> True, most recent last.
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        #: Set index -> OrderedDict tag -> True, most recent last; a set
+        #: is present only once a line has been installed in it.
+        self._sets: Dict[int, OrderedDict] = {}
         self.hits = 0
         self.misses = 0
         self._seed = seed
-        import random as _random
+        self._rng = self._fresh_rng()
 
-        self._rng = _random.Random((seed << 8) ^ 0xCACE)
+    def _fresh_rng(self) -> Optional[random.Random]:
+        if self.replacement == "lru":
+            return None
+        return random.Random((self._seed << 8) ^ 0xCACE)
 
     def _evict(self, entries: OrderedDict) -> None:
-        if self.replacement == "lru":
+        if self._rng is None:
             entries.popitem(last=False)
         else:
             victim = self._rng.randrange(len(entries))
@@ -72,45 +87,52 @@ class SetAssociativeCache:
             del entries[key]
 
     def _locate(self, address: int):
-        line = address // self.line_bytes
-        return self._sets[line % self.num_sets], line
+        """``(set index, tag, set)``; the set is None until first touched."""
+        tag = address // self.line_bytes
+        index = tag % self.num_sets
+        return index, tag, self._sets.get(index)
 
-    def probe(self, address: int) -> bool:
-        """Check residency without updating LRU state or counters."""
-        entries, tag = self._locate(address)
-        return tag in entries
-
-    def access(self, address: int, allocate: bool = True) -> bool:
-        """Look up ``address``; return True on hit.
-
-        On a miss with ``allocate``, victimize the LRU line and install the
-        new one.  LRU order is updated on hits.
-        """
-        entries, tag = self._locate(address)
-        if tag in entries:
-            entries.move_to_end(tag)
-            self.hits += 1
-            return True
-        self.misses += 1
-        if allocate:
-            if len(entries) >= self.ways:
-                self._evict(entries)
-            entries[tag] = True
-        return False
-
-    def install(self, address: int) -> None:
-        """Install a line without counting an access (e.g. preloading)."""
-        entries, tag = self._locate(address)
-        if tag in entries:
-            entries.move_to_end(tag)
+    def _fill(self, index: int, entries: Optional[OrderedDict],
+              tag: int) -> None:
+        """Install absent ``tag`` in set ``index``, evicting if full."""
+        if entries is None:
+            self._sets[index] = OrderedDict(((tag, True),))
             return
         if len(entries) >= self.ways:
             self._evict(entries)
         entries[tag] = True
 
+    def probe(self, address: int) -> bool:
+        """Check residency without updating LRU state or counters."""
+        _, tag, entries = self._locate(address)
+        return entries is not None and tag in entries
+
+    def access(self, address: int, allocate: bool = True) -> bool:
+        """Look up ``address``; return True on hit.
+
+        On a miss with ``allocate``, victimize a line and install the
+        new one.  LRU order is updated on hits.
+        """
+        index, tag, entries = self._locate(address)
+        if entries is not None and tag in entries:
+            entries.move_to_end(tag)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if allocate:
+            self._fill(index, entries, tag)
+        return False
+
+    def install(self, address: int) -> None:
+        """Install a line without counting an access (e.g. preloading)."""
+        index, tag, entries = self._locate(address)
+        if entries is not None and tag in entries:
+            entries.move_to_end(tag)
+            return
+        self._fill(index, entries, tag)
+
     def invalidate_all(self) -> None:
-        for entries in self._sets:
-            entries.clear()
+        self._sets.clear()
         self.hits = 0
         self.misses = 0
 
@@ -123,23 +145,26 @@ class SetAssociativeCache:
         freshly built one, which requires reseeding.
         """
         self.invalidate_all()
-        import random as _random
-
-        self._rng = _random.Random((self._seed << 8) ^ 0xCACE)
+        self._rng = self._fresh_rng()
 
     def state_digest(self):
         """Compact comparable summary of tag-store + rng state.
 
-        Tag contents are folded into one hash (a full 768-line dump per
-        compare would dominate oracle runtime); hit/miss counters and the
-        replacement rng are included so two caches that merely happen to
-        hold the same lines after different histories still differ.
+        The non-empty sets are folded into one hash in index order (a
+        full dump per compare would dominate oracle runtime), so an
+        untouched cache and one invalidated after use digest the same.
+        Hit/miss counters and the replacement rng are included so two
+        caches that merely happen to hold the same lines after
+        different histories still differ.
         """
+        sets = self._sets
         return (
             self.hits,
             self.misses,
-            hash(tuple(tuple(entries) for entries in self._sets)),
-            hash(self._rng.getstate()[1]),
+            hash(tuple(
+                (index, tuple(sets[index])) for index in sorted(sets)
+            )),
+            None if self._rng is None else hash(self._rng.getstate()[1]),
         )
 
     @property

@@ -512,11 +512,12 @@ class StreamingMultiprocessor(Component):
         return wake
 
     def state_digest(self):
-        """Warp, credit, and rng state (lockstep oracle).
+        """Warp, credit, rng and L1 tag state (lockstep oracle).
 
         Warp slots are summarised by their scheduler-visible fields; warp
         program generators themselves advance deterministically given the
-        same resume sequence, so they need no direct representation.
+        same resume sequence, so they need no direct representation.  A
+        bypassed L1 is never read, so only an enabled one is digested.
         """
         return (
             tuple(
@@ -541,6 +542,7 @@ class StreamingMultiprocessor(Component):
                 None if self.remote_queue is None
                 else self.remote_queue.state_digest()
             ),
+            self.l1.cache.state_digest() if self.l1.enabled else None,
         )
 
     def reset(self) -> None:

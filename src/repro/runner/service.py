@@ -48,6 +48,7 @@ an event loop for the duration of a batch of requests::
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -198,7 +199,12 @@ class SweepService:
     def _dispatch(
         self, loop: asyncio.AbstractEventLoop, key: str, job: Any
     ) -> asyncio.Future:
-        """Open the in-flight future for ``key`` and queue its job."""
+        """Open the in-flight future for ``key`` and queue its job.
+
+        The job runs in a copy of the dispatching request's context, so
+        context variables the submitter set (a trace's current span)
+        are visible on the shard thread.
+        """
         if self._executor is None:
             self._executor = ThreadPoolExecutor(
                 max_workers=self.config.shards,
@@ -208,7 +214,10 @@ class SweepService:
         self._inflight[key] = future
         self._m_inflight.set(len(self._inflight))
         self._note("dispatched")
-        running = loop.run_in_executor(self._executor, self._run_one, job)
+        context = contextvars.copy_context()
+        running = loop.run_in_executor(
+            self._executor, context.run, self._run_one, job
+        )
         running.add_done_callback(
             lambda done: self._settle(key, future, done)
         )

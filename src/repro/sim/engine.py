@@ -1,19 +1,12 @@
 """Cycle-driven simulation engine with active-set scheduling.
 
 The whole GPU model is built from :class:`Component` objects that the
-:class:`Engine` ticks once per cycle in two phases:
-
-``tick()``
-    Produce work for this cycle: arbitrate, move flits, issue requests.
-    Components are ticked in registration order, which the device builder
-    arranges to follow the pipeline direction (SMs first, then muxes, then
-    the crossbar, then L2/DRAM, then the reply path) so a flit can traverse
-    one hop per cycle without one-cycle bubbles being inserted artificially.
-
-``post_tick()``
-    Commit state that must only become visible next cycle (e.g. buffer
-    occupancy updates), keeping intra-cycle evaluation order-independent
-    where it matters.
+:class:`Engine` ticks once per cycle.  Each ``tick()`` produces the work
+for that cycle: arbitrate, move flits, issue requests.  Components are
+ticked in registration order, which the device builder arranges to
+follow the pipeline direction (SMs first, then muxes, then the crossbar,
+then L2/DRAM, then the reply path) so a flit can traverse one hop per
+cycle without one-cycle bubbles being inserted artificially.
 
 Scheduling strategies
 ---------------------
@@ -48,7 +41,10 @@ Scheduling strategies
     which cannot change while every component is parked, so a check
     that finds nothing active and the next timer more than
     ``check_every`` cycles out crosses the whole parked span in one
-    ``step`` to the last check point at or before the timer.
+    ``step`` to the last check point at or before the timer.  Timers of
+    *observer* components (the telemetry probe), which read model state
+    and never change it, do not bound that stride; the step still ticks
+    them on time.
 
     Stepping is event-driven: the active set is a set of registration
     indices, and each busy cycle ticks exactly those indices in pipeline
@@ -91,12 +87,13 @@ class Component:
     _engine: Optional["Engine"] = None
     #: Position in the engine's registration (= pipeline) order.
     _engine_index: int = -1
+    #: True for components that only read model state (the telemetry
+    #: probe): their timers never bound a :meth:`Engine.run_until`
+    #: stride, since nothing they do can change its condition.
+    observer: bool = False
 
     def tick(self, cycle: int) -> None:  # pragma: no cover - interface
         """Advance one cycle of work."""
-
-    def post_tick(self, cycle: int) -> None:
-        """Commit end-of-cycle state.  Optional."""
 
     def reset(self) -> None:
         """Return to the post-construction state.  Optional."""
@@ -170,7 +167,6 @@ class Engine:
             )
         self.strategy = strategy
         self._components: List[Component] = []
-        self._post_components: List[Component] = []
         self.cycle: int = 0
         # -- active-set state ------------------------------------------- #
         #: Registration indices to tick (the active set).
@@ -179,14 +175,14 @@ class Engine:
         self._frontier: List[int] = []
         #: Index currently being ticked, or ``_NOT_SCANNING``.
         self._scan_pos: int = _NOT_SCANNING
-        #: Whether each component overrides post_tick (index-parallel).
-        self._has_post: List[bool] = []
         #: Min-heap of (wake_cycle, index) timers; entries may be stale
         #: (superseded by an earlier wake) — stale pops are harmless
         #: because waking an idle component only costs a no-op tick.
         self._timers: List = []
         #: Earliest scheduled timer per component, to avoid heap spam.
         self._timer_at: List[Optional[int]] = []
+        #: Registration indices of observer components.
+        self._observers: Set[int] = set()
         # -- instrumentation -------------------------------------------- #
         #: Total component ticks actually executed.
         self.ticks_executed: int = 0
@@ -214,11 +210,8 @@ class Engine:
         component._engine = self
         component._engine_index = len(self._components)
         self._components.append(component)
-        has_post = type(component).post_tick is not Component.post_tick
-        # Only components that override post_tick pay for the second phase.
-        if has_post:
-            self._post_components.append(component)
-        self._has_post.append(has_post)
+        if component.observer:
+            self._observers.add(component._engine_index)
         # New components start active; the first tick prunes idle ones.
         # One registered by a tick mid-scan lies ahead of the scan
         # position, so it joins this cycle's frontier.
@@ -298,21 +291,17 @@ class Engine:
 
     def _step_naive(self, cycles: int) -> int:
         components = self._components
-        post_components = self._post_components
         for _ in range(cycles):
             cycle = self.cycle
             for component in components:
                 component.tick(cycle)
             self.ticks_executed += len(components)
-            for component in post_components:
-                component.post_tick(cycle)
             self.cycle = cycle + 1
         return self.cycle
 
     def _step_active(self, cycles: int) -> int:
         components = self._components
         active = self._active
-        has_post = self._has_post
         profiler = self.profiler
         timers = self._timers
         target = self.cycle + cycles
@@ -340,7 +329,6 @@ class Engine:
             # A sorted list is a valid min-heap, so mid-cycle wakes ahead
             # of the scan position can heappush into it directly.
             frontier = self._frontier = sorted(active)
-            post_due: Optional[List[Component]] = None
             ticked = 0
             pos = -1
             while frontier:
@@ -351,20 +339,12 @@ class Engine:
                 component = components[index]
                 component.tick(cycle)
                 ticked += 1
-                if has_post[index]:
-                    if post_due is None:
-                        post_due = [component]
-                    else:
-                        post_due.append(component)
                 until = component.idle_until(cycle)
                 if until is not None and until > cycle + 1:
                     active.discard(index)
                     self._schedule(index, until)
             self._scan_pos = _NOT_SCANNING
             self.ticks_executed += ticked
-            if post_due is not None:
-                for component in post_due:
-                    component.post_tick(cycle)
             self.cycle = cycle + 1
         return self.cycle
 
@@ -401,7 +381,9 @@ class Engine:
         would read the same false condition.  The engine then takes one
         :meth:`step` to the last check point at or before the timer
         instead of one step per window, and returns the same cycle as
-        per-window stepping would.  With no timer pending (or under ``naive``, which never parks) it
+        per-window stepping would.  Observer timers are stepped over:
+        the stride runs to the earliest timer of a non-observer.  With
+        no such timer pending (or under ``naive``, which never parks) it
         steps ``check_every`` cycles at a time.
         """
         if check_every < 1:
@@ -417,11 +399,27 @@ class Engine:
                 )
             stride = check_every
             if timers and not self._active:
-                gap = timers[0][0] - cycle
+                at = timers[0][0]
+                if self._observers:
+                    at = self._next_model_timer()
+                gap = at - cycle
                 if gap > check_every:
                     stride = gap - gap % check_every
             self.step(stride if stride < remaining else remaining)
         return self.cycle
+
+    def _next_model_timer(self) -> int:
+        """Earliest pending timer of a non-observer component.
+
+        Returns the current cycle (no stride) when only observers have
+        timers pending.
+        """
+        observers = self._observers
+        earliest = FOREVER
+        for at, index in self._timers:
+            if at < earliest and index not in observers:
+                earliest = at
+        return self.cycle if earliest == FOREVER else earliest
 
     def reset(self) -> None:
         """Reset the cycle counter and every component."""

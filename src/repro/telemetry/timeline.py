@@ -10,9 +10,12 @@ Flit accounting is event-driven (the component that moves a flit calls
 ``LinkSeries.add`` with the current cycle), so idle epochs cost nothing
 and the series stays sparse.  Occupancy peaks are flushed on epoch
 boundaries by a :class:`TimelineProbe` — a regular engine component that
-parks itself between boundaries via the active-set timer mechanism, so
-telemetry-on runs still fast-forward through idle stretches (in
-epoch-sized hops) and telemetry-off runs never register a probe at all.
+parks itself between boundaries via the active-set timer mechanism.
+While every metered queue is empty and no peak is pending, a flush would
+record nothing, so the probe parks with no timer at all until the next
+:meth:`QueueMeter.note` wakes it: an idle stretch costs a telemetry-on
+run at most one probe tick, not one per epoch.  Telemetry-off runs
+never register a probe.
 
 The probe reads model state and never mutates it, which is what keeps
 seeded runs bit-identical with telemetry on or off.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..sim.engine import Component
+from ..sim.engine import FOREVER, Component
 
 
 class LinkSeries:
@@ -66,9 +69,11 @@ class LinkSeries:
 class QueueMeter:
     """Peak flit occupancy of one queue, folded into per-epoch samples."""
 
-    __slots__ = ("name", "queue", "peak", "series")
+    __slots__ = ("name", "queue", "peak", "series", "timeline")
 
-    def __init__(self, name: str, queue) -> None:
+    def __init__(
+        self, name: str, queue, timeline: Optional["Timeline"] = None
+    ) -> None:
         self.name = name
         self.queue = queue
         #: Running peak since the last epoch flush.
@@ -76,10 +81,15 @@ class QueueMeter:
         #: epoch index -> peak occupancy (flits) during that epoch; zero
         #: epochs are omitted to keep long idle runs cheap.
         self.series: Dict[int, int] = {}
+        #: Owning timeline, whose parked probe a new peak wakes.
+        self.timeline = timeline
 
     def note(self, occupancy: int) -> None:
         if occupancy > self.peak:
             self.peak = occupancy
+            timeline = self.timeline
+            if timeline is not None and timeline.probe_parked:
+                timeline.wake_probe()
 
     def flush(self, epoch: int) -> None:
         if self.peak:
@@ -119,6 +129,11 @@ class Timeline:
         self.epoch_cycles = epoch_cycles
         self.links: List[LinkSeries] = []
         self.meters: List[QueueMeter] = []
+        #: The probe flushing this timeline (set by :class:`TimelineProbe`).
+        self.probe: Optional["TimelineProbe"] = None
+        #: True while the probe is parked with no timer; a meter's next
+        #: new peak wakes it.
+        self.probe_parked = False
 
     def register_link(self, name: str, width: int) -> LinkSeries:
         series = LinkSeries(name, max(1, width), self.epoch_cycles)
@@ -127,14 +142,28 @@ class Timeline:
 
     def register_queue(self, queue) -> QueueMeter:
         """Attach a meter to ``queue`` (sets ``queue.meter``)."""
-        meter = QueueMeter(queue.name, queue)
+        meter = QueueMeter(queue.name, queue, self)
         queue.meter = meter
         self.meters.append(meter)
         return meter
 
-    def flush(self, epoch: int) -> None:
+    def flush(self, epoch: int) -> bool:
+        """Flush every meter into ``epoch``; True if a peak still stands.
+
+        After a flush each meter's peak is its queue's standing
+        occupancy, so False means every metered queue is empty.
+        """
+        pending = False
         for meter in self.meters:
             meter.flush(epoch)
+            if meter.peak:
+                pending = True
+        return pending
+
+    def wake_probe(self) -> None:
+        """A meter saw a new peak while the probe was parked."""
+        self.probe_parked = False
+        self.probe.wake()
 
     def finalize(self, cycle: int) -> None:
         """Flush the partial epoch at the end of a run (idempotent)."""
@@ -151,26 +180,46 @@ class Timeline:
 class TimelineProbe(Component):
     """Engine component that flushes occupancy peaks on epoch boundaries.
 
-    Wakes exactly at cycles ``k * epoch_cycles`` under both engine
-    strategies (the active engine via a timer, the naive engine by
-    checking every tick), flushing the epoch that just ended.  Purely
+    Under the naive engine it checks every tick and flushes at every
+    cycle ``k * epoch_cycles``, recording the epoch that just ended.
+    Under the active engine it sleeps on a timer to the next boundary
+    while a peak is pending, and parks with no timer once a flush leaves
+    every metered queue empty: the boundaries it then sleeps through
+    would each flush nothing.  The first new peak wakes it
+    (:meth:`Timeline.wake_probe`), mid-epoch or on a boundary, and it
+    resumes flushing from the boundary that follows.  Purely
     observational: reads queue occupancies, mutates no model state.
     """
 
     name = "telemetry.probe"
+    observer = True
 
     def __init__(self, timeline: Timeline) -> None:
         self.timeline = timeline
+        timeline.probe = self
         self._next_flush = timeline.epoch_cycles
+        #: True when this tick's flush left every metered queue empty.
+        self._drained = False
 
     def tick(self, cycle: int) -> None:
+        self._drained = False
         if cycle >= self._next_flush:
             epoch_cycles = self.timeline.epoch_cycles
-            self.timeline.flush(cycle // epoch_cycles - 1)
+            # A wake after parking can land mid-epoch; the boundaries
+            # slept through had nothing to flush.
+            if cycle % epoch_cycles == 0:
+                self._drained = not self.timeline.flush(
+                    cycle // epoch_cycles - 1
+                )
             self._next_flush = (cycle // epoch_cycles + 1) * epoch_cycles
 
     def idle_until(self, cycle: int) -> Optional[int]:
+        if self._drained:
+            self.timeline.probe_parked = True
+            return FOREVER
         return self._next_flush
 
     def reset(self) -> None:
         self._next_flush = self.timeline.epoch_cycles
+        self._drained = False
+        self.timeline.probe_parked = False

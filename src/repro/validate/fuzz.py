@@ -3,9 +3,10 @@
 The unit suite exercises the configurations the paper's experiments use;
 the fuzzer exercises the configurations nobody thought to write a test
 for.  Each case draws a small random GPU (topology, channel widths,
-arbitration policy, buffering mode, packet geometry, telemetry on/off)
-and a random streaming workload from a seeded RNG, then subjects it to
-both halves of the integrity layer:
+arbitration policy, buffering mode, packet geometry, L2 replacement,
+telemetry on/off, L1 enabled or bypassed) and a random streaming
+workload from a seeded RNG, then subjects it to both halves of the
+integrity layer:
 
 1. a validated run — the :class:`~repro.validate.invariants
    .InvariantChecker` audits flit conservation every cycle and the run
@@ -65,6 +66,7 @@ def random_config(rng: random.Random) -> GpuConfig:
         # channel widths make multi-flit grants end mid-budget.
         write_request_flits=rng.choice([2, 4, 5]),
         read_reply_flits=rng.choice([2, 4, 5]),
+        l2_replacement=rng.choice(["lru", "random"]),
     )
 
 
@@ -136,10 +138,11 @@ class FuzzReport:
         return not self.failures
 
 
-def _describe(config: GpuConfig) -> str:
+def _describe(config: GpuConfig, l1_enabled: bool) -> str:
     return (
         f"gpcs={config.num_gpcs} tpcs={config.tpcs_per_gpc} "
-        f"l2={config.num_l2_slices} arb={config.arbitration} "
+        f"l2={config.num_l2_slices} repl={config.l2_replacement} "
+        f"l1={l1_enabled} arb={config.arbitration} "
         f"voq={config.reply_voq} wreq={config.write_request_flits} "
         f"rrep={config.read_reply_flits} wack={config.write_reply_flits} "
         f"noise={config.timing_noise} tel={config.telemetry_enabled} "
@@ -157,9 +160,12 @@ def run_case(
     """Run one fuzz case end to end; never raises, records failures."""
     rng = random.Random(seed)
     config = random_config(rng)
+    # The L1 switch is a device option, not a config field, so it is
+    # drawn from the case rng right after the config.
+    l1_enabled = rng.random() < 0.5
     stimulus = random_stimulus(rng, config)
-    case = FuzzCase(seed=seed, summary=_describe(config))
-    device = GpuDevice(config)
+    case = FuzzCase(seed=seed, summary=_describe(config, l1_enabled))
+    device = GpuDevice(config, l1_enabled=l1_enabled)
     stimulus(device)
     try:
         device.run(max_cycles=max_cycles)
@@ -177,7 +183,7 @@ def run_case(
     if case.ok and oracle:
         divergence = verify_equivalence(
             config, stimulus, max_cycles=oracle_cycles,
-            strategies=strategies,
+            l1_enabled=l1_enabled, strategies=strategies,
         )
         if divergence is not None:
             case.failure = f"oracle: {divergence}"

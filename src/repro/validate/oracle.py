@@ -214,12 +214,13 @@ def verify_equivalence(
     stimulus: Optional[Stimulus] = None,
     max_cycles: int = 200_000,
     compare_every: int = 64,
+    l1_enabled: bool = False,
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
     builder: Optional[Callable[[GpuConfig], object]] = None,
 ) -> Optional[Divergence]:
     """One-shot helper: run the oracle, return its verdict."""
     oracle = LockstepOracle(
-        config, stimulus, compare_every=compare_every, strategies=strategies,
-        builder=builder,
+        config, stimulus, compare_every=compare_every,
+        l1_enabled=l1_enabled, strategies=strategies, builder=builder,
     )
     return oracle.run(max_cycles=max_cycles)

@@ -18,11 +18,6 @@ class Recorder(Component):
         self.reset_calls += 1
 
 
-class PostRecorder(Recorder):
-    def post_tick(self, cycle):
-        self.log.append((self.tag + "-post", cycle))
-
-
 class TestEngine:
     def test_ticks_in_registration_order(self):
         log = []
@@ -36,22 +31,6 @@ class TestEngine:
         assert engine.cycle == 5
         engine.step()
         assert engine.cycle == 6
-
-    def test_post_tick_runs_after_all_ticks(self):
-        log = []
-        engine = Engine([PostRecorder(log, "a"), Recorder(log, "b")])
-        engine.step()
-        assert log == [("a", 0), ("b", 0), ("a-post", 0)]
-
-    def test_post_tick_skipped_for_plain_components(self):
-        # Components that don't override post_tick are not in the post list.
-        engine = Engine()
-        plain = Recorder([], "x")
-        posty = PostRecorder([], "y")
-        engine.register(plain)
-        engine.register(posty)
-        assert plain not in engine._post_components
-        assert posty in engine._post_components
 
     def test_run_until_stops_when_condition_met(self):
         engine = Engine()

@@ -101,6 +101,45 @@ class TestStrideMatchesNaive:
                                      (5_004, 5_008)]
 
 
+class _Metronome(Component):
+    """An observer that wakes every ``period`` cycles and changes nothing."""
+
+    name = "metronome"
+    observer = True
+
+    def __init__(self, period):
+        self.period = period
+
+    def idle_until(self, cycle):
+        return (cycle // self.period + 1) * self.period
+
+
+class TestObserverTimers:
+    @pytest.mark.parametrize("wake_at", [100, 5_003, 40_000])
+    def test_observer_timers_do_not_bound_the_stride(self, wake_at):
+        returned = {}
+        steps = {}
+        for strategy in STRATEGIES:
+            alarm = _Alarm(wake_at)
+            metronome = _Metronome(64)
+            engine = Engine([alarm, metronome], strategy=strategy)
+            calls = _count_steps(engine)
+            returned[strategy] = engine.run_until(
+                lambda: alarm.fired, check_every=16
+            )
+            steps[strategy] = calls[0]
+        assert returned["active"] == returned["naive"]
+        assert steps["active"] <= 3
+
+    def test_only_observer_timers_step_one_window(self):
+        engine = Engine([_Metronome(64)])
+        calls = _count_steps(engine)
+        with pytest.raises(TimeoutError):
+            engine.run_until(lambda: False, max_cycles=160, check_every=16)
+        assert engine.cycle == 160
+        assert calls[0] == 10
+
+
 def _sleepy_program(gap):
     def program(ctx):
         yield MemOp(READ, [ctx.warp_id * 128])
@@ -139,6 +178,22 @@ class TestDeviceStride:
         # (check-point alignment moves it by at most one).
         assert abs(steps[50_000] - steps[5_000]) <= 1
         assert max(steps.values()) < 12
+
+    def test_telemetry_takes_as_many_steps(self):
+        # The probe parks while every metered queue is empty, and its
+        # epoch timers do not bound a stride, so a sleep costs a
+        # telemetry-on run no extra steps.
+        for gap in (5_000, 50_000):
+            _, finish_off, steps_off = _run_sleepy("active", gap)
+            device, finish_on, steps_on = _run_sleepy(
+                "active", gap, telemetry_enabled=True
+            )
+            assert finish_on == finish_off
+            assert steps_on == steps_off
+            longest = max(
+                to - frm for frm, to in device.telemetry.fast_forwards
+            )
+            assert longest > gap - 2 * device.config.telemetry_epoch_cycles
 
     def test_sleep_is_one_span_on_the_hub(self):
         # An epoch longer than the run keeps the timeline probe, which

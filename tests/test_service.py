@@ -10,6 +10,7 @@ once" is measured against.
 """
 
 import asyncio
+import contextvars
 import threading
 
 import pytest
@@ -205,6 +206,42 @@ class TestScheduler:
         assert put_threads == [loop_thread] * 8
         assert len(job_threads) == 8
         assert loop_thread not in job_threads
+
+    def test_job_sees_the_submitters_context(
+        self, probe_cfg, tmp_path, monkeypatch
+    ):
+        # A trace parents job spans on the submitting request's span
+        # through a ContextVar; shard threads must see its value.
+        from repro.runner import service
+
+        request = contextvars.ContextVar("request", default=None)
+        seen = []
+        original_run = service.run_supervised
+
+        def recording_run(jobs, **kwargs):
+            seen.append((jobs[0].params["token"], request.get()))
+            return original_run(jobs, **kwargs)
+
+        monkeypatch.setattr(service, "run_supervised", recording_run)
+
+        async def _request(svc, name, tokens):
+            request.set(name)
+            return await svc.submit(
+                [_probe_job(probe_cfg, token, tmp_path) for token in tokens]
+            )
+
+        async def _main():
+            async with SweepService(
+                None, service=ServiceConfig(shards=2),
+                metrics=MetricsRegistry(),
+            ) as svc:
+                await asyncio.gather(
+                    _request(svc, "a", ["a0", "a1"]),
+                    _request(svc, "b", ["b0"]),
+                )
+
+        asyncio.run(_main())
+        assert sorted(seen) == [("a0", "a"), ("a1", "a"), ("b0", "b")]
 
 
 class TestFailureModes:

@@ -29,7 +29,15 @@ from repro.telemetry import (
     collecting,
     write_chrome_trace,
 )
-from repro.telemetry.timeline import LinkSeries, QueueMeter, Timeline
+from repro.noc.buffer import PacketQueue
+from repro.noc.packet import READ, Packet
+from repro.sim.engine import FOREVER, Component, Engine
+from repro.telemetry.timeline import (
+    LinkSeries,
+    QueueMeter,
+    Timeline,
+    TimelineProbe,
+)
 
 
 BITS = [1, 0, 1, 1, 0, 0, 1, 0]
@@ -354,6 +362,109 @@ class TestDisabledHotPath:
         names = [c.name for c in device.engine.components]
         assert names[-1] == "telemetry.probe"
         assert device.engine.on_fast_forward is not None
+
+
+class _Pulses(Component):
+    """Holds one 2-flit packet in ``queue`` over each ``(push, pop)`` pair."""
+
+    def __init__(self, name, queue, pulses):
+        self.name = name
+        self.queue = queue
+        self.pulses = pulses
+
+    def tick(self, cycle):
+        for push, pop in self.pulses:
+            if cycle == push:
+                self.queue.push(Packet(kind=READ, address=0, flits=2,
+                                       src_sm=0, slice_id=0))
+            elif cycle == pop:
+                self.queue.pop()
+
+    def idle_until(self, cycle):
+        upcoming = [c for pair in self.pulses for c in pair if c > cycle]
+        return min(upcoming, default=FOREVER)
+
+
+def _pulse_run(strategy, cycles=400):
+    """Two metered queues filled before and after the probe in tick order.
+
+    Pushes land on epoch boundaries (16, 32, 208, 240), mid-epoch, and
+    hold across several boundaries, with idle gaps of many epochs
+    between, so most of them wake a parked probe.
+    """
+    timeline = Timeline(epoch_cycles=16)
+    early = PacketQueue("early", 8)
+    late = PacketQueue("late", 8)
+    timeline.register_queue(early)
+    timeline.register_queue(late)
+    probe = TimelineProbe(timeline)
+    engine = Engine(
+        [
+            _Pulses("early", early,
+                    [(16, 20), (100, 140), (208, 210), (300, 301)]),
+            probe,
+            _Pulses("late", late, [(32, 33), (240, 250)]),
+        ],
+        strategy=strategy,
+    )
+    spans = []
+    engine.on_fast_forward = lambda frm, to: spans.append((frm, to))
+    engine.step(cycles)
+    timeline.finalize(engine.cycle)
+    series = {meter.name: dict(meter.series) for meter in timeline.meters}
+    return series, engine, timeline, spans
+
+
+class TestProbeParking:
+    """The probe parks while nothing is metered, and flushes as if not."""
+
+    def test_series_match_the_every_boundary_reference(self):
+        naive, _, _, _ = _pulse_run("naive")
+        active, _, timeline, spans = _pulse_run("active")
+        assert active == naive
+        # A push before the probe on a boundary (16, 208) belongs to the
+        # epoch that just ended; one after it (32, 240), to the epoch it
+        # opens.  A held packet is reported in every epoch it spans
+        # (100-140 covers epochs 6-8).
+        assert active == {
+            "early": {0: 2, 1: 2, 6: 2, 7: 2, 8: 2, 12: 2, 13: 2, 18: 2},
+            "late": {2: 2, 15: 2},
+        }
+        assert timeline.probe_parked
+        # Parked, the probe no longer cuts idle gaps at every boundary.
+        assert (49, 100) in spans and (145, 208) in spans
+
+    def test_note_wakes_a_parked_probe(self):
+        _, engine, timeline, _ = _pulse_run("active", cycles=50)
+        assert timeline.probe_parked
+        queue = timeline.meters[0].queue
+        queue.push(Packet(kind=READ, address=0, flits=3, src_sm=0,
+                          slice_id=0))
+        assert not timeline.probe_parked
+        probe_index = timeline.probe._engine_index
+        assert probe_index in engine._active
+
+    def test_reset_unparks_and_replays(self):
+        first, engine, timeline, _ = _pulse_run("active")
+        engine.reset()
+        timeline.reset()
+        assert not timeline.probe_parked
+        engine.step(400)
+        timeline.finalize(engine.cycle)
+        again = {meter.name: dict(meter.series) for meter in timeline.meters}
+        assert again == first
+
+    def test_device_timeline_matches_naive(self):
+        timelines = {}
+        for strategy in ("naive", "active"):
+            with collecting() as frame:
+                _transmit(_telemetry_cfg(engine_strategy=strategy))
+            hub = frame.hubs()[0]
+            timelines[strategy] = (
+                {m.name: dict(m.series) for m in hub.timeline.meters},
+                {s.name: dict(s.flits) for s in hub.timeline.links},
+            )
+        assert timelines["naive"] == timelines["active"]
 
 
 class TestCliTrace:

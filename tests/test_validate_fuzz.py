@@ -27,6 +27,14 @@ class TestGenerators:
         assert {c.write_request_flits for c in configs} == {2, 4, 5}
         assert {c.read_reply_flits for c in configs} == {2, 4, 5}
 
+    def test_cases_vary_l2_replacement_and_l1(self):
+        configs = [random_config(random.Random(seed)) for seed in range(30)]
+        assert {c.l2_replacement for c in configs} == {"lru", "random"}
+        summaries = [run_case(seed, oracle=False).summary
+                     for seed in range(6)]
+        assert any("l1=True" in summary for summary in summaries)
+        assert any("l1=False" in summary for summary in summaries)
+
     def test_random_stimulus_replays_identically(self):
         rng = random.Random(3)
         config = random_config(rng)
