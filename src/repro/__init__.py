@@ -24,20 +24,7 @@ Quick start::
     print(result.received_symbols, result.error_rate, result.bandwidth_mbps)
 """
 
-from .config import (
-    ARBITRATION_POLICIES,
-    ARCHITECTURES,
-    ClockSkewModel,
-    DramTiming,
-    GpuConfig,
-    PASCAL_P100,
-    TURING_TU104,
-    VOLTA_V100,
-    medium_config,
-    small_config,
-)
-from .gpu.device import GpuDevice
-from .gpu.kernel import Kernel, Stream
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -57,3 +44,27 @@ __all__ = [
     "Stream",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": (
+            "ARBITRATION_POLICIES",
+            "ARCHITECTURES",
+            "ClockSkewModel",
+            "DramTiming",
+            "GpuConfig",
+            "PASCAL_P100",
+            "TURING_TU104",
+            "VOLTA_V100",
+            "medium_config",
+            "small_config",
+        ),
+        ".gpu.device": ("GpuDevice",),
+        ".gpu.kernel": ("Kernel", "Stream"),
+    },
+    submodules=(
+        "analysis", "channel", "defense", "gpu", "interconnect", "metrics",
+        "noc", "reveng", "runner", "sim", "telemetry", "testing", "validate",
+    ),
+)

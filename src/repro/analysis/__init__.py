@@ -1,16 +1,6 @@
 """Metrics, figure-series builders, and table rendering."""
 
-from .figures import (
-    BandwidthErrorPoint,
-    Fig10Series,
-    Table2Row,
-    fig9_latency_trace,
-    fig10_panel,
-    fig14_multilevel_trace,
-    table2_summary,
-)
-from .report import REPORT_SECTIONS, generate_report
-from .tables import format_series, format_table
+from .._lazy import lazy_exports
 
 __all__ = [
     "BandwidthErrorPoint",
@@ -25,3 +15,16 @@ __all__ = [
     "REPORT_SECTIONS",
     "generate_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".figures": (
+            "BandwidthErrorPoint", "Fig10Series", "Table2Row",
+            "fig9_latency_trace", "fig10_panel", "fig14_multilevel_trace",
+            "table2_summary",
+        ),
+        ".report": ("REPORT_SECTIONS", "generate_report"),
+        ".tables": ("format_series", "format_table"),
+    },
+)

@@ -1,50 +1,6 @@
 """The interconnect covert channels (the paper's core contribution)."""
 
-from .metrics import (
-    TransmissionResult,
-    bit_error_rate,
-    channel_capacity_per_symbol,
-)
-from .protocol import (
-    ChannelParams,
-    decode_binary,
-    decode_multilevel,
-    receiver_program,
-    sender_program,
-)
-from .base import CovertChannelBase, block_to_tpc_map
-from .link_channel import LinkCovertChannel
-from .tpc_channel import TpcCovertChannel
-from .gpc_channel import GpcCovertChannel
-from .multilevel import DEFAULT_LEVELS, MultiLevelTpcChannel
-from .coalescing import CoalescingStudy, cell_label, run_coalescing_study
-from .side_channel import SideChannelTrace, measure_l1_miss_leakage
-from .noise import (
-    InterferedTpcChannel,
-    NoiseStudyPoint,
-    run_noise_study,
-)
-from .handshake import (
-    DEFAULT_PREAMBLE,
-    HandshakeTpcChannel,
-    fit_preamble,
-    decode_waveform,
-    waveform_timeline,
-)
-from .coding import (
-    CodedResult,
-    hamming74_decode,
-    hamming74_encode,
-    repetition_decode,
-    repetition_encode,
-    transmit_coded,
-)
-from .aes_attack import (
-    AesAttackResult,
-    INV_SBOX,
-    distinct_lines,
-    run_aes_key_recovery,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "TransmissionResult",
@@ -86,3 +42,41 @@ __all__ = [
     "distinct_lines",
     "run_aes_key_recovery",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": (
+            "TransmissionResult", "bit_error_rate",
+            "channel_capacity_per_symbol",
+        ),
+        ".protocol": (
+            "ChannelParams", "decode_binary", "decode_multilevel",
+            "receiver_program", "sender_program",
+        ),
+        ".base": ("CovertChannelBase", "block_to_tpc_map"),
+        ".link_channel": ("LinkCovertChannel",),
+        ".tpc_channel": ("TpcCovertChannel",),
+        ".gpc_channel": ("GpcCovertChannel",),
+        ".multilevel": ("DEFAULT_LEVELS", "MultiLevelTpcChannel"),
+        ".coalescing": (
+            "CoalescingStudy", "cell_label", "run_coalescing_study",
+        ),
+        ".side_channel": ("SideChannelTrace", "measure_l1_miss_leakage"),
+        ".noise": (
+            "InterferedTpcChannel", "NoiseStudyPoint", "run_noise_study",
+        ),
+        ".handshake": (
+            "DEFAULT_PREAMBLE", "HandshakeTpcChannel", "fit_preamble",
+            "decode_waveform", "waveform_timeline",
+        ),
+        ".coding": (
+            "CodedResult", "hamming74_decode", "hamming74_encode",
+            "repetition_decode", "repetition_encode", "transmit_coded",
+        ),
+        ".aes_attack": (
+            "AesAttackResult", "INV_SBOX", "distinct_lines",
+            "run_aes_key_recovery",
+        ),
+    },
+)

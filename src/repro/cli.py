@@ -49,7 +49,7 @@ import random
 import sys
 from typing import List, Optional
 
-from .analysis import format_series, format_table
+from .analysis.tables import format_series, format_table
 from .config import (
     GpuConfig,
     PASCAL_P100,
@@ -863,8 +863,6 @@ def cmd_golden(args) -> int:
     cache = None if args.no_cache else ResultCache()
 
     if args.action == "list":
-        from .analysis import format_table
-
         rows = []
         for artifact in artifacts_for_scale(scale):
             rows.append((

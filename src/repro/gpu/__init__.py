@@ -1,29 +1,6 @@
 """GPU model: SMs, caches, DRAM, scheduler, streams, assembled device."""
 
-from .caches import L1Cache, SetAssociativeCache
-from .coalescer import (
-    coalesce,
-    lane_addresses_coalesced,
-    lane_addresses_partial,
-    lane_addresses_uncoalesced,
-)
-from .benign import BENIGN_WORKLOADS, benign_footprint, make_benign_kernel
-from .device import GpuDevice
-from .dram import MemoryController
-from .kernel import Kernel, Stream, ThreadBlock
-from .l2slice import L2Slice
-from .scheduler import ThreadBlockScheduler, dispatch_order
-from .sm import StreamingMultiprocessor
-from .warp import (
-    MemOp,
-    ReadClock,
-    WaitClockMask,
-    WaitCycles,
-    WaitUntilClock,
-    WarpContext,
-    READ,
-    WRITE,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "BENIGN_WORKLOADS",
@@ -53,3 +30,27 @@ __all__ = [
     "READ",
     "WRITE",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".caches": ("L1Cache", "SetAssociativeCache"),
+        ".coalescer": (
+            "coalesce", "lane_addresses_coalesced", "lane_addresses_partial",
+            "lane_addresses_uncoalesced",
+        ),
+        ".benign": (
+            "BENIGN_WORKLOADS", "benign_footprint", "make_benign_kernel",
+        ),
+        ".device": ("GpuDevice",),
+        ".dram": ("MemoryController",),
+        ".kernel": ("Kernel", "Stream", "ThreadBlock"),
+        ".l2slice": ("L2Slice",),
+        ".scheduler": ("ThreadBlockScheduler", "dispatch_order"),
+        ".sm": ("StreamingMultiprocessor",),
+        ".warp": (
+            "MemOp", "ReadClock", "WaitClockMask", "WaitCycles",
+            "WaitUntilClock", "WarpContext", "READ", "WRITE",
+        ),
+    },
+)

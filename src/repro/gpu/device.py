@@ -20,7 +20,7 @@ It is the public entry point for every experiment::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from ..config import GpuConfig, VOLTA_V100
 from ..noc.arbiter import make_policy
@@ -31,13 +31,16 @@ from ..noc.packet import Packet
 from ..sim.clock import ClockSystem
 from ..sim.engine import Component, Engine
 from ..sim.stats import StatsRegistry
-from ..telemetry import Telemetry, TimelineProbe, note_device
+from ..telemetry.collect import note_device
 from .dram import MemoryController
 from .kernel import Kernel, Stream
 from .l2slice import L2Slice
 from .reply_path import GpcReplyDistributor
 from .scheduler import ThreadBlockScheduler
 from .sm import StreamingMultiprocessor
+
+if TYPE_CHECKING:
+    from ..telemetry.hub import Telemetry
 
 
 class GpuDevice:
@@ -73,10 +76,11 @@ class GpuDevice:
         self._cross_deliver = None
         self.clocks = ClockSystem(config, self.engine, seed_salt=seed_salt)
         #: Telemetry hub; None unless ``config.telemetry_enabled``.
-        self.telemetry: Optional[Telemetry] = (
-            Telemetry.from_config(config) if config.telemetry_enabled
-            else None
-        )
+        self.telemetry: Optional[Telemetry] = None
+        if config.telemetry_enabled:
+            from ..telemetry.hub import Telemetry
+
+            self.telemetry = Telemetry.from_config(config)
         #: Engine self-profiler (repro.metrics); None unless
         #: ``config.metrics_enabled``.
         self.profiler = None
@@ -485,6 +489,8 @@ class GpuDevice:
                 hub.timeline.register_queue(queue)
         for queue in self.gpc_reply_queues:
             hub.timeline.register_queue(queue)
+        from ..telemetry.timeline import TimelineProbe
+
         # Registered last: meters flush after every producer has ticked.
         self.engine.register(TimelineProbe(hub.timeline))
         if self._owns_engine:

@@ -44,6 +44,9 @@ class MemoryController(Component):
         stats: Optional[StatsRegistry] = None,
     ) -> None:
         self.name = name
+        self._requests_key = f"{name}.requests"
+        self._row_hits_key = f"{name}.row_hits"
+        self._row_misses_key = f"{name}.row_misses"
         self.timing = timing
         self.on_complete = on_complete
         self.stats = stats
@@ -64,7 +67,7 @@ class MemoryController(Component):
         self._queue.append((address, is_write, token))
         self.wake()
         if self.stats is not None:
-            self.stats.incr(f"{self.name}.requests")
+            self.stats.incr(self._requests_key)
 
     def pending(self) -> int:
         return len(self._queue) + len(self._in_flight)
@@ -95,13 +98,13 @@ class MemoryController(Component):
         if open_row == row:
             access = timing.row_hit_latency
             if self.stats is not None:
-                self.stats.incr(f"{self.name}.row_hits")
+                self.stats.incr(self._row_hits_key)
         elif open_row is None:
             access = timing.t_rcd + timing.t_cl
         else:
             access = timing.row_miss_latency
             if self.stats is not None:
-                self.stats.incr(f"{self.name}.row_misses")
+                self.stats.incr(self._row_misses_key)
         latency = access + self.BURST_CYCLES + timing.t_overhead
         self._queue.popleft()
         self._open_row[bank] = row

@@ -88,6 +88,11 @@ class StreamingMultiprocessor(Component):
     ) -> None:
         self.sm_id = sm_id
         self.name = f"sm{sm_id}"
+        self._mem_ops_key = f"{self.name}.mem_ops"
+        self._transactions_key = f"{self.name}.transactions"
+        self._l1_hits_key = f"{self.name}.l1_hits"
+        self._injected_key = f"{self.name}.injected"
+        self._read_latency_key = f"{self.name}.read_latency"
         self.config = config
         self.inject_queue = inject_queue
         #: Device this SM belongs to (multi-GPU systems; 0 standalone).
@@ -123,7 +128,7 @@ class StreamingMultiprocessor(Component):
         #: queries) alongside the sampler's running aggregates.
         self._lat_hist = (
             None if stats is None
-            else stats.histogram(f"{self.name}.read_latency")
+            else stats.histogram(self._read_latency_key)
         )
         # -- telemetry (None unless the device enables it) -------------- #
         self._tracer = None
@@ -307,8 +312,8 @@ class StreamingMultiprocessor(Component):
             raise ValueError(f"bad MemOp kind {op.kind!r}")
         lines = coalesce(op.addresses, self.config.l2_line_bytes)
         if self.stats is not None:
-            self.stats.incr(f"{self.name}.mem_ops")
-            self.stats.incr(f"{self.name}.transactions", len(lines))
+            self.stats.incr(self._mem_ops_key)
+            self.stats.incr(self._transactions_key, len(lines))
         warp.op_start_cycle = cycle
         warp.op_blocking = op.blocking()
         self._group_counter += 1
@@ -339,7 +344,7 @@ class StreamingMultiprocessor(Component):
                     (cycle + self.l1.hit_latency, warp)
                 )
                 if self.stats is not None:
-                    self.stats.incr(f"{self.name}.l1_hits")
+                    self.stats.incr(self._l1_hits_key)
                 continue
             if op.kind == WRITE:
                 self.l1.note_write(address)
@@ -390,7 +395,7 @@ class StreamingMultiprocessor(Component):
         warp.pending_issue.pop(0)
         warp.outstanding += 1
         if self.stats is not None:
-            self.stats.incr(f"{self.name}.injected")
+            self.stats.incr(self._injected_key)
         if self._tracer is not None:
             self._tracer.emit(cycle, SM_INJECT, self._tl_id, packet.uid,
                               1 if txn.kind == WRITE else 0,
@@ -456,9 +461,7 @@ class StreamingMultiprocessor(Component):
                 if packet.kind == READ:
                     latency = cycle - warp.op_start_cycle
                     if self.stats is not None:
-                        self.stats.sample(
-                            f"{self.name}.read_latency", latency
-                        )
+                        self.stats.sample(self._read_latency_key, latency)
                         self._lat_hist.add(latency)
                     if self._tracer is not None:
                         self._tracer.emit(cycle, READ_RTT, self._tl_id,

@@ -10,10 +10,7 @@ Public surface:
   engine joined by routers, serializing link pipes and ingress shims.
 """
 
-from ..config import LINK_TOPOLOGIES, LinkConfig
-from .link import FabricIngress, LinkPipe
-from .system import MultiGpuSystem
-from .topology import FabricTopology, build_topology
+from .._lazy import lazy_exports
 
 __all__ = [
     "LINK_TOPOLOGIES",
@@ -24,3 +21,13 @@ __all__ = [
     "build_topology",
     "MultiGpuSystem",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "..config": ("LINK_TOPOLOGIES", "LinkConfig"),
+        ".link": ("FabricIngress", "LinkPipe"),
+        ".system": ("MultiGpuSystem",),
+        ".topology": ("FabricTopology", "build_topology"),
+    },
+)

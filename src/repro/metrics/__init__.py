@@ -26,29 +26,7 @@ Well-known families published by the runner stack:
   (:mod:`repro.runner.surface`).
 """
 
-from .exposition import render_manifest_prometheus, render_prometheus
-from .history import (
-    DEFAULT_THRESHOLD,
-    DEFAULT_WINDOW,
-    HISTORY_FILE,
-    HistoryCheck,
-    Regression,
-    append_history,
-    bench_config_hash,
-    bench_record,
-    check_history,
-    host_fingerprint,
-    load_history,
-)
-from .profile import DEFAULT_INTERVAL, EngineProfiler
-from .progress import SweepProgress
-from .registry import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    get_registry,
-    scoped_registry,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Counter",
@@ -73,3 +51,22 @@ __all__ = [
     "render_prometheus",
     "scoped_registry",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".exposition": ("render_manifest_prometheus", "render_prometheus"),
+        ".history": (
+            "DEFAULT_THRESHOLD", "DEFAULT_WINDOW", "HISTORY_FILE",
+            "HistoryCheck", "Regression", "append_history",
+            "bench_config_hash", "bench_record", "check_history",
+            "host_fingerprint", "load_history",
+        ),
+        ".profile": ("DEFAULT_INTERVAL", "EngineProfiler"),
+        ".progress": ("SweepProgress",),
+        ".registry": (
+            "Counter", "Gauge", "MetricsRegistry", "get_registry",
+            "scoped_registry",
+        ),
+    },
+)

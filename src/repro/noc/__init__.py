@@ -1,19 +1,6 @@
 """Hierarchical on-chip network: packets, buffers, arbiters, muxes, crossbar."""
 
-from .packet import Packet, READ, WRITE
-from .buffer import PacketQueue
-from .arbiter import (
-    AgeBased,
-    ArbitrationPolicy,
-    CoarseRoundRobin,
-    FixedPriority,
-    RandomArbiter,
-    RoundRobin,
-    StrictRoundRobin,
-    make_policy,
-)
-from .mux import Mux
-from .crossbar import Crossbar
+from .._lazy import lazy_exports
 
 __all__ = [
     "Packet",
@@ -31,3 +18,18 @@ __all__ = [
     "Mux",
     "Crossbar",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".packet": ("Packet", "READ", "WRITE"),
+        ".buffer": ("PacketQueue",),
+        ".arbiter": (
+            "AgeBased", "ArbitrationPolicy", "CoarseRoundRobin",
+            "FixedPriority", "RandomArbiter", "RoundRobin", "StrictRoundRobin",
+            "make_policy",
+        ),
+        ".mux": ("Mux",),
+        ".crossbar": ("Crossbar",),
+    },
+)

@@ -34,26 +34,7 @@ served back as interpolated capacity surfaces::
     surface.predict(iterations=3)   # -> Prediction(bandwidth, error, ...)
 """
 
-from .bench import bench_engine
-from .cache import ResultCache, code_version, job_key
-from .chaos import ChaosReport, run_chaos
-from .journal import SweepJournal, load_journal
-from .runner import (
-    SimJob,
-    execute,
-    merge_metrics,
-    merge_telemetry,
-    resolve,
-    run_jobs,
-)
-from .service import ServiceError, SweepService, serve_requests
-from .supervisor import (
-    JobFailure,
-    SweepError,
-    SweepOutcome,
-    run_supervised,
-)
-from .surface import CapacitySurface, Prediction, StaleSurfaceError
+from .._lazy import lazy_exports
 
 __all__ = [
     "CapacitySurface",
@@ -81,3 +62,22 @@ __all__ = [
     "run_supervised",
     "serve_requests",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".bench": ("bench_engine",),
+        ".cache": ("ResultCache", "code_version", "job_key"),
+        ".chaos": ("ChaosReport", "run_chaos"),
+        ".journal": ("SweepJournal", "load_journal"),
+        ".runner": (
+            "SimJob", "execute", "merge_metrics", "merge_telemetry", "resolve",
+            "run_jobs",
+        ),
+        ".service": ("ServiceError", "SweepService", "serve_requests"),
+        ".supervisor": (
+            "JobFailure", "SweepError", "SweepOutcome", "run_supervised",
+        ),
+        ".surface": ("CapacitySurface", "Prediction", "StaleSurfaceError"),
+    },
+)

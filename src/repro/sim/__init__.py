@@ -1,7 +1,14 @@
 """Simulation kernel: cycle engine, clock registers, statistics."""
 
-from .engine import Component, Engine
-from .clock import ClockSystem
-from .stats import Sampler, StatsRegistry
+from .._lazy import lazy_exports
 
 __all__ = ["Component", "Engine", "ClockSystem", "Sampler", "StatsRegistry"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".engine": ("Component", "Engine"),
+        ".clock": ("ClockSystem",),
+        ".stats": ("Sampler", "StatsRegistry"),
+    },
+)

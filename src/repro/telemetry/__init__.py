@@ -7,12 +7,7 @@ bit-identical with telemetry on or off (asserted by tests and by
 ``python -m repro bench``).
 """
 
-from . import events
-from .collect import Collector, collecting, note_device
-from .export import chrome_trace, write_chrome_trace
-from .hub import Telemetry, latency_summary
-from .timeline import LinkSeries, QueueMeter, Timeline, TimelineProbe
-from .tracer import Tracer
+from .._lazy import lazy_exports
 
 __all__ = [
     "events",
@@ -29,3 +24,17 @@ __all__ = [
     "TimelineProbe",
     "Tracer",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".collect": (
+            "Collector", "collecting", "latency_summary", "note_device",
+        ),
+        ".export": ("chrome_trace", "write_chrome_trace"),
+        ".hub": ("Telemetry",),
+        ".timeline": ("LinkSeries", "QueueMeter", "Timeline", "TimelineProbe"),
+        ".tracer": ("Tracer",),
+    },
+    submodules=("events",),
+)

@@ -23,8 +23,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..sim.stats import Sampler
-from .hub import latency_summary
+from ..sim.stats import Histogram, Sampler, StatsRegistry
 
 _frames: List["Collector"] = []
 
@@ -116,3 +115,29 @@ def note_device(device: Any) -> None:
     if _frames:
         for frame in _frames:
             frame.devices.append(device)
+
+
+def latency_summary(stats: StatsRegistry) -> Dict[str, Any]:
+    """Merged round-trip latency summary of one stats registry.
+
+    Folds every per-SM ``*.read_latency`` sampler (and histogram, when
+    present) into a single device-wide aggregate.
+    """
+    merged = Sampler()
+    for name, sampler in stats.samplers.items():
+        if name.endswith(".read_latency"):
+            merged.merge(sampler)
+    merged_hist: Optional[Histogram] = None
+    for name, histogram in stats.histograms.items():
+        if name.endswith(".read_latency") and histogram.count:
+            if merged_hist is None:
+                merged_hist = Histogram(
+                    histogram.bucket_width, histogram.num_buckets
+                )
+            merged_hist.merge(histogram)
+    return {
+        "read_latency": merged.summary(),
+        "read_latency_percentiles": (
+            merged_hist.to_dict() if merged_hist is not None else None
+        ),
+    }

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.stats import StatsRegistry
+from .collect import latency_summary
 from .timeline import Timeline
 from .tracer import Tracer
 
@@ -124,31 +125,3 @@ class Telemetry:
         if stats is not None:
             out.update(latency_summary(stats))
         return out
-
-
-def latency_summary(stats: StatsRegistry) -> Dict[str, Any]:
-    """Merged round-trip latency summary of one stats registry.
-
-    Folds every per-SM ``*.read_latency`` sampler (and histogram, when
-    present) into a single device-wide aggregate.
-    """
-    from ..sim.stats import Histogram, Sampler
-
-    merged = Sampler()
-    for name, sampler in stats.samplers.items():
-        if name.endswith(".read_latency"):
-            merged.merge(sampler)
-    merged_hist: Optional[Histogram] = None
-    for name, histogram in stats.histograms.items():
-        if name.endswith(".read_latency") and histogram.count:
-            if merged_hist is None:
-                merged_hist = Histogram(
-                    histogram.bucket_width, histogram.num_buckets
-                )
-            merged_hist.merge(histogram)
-    return {
-        "read_latency": merged.summary(),
-        "read_latency_percentiles": (
-            merged_hist.to_dict() if merged_hist is not None else None
-        ),
-    }

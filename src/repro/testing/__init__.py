@@ -20,42 +20,7 @@ Pytest: mark tests ``@paper_artifact("fig10a", scale="small")`` (see
 ``tests/plugin.py``) and assert on the injected ``artifact_run``.
 """
 
-from .artifacts import (
-    ARTIFACTS,
-    Artifact,
-    artifacts_for_scale,
-    all_expectation_ids,
-    get_artifact,
-)
-from .expectations import (
-    Expectation,
-    ExpectationResult,
-    above,
-    below,
-    between,
-    flat,
-    monotonic,
-    ordering,
-    ratio_near,
-    slope_between,
-)
-from .golden import (
-    DriftResult,
-    GoldenStore,
-    MissingGoldenError,
-    StaleGoldenError,
-    config_hash,
-)
-from .harness import (
-    ArtifactRun,
-    check_artifact,
-    check_scale,
-    record_artifact,
-    run_artifact,
-    scale_config,
-)
-from .reducer import Reduction, reduce_failure
-from .stats import ConfidenceInterval, mean_interval, t_critical
+from .._lazy import lazy_exports
 
 __all__ = [
     "ARTIFACTS",
@@ -90,3 +55,27 @@ __all__ = [
     "slope_between",
     "t_critical",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".artifacts": (
+            "ARTIFACTS", "Artifact", "artifacts_for_scale",
+            "all_expectation_ids", "get_artifact",
+        ),
+        ".expectations": (
+            "Expectation", "ExpectationResult", "above", "below", "between",
+            "flat", "monotonic", "ordering", "ratio_near", "slope_between",
+        ),
+        ".golden": (
+            "DriftResult", "GoldenStore", "MissingGoldenError",
+            "StaleGoldenError", "config_hash",
+        ),
+        ".harness": (
+            "ArtifactRun", "check_artifact", "check_scale", "record_artifact",
+            "run_artifact", "scale_config",
+        ),
+        ".reducer": ("Reduction", "reduce_failure"),
+        ".stats": ("ConfidenceInterval", "mean_interval", "t_critical"),
+    },
+)

@@ -151,7 +151,7 @@ class TestMpsMode:
             channel.mps_launch_skew = skew
             channel.calibrate()
             result = channel.transmit(bits)
-            assert result.error_rate <= 0.1, skew
+            assert result.error_rate <= 0.05, skew
 
     def test_zero_skew_is_stream_mode(self):
         channel = TpcCovertChannel(small_config())
