@@ -17,7 +17,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, Sequence
 
+from ..analysis.figures import fig10_panel, fig14_multilevel_trace
 from ..config import GpuConfig
+from ..defense import arbitration_leakage_sweep
+from ..reveng import (
+    mux_sharing_sweep,
+    rw_contention_profile,
+    sweep_tpc_pairing,
+)
+from ..runner.workloads import link_channel_point, table2_point
 
 
 def fig2_metrics(config: GpuConfig, ops: int = 6) -> Dict[str, Any]:
@@ -28,8 +36,6 @@ def fig2_metrics(config: GpuConfig, ops: int = 6) -> Dict[str, Any]:
     non-sibling; ``sibling_detected`` whether Algorithm 1's threshold
     recovers exactly the sibling set.
     """
-    from ..reveng import sweep_tpc_pairing
-
     sweep = sweep_tpc_pairing(config, ops=ops)
     normalized = sweep.normalized()
     siblings = set(config.tpc_sms(config.sm_to_tpc(0))) - {0}
@@ -46,8 +52,6 @@ def fig2_metrics(config: GpuConfig, ops: int = 6) -> Dict[str, Any]:
 
 def fig5a_metrics(config: GpuConfig, ops: int = 6) -> Dict[str, Any]:
     """Figure 5a: TPC-channel read/write contention ratios (2 SMs)."""
-    from ..reveng import rw_contention_profile
-
     profile = rw_contention_profile(config, ops=ops, max_tpcs=1)
     return {
         "write_ratio": profile.tpc["write"],
@@ -57,8 +61,6 @@ def fig5a_metrics(config: GpuConfig, ops: int = 6) -> Dict[str, Any]:
 
 def fig5b_metrics(config: GpuConfig, ops: int = 5) -> Dict[str, Any]:
     """Figure 5b: GPC-channel degradation vs number of active TPCs."""
-    from ..reveng import rw_contention_profile
-
     profile = rw_contention_profile(config, ops=ops)
     return {
         "read_series": profile.gpc["read"],
@@ -78,8 +80,6 @@ def fig7_8_metrics(
     scale; positionally the first series is always the TPC-sharing
     co-runner and the second the non-sharing control.
     """
-    from ..reveng import mux_sharing_sweep
-
     sweep = mux_sharing_sweep(config, fractions=fractions, ops=ops)
     sharing_label, control_label = list(sweep.series)
     return {
@@ -95,8 +95,6 @@ def fig10a_metrics(
     bits_per_channel: int = 8,
 ) -> Dict[str, Any]:
     """Figure 10a: single-TPC channel bandwidth/error vs iterations."""
-    from ..analysis.figures import fig10_panel
-
     series = fig10_panel(
         config,
         "tpc",
@@ -113,8 +111,6 @@ def fig10a_metrics(
 
 def fig14_metrics(config: GpuConfig, repeats: int = 4) -> Dict[str, Any]:
     """Figure 14: per-symbol latency means of the 4-level staircase."""
-    from ..analysis.figures import fig14_multilevel_trace
-
     pattern, trace = fig14_multilevel_trace(config, repeats=repeats)
     by_symbol: Dict[int, list] = {}
     for symbol, value in zip(pattern, trace):
@@ -140,8 +136,6 @@ def fig15_metrics(
     arbitration field — the mux-leakage artifact (fig7_8) is the one a
     perturbed arbiter policy breaks.
     """
-    from ..defense import arbitration_leakage_sweep
-
     sweep = arbitration_leakage_sweep(
         config.replace(timing_noise=0), fractions=fractions, ops=ops
     )
@@ -165,8 +159,6 @@ def linkchan_metrics(
     floor (the channel must actually move bits) and ``final_error`` the
     highest-iteration error rate.
     """
-    from ..runner.workloads import link_channel_point
-
     bandwidth: list = []
     error: list = []
     for count in iterations:
@@ -190,8 +182,6 @@ def table2_metrics(
     config: GpuConfig, bits_per_channel: int = 6
 ) -> Dict[str, Any]:
     """Table 2: bandwidth/error summary of all four covert channels."""
-    from ..runner.workloads import table2_point
-
     metrics: Dict[str, Any] = {}
     for kind, prefix in (
         ("tpc", "tpc"),
