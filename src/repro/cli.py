@@ -12,7 +12,7 @@ Gives downstream users a zero-code way to run the paper's experiments::
     python -m repro fig15                   # arbitration countermeasures
     python -m repro table2                  # measured channel summary
     python -m repro bench                   # engine strategy benchmark
-    python -m repro metrics                 # metrics-plane exposition
+    python -m repro metrics --merge m.json  # fold and render manifests
     python -m repro trace --figure fig5     # Perfetto trace of a run
     python -m repro fuzz --quick            # randomized integrity fuzzing
     python -m repro chaos --quick           # fault-injection sweep drill
@@ -36,8 +36,12 @@ the sweep despite them), and completed points checkpoint to a journal
 live single-line status (done/total, cache hits, retries, per-worker
 elapsed) on stderr.
 
-``python -m repro metrics`` runs a small instrumented sweep and prints
-its Prometheus exposition; ``python -m repro bench`` appends every run
+Every sweep (``serve`` too) writes its metrics manifest with
+``--metrics FILE``: supervision and store counters plus the engine
+self-profiles of the points it ran fresh (the option turns on
+``metrics_enabled``, so profiled points key separately in the store).
+``python -m repro metrics --merge FILE...`` folds manifests and prints
+their Prometheus exposition; ``python -m repro bench`` appends every run
 to ``BENCH_history.jsonl`` and ``--check-history`` turns a >20%
 throughput drop versus the trailing median into exit code 3.
 """
@@ -79,6 +83,10 @@ def _config(args) -> GpuConfig:
     config = SCALES[args.scale]()
     if getattr(args, "validate", False):
         config = config.replace(validate_enabled=True)
+    if getattr(args, "metrics", None):
+        # A sweep's ``--metrics FILE``: profile every job.  The flag is
+        # part of the config, so profiled points key separately.
+        config = config.replace(metrics_enabled=True)
     return config
 
 
@@ -173,15 +181,38 @@ def cmd_fig6(args) -> int:
     return 0
 
 
-def _sweep_cache(args):
+def _sweep_cache(args, registry):
     from .runner import ResultCache
 
-    return None if args.no_cache else ResultCache()
+    return None if args.no_cache else ResultCache(metrics=registry)
+
+
+def _metrics_registry(args):
+    """The sweep's own registry when ``--metrics`` was given, else None."""
+    if not args.metrics:
+        return None
+    from .metrics import MetricsRegistry
+
+    return MetricsRegistry()
+
+
+def _write_metrics(args, registry, results, fresh) -> None:
+    """Fold the fresh jobs' engine profiles in and write ``--metrics``."""
+    import json as _json
+
+    from .runner import merge_metrics
+
+    engine = merge_metrics(results, fresh=fresh)
+    if engine is not None:
+        registry.merge_manifest(engine)
+    with open(args.metrics, "w", encoding="utf-8") as handle:
+        _json.dump(registry.to_manifest(), handle, indent=2, sort_keys=True)
+    print(f"wrote {args.metrics}")
 
 
 def _progress_renderer(args, name, total):
     """A live ``SweepProgress`` renderer when ``--progress`` was given."""
-    if not getattr(args, "progress", False):
+    if not args.progress:
         return None
     from .metrics import SweepProgress
 
@@ -208,21 +239,26 @@ def _run_sweep(args, jobs, name):
     points checkpoint to an append-only JSONL journal — ``--journal`` or
     ``.repro_sweeps/<name>.jsonl`` — and a rerun with ``--resume``
     replays them instead of re-simulating.  ``--progress`` attaches a
-    live single-line renderer to the supervisor's event stream.
+    live single-line renderer to the supervisor's event stream, and
+    ``--metrics`` writes the sweep's metrics manifest, failed jobs
+    included.
     """
     from .runner import JobFailure, SweepError, run_supervised
     from .runner.journal import SweepJournal, default_journal_path
 
+    registry = _metrics_registry(args)
     renderer = _progress_renderer(args, name, len(jobs))
     journal_path = args.journal or default_journal_path(name)
     try:
         with SweepJournal(journal_path) as journal:
             outcome = run_supervised(
-                jobs, workers=args.workers, cache=_sweep_cache(args),
+                jobs, workers=args.workers,
+                cache=_sweep_cache(args, registry),
                 policy=_sweep_policy(args), journal=journal,
                 resume=args.resume,
                 progress=renderer.progress if renderer else None,
                 on_event=renderer.on_event if renderer else None,
+                metrics=registry,
             )
     finally:
         if renderer is not None:
@@ -239,17 +275,24 @@ def _run_sweep(args, jobs, name):
         )
     for failure in outcome.failures:
         print(f"FAILED {failure}", file=sys.stderr)
+    if registry is not None:
+        _write_metrics(args, registry, outcome.results, outcome.fresh)
     if outcome.failures and not args.keep_going:
         raise SweepError(outcome.failures, outcome.results)
     rows = [r for r in outcome.results if not isinstance(r, JobFailure)]
     return rows, outcome.failures
 
 
-def cmd_fig10(args) -> int:
+def _fig10_jobs(args) -> list:
+    """One ``fig10_point`` job per ``--iterations`` count.
+
+    ``fig10`` and ``serve`` both build their grid here, so the same grid
+    keys the same artifact-store entries from either command.
+    """
     from .runner import SimJob
 
     config = _config(args)
-    jobs = [
+    return [
         SimJob(
             fn="repro.runner.workloads.fig10_point",
             config=config,
@@ -262,6 +305,10 @@ def cmd_fig10(args) -> int:
         )
         for index, count in enumerate(args.iterations)
     ]
+
+
+def cmd_fig10(args) -> int:
+    jobs = _fig10_jobs(args)
     rows, failures = _run_sweep(args, jobs, f"fig10-{args.scale}")
     print(format_table(
         ["iterations", "bit rate (kbps)", "error rate"],
@@ -383,7 +430,9 @@ def cmd_serve(args) -> int:
     is answered from the surface — no re-simulation for already-swept
     points.  The queries are validated before anything runs.  Answers
     plus service/cache counters land in the ``--answers`` JSON manifest,
-    which is what the CI ``service-smoke`` job asserts on.
+    which is what the CI ``service-smoke`` job asserts on; ``--metrics``
+    adds the service and store counter families to the sweep's metrics
+    manifest.
     """
     import json as _json
 
@@ -391,7 +440,6 @@ def cmd_serve(args) -> int:
         CapacitySurface,
         JobFailure,
         ResultCache,
-        SimJob,
         serve_requests,
     )
 
@@ -400,32 +448,28 @@ def cmd_serve(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
-    config = _config(args)
+    registry = _metrics_registry(args)
     cache = None
     if not args.no_cache:
         cache = ResultCache(
-            max_entries=args.cache_entries, max_bytes=args.cache_bytes
+            max_entries=args.cache_entries, max_bytes=args.cache_bytes,
+            metrics=registry,
         )
-
-    # Same params (seed included) as ``fig10``, so the service shares
-    # artifact-store entries with plain sweep invocations.
-    jobs = [
-        SimJob(
-            fn="repro.runner.workloads.fig10_point",
-            config=config,
-            params={
-                "kind": args.panel,
-                "iteration_count": count,
-                "bits_per_channel": args.bits,
-                "seed": 1021 + index,
-            },
-        )
-        for index, count in enumerate(args.iterations)
-    ]
+    jobs = _fig10_jobs(args)
+    fresh = None
+    if registry is not None and cache is not None:
+        # The service runs every job the store lacks; only those carry
+        # an engine profile of this run.
+        fresh = [
+            index for index, job in enumerate(jobs)
+            if cache.meta(job.key(cache.code_version)) is None
+        ]
     results, service_manifest = serve_requests(
         [jobs], cache=cache, policy=_sweep_policy(args),
-        service=ServiceConfig(shards=args.shards),
+        service=ServiceConfig(shards=args.shards), metrics=registry,
     )
+    if registry is not None:
+        _write_metrics(args, registry, results[0], fresh)
     rows = [r for r in results[0] if not isinstance(r, JobFailure)]
     failures = [r for r in results[0] if isinstance(r, JobFailure)]
     for failure in failures:
@@ -582,7 +626,9 @@ def cmd_bench(args) -> int:
             f"speedup {entry['speedup']:.2f}x"
         )
     print(f"min speedup: {report['min_speedup']:.2f}x")
-    volta = report["full_volta"]
+    # Below Volta scale the report pins a separate full-Volta run; at
+    # it, the tpc_channel workload already is that run.
+    volta = report.get("full_volta") or report["workloads"]["tpc_channel"]
     print(
         f"active @ full Volta: "
         f"{volta['active_cycles_per_s']:,.0f} cycles/s"
@@ -617,69 +663,29 @@ def cmd_bench(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    """Run an instrumented sweep and emit its metrics.
+    """Fold metrics manifests and render them as Prometheus text.
 
-    Runs a small supervised fig10-style sweep with ``metrics_enabled``
-    (engine self-profiling) so one command demonstrates the whole
-    metrics plane: supervision counters, engine profiles merged across
-    fresh jobs, Prometheus text on stdout and — with ``--json`` — the
-    mergeable JSON manifest.  ``--merge`` skips the sweep and instead
-    folds previously written manifest files (worker shards) into one
-    exposition.
+    Each ``--merge`` file is a manifest written by a sweep's (or
+    ``chaos``'s) ``--metrics``; counters sum, gauges keep their
+    high-water mark and samplers merge, so worker or run shards fold
+    into one exposition on stdout.  ``--json`` also writes the folded
+    manifest.
     """
     import json as _json
 
     from .metrics import MetricsRegistry, render_manifest_prometheus
 
     registry = MetricsRegistry()
-    ok = True
-    if args.merge:
-        for path in args.merge:
-            with open(path, "r", encoding="utf-8") as handle:
-                registry.merge_manifest(_json.load(handle))
-    else:
-        from .config import SweepSupervision
-        from .runner import SimJob, merge_metrics, run_supervised
-
-        config = _config(args).replace(metrics_enabled=True)
-        jobs = [
-            SimJob(
-                fn="repro.runner.workloads.fig10_point",
-                config=config,
-                params={
-                    "kind": "tpc",
-                    "iteration_count": count,
-                    "bits_per_channel": args.bits,
-                    "seed": 3021 + index,
-                },
-            )
-            for index, count in enumerate(args.iterations)
-        ]
-        renderer = _progress_renderer(args, "metrics", len(jobs))
-        try:
-            outcome = run_supervised(
-                jobs, workers=args.workers,
-                policy=SweepSupervision.from_env(),
-                progress=renderer.progress if renderer else None,
-                on_event=renderer.on_event if renderer else None,
-                metrics=registry,
-            )
-        finally:
-            if renderer is not None:
-                renderer.close()
-        ok = outcome.ok
-        engine = merge_metrics(outcome.results, fresh=outcome.fresh)
-        if engine is not None:
-            registry.merge_manifest(engine)
-        for failure in outcome.failures:
-            print(f"FAILED {failure}", file=sys.stderr)
+    for path in args.merge:
+        with open(path, "r", encoding="utf-8") as handle:
+            registry.merge_manifest(_json.load(handle))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             _json.dump(registry.to_manifest(), handle, indent=2,
                        sort_keys=True)
         print(f"wrote {args.json}", file=sys.stderr)
     sys.stdout.write(render_manifest_prometheus(registry.to_manifest()))
-    return 0 if ok else 1
+    return 0
 
 
 def cmd_trace(args) -> int:
@@ -1068,6 +1074,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--retries", type=int, default=None, metavar="N",
             help="extra attempts per failed job, with exponential backoff",
         )
+        sweep.add_argument(
+            "--metrics", default=None, metavar="FILE",
+            help="profile the sweep's jobs (metrics_enabled) and write its "
+                 "mergeable metrics manifest as JSON: supervision, store "
+                 "and fresh-job engine-profile counters (fold with "
+                 "'metrics --merge').  metrics_enabled is part of the "
+                 "config, so profiled points key separately in the store",
+        )
 
     for sweep in (fig10, table2, linkchan):
         sweep.add_argument(
@@ -1128,25 +1142,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics = sub.add_parser(
         "metrics",
-        help="run an instrumented sweep and emit Prometheus text plus "
-             "an optional JSON metrics manifest",
+        help="fold metrics manifests written by a sweep's --metrics and "
+             "render them as Prometheus text",
     )
-    metrics.add_argument("--iterations", type=int, nargs="+",
-                         default=[1, 2, 3],
-                         help="fig10-style iteration counts to sweep")
-    metrics.add_argument("--bits", type=int, default=8,
-                         help="payload bits per sweep point")
-    metrics.add_argument("--workers", type=int, default=None,
-                         help="supervised worker processes")
-    metrics.add_argument("--json", default=None, metavar="FILE",
-                         help="also write the mergeable JSON manifest")
     metrics.add_argument(
-        "--merge", nargs="+", default=None, metavar="FILE",
-        help="skip the sweep; merge these manifest files (shards) and "
-             "render the combined exposition",
+        "--merge", nargs="+", required=True, metavar="FILE",
+        help="manifest files (shards) to fold into one exposition",
     )
-    metrics.add_argument("--progress", action="store_true",
-                         help="live sweep progress on stderr")
+    metrics.add_argument("--json", default=None, metavar="FILE",
+                         help="also write the folded JSON manifest")
 
     trace = sub.add_parser(
         "trace",

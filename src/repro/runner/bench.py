@@ -16,13 +16,14 @@ Two representative workloads are measured:
 * ``fig9_sync`` — the Figure 9 synchronised latency trace, whose idle
   guard slots between symbols are where fast-forward pays off most.
 
-The report also carries a ``"full_volta"`` block (active-strategy
-throughput pinned at the Table-1 V100 scale), a ``"telemetry"`` section
-(tracing overhead), a
-``"metrics"`` section (sampled engine self-profiling overhead; <2%
-budget) and a ``"supervision"`` section (fault-tolerant runner overhead
-on a clean sweep, serial in-process execution vs per-job supervision;
-must stay <5%).
+Below the Table-1 V100 scale the report also carries a ``"full_volta"``
+block (active-strategy throughput pinned at that scale; at it,
+``workloads.tpc_channel`` already is that figure).  It always carries a
+``"telemetry"`` section (tracing overhead) and a ``"metrics"`` section
+(sampled engine self-profiling overhead; <2% budget), both measured
+against one shared off baseline, and a ``"supervision"`` section
+(fault-tolerant runner overhead on a clean sweep, serial in-process
+execution vs per-job supervision; must stay <5%).
 
 Every bench run also appends a trajectory record to
 ``BENCH_history.jsonl`` (see :mod:`repro.metrics.history`); ``python -m
@@ -87,80 +88,51 @@ def _time_strategy(
     return elapsed, cycles, fingerprint
 
 
-def _bench_telemetry(config: GpuConfig, num_bits: int) -> Dict[str, Any]:
-    """Measure the telemetry subsystem's overhead on the channel workload.
+def _bench_observability(
+    config: GpuConfig, num_bits: int
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Measure the telemetry and metrics planes' overhead on the channel.
 
-    Runs the TPC channel (active strategy) with telemetry off and on,
-    asserts the channel results are bit-identical — observability must
-    never perturb the model — and reports the wall-clock overhead of the
-    enabled instrumentation.
+    Runs the TPC channel (active strategy) once with both planes off and
+    once with each plane on, asserts each enabled run is bit-identical
+    to the shared off baseline — observability must never perturb the
+    model, and the engine profiler only *reads* scheduler state — and
+    returns the ``(telemetry, metrics)`` sections with each plane's
+    wall-clock overhead.  The metrics budget is <2% (``budget_frac``);
+    the measured ``overhead_frac`` is recorded for the history trail
+    rather than hard-asserted, since sub-second wall clocks are noisy on
+    shared CI hosts.
     """
-    base = config.replace(engine_strategy="active")
+    base = config.replace(telemetry_enabled=False, metrics_enabled=False)
     off_s, off_cycles, off_fp = _time_strategy(
-        _tpc_channel, base.replace(telemetry_enabled=False),
-        "active", num_bits
+        _tpc_channel, base, "active", num_bits
     )
-    on_s, on_cycles, on_fp = _time_strategy(
-        _tpc_channel, base.replace(telemetry_enabled=True),
-        "active", num_bits
-    )
-    assert off_fp == on_fp, (
-        "telemetry-enabled run diverged from the telemetry-off baseline"
-    )
-    assert off_cycles == on_cycles, (
-        f"cycle counts diverged with telemetry on "
-        f"({off_cycles} vs {on_cycles})"
-    )
-    overhead = (on_s - off_s) / off_s if off_s > 0 else 0.0
-    return {
-        "workload": "tpc_channel",
-        "disabled_wall_s": round(off_s, 4),
-        "enabled_wall_s": round(on_s, 4),
-        "overhead_frac": round(overhead, 4),
-        "identical": True,
-        "cycles": off_cycles,
-    }
 
+    def enabled_leg(plane: str, **flags: bool) -> Dict[str, Any]:
+        on_s, on_cycles, on_fp = _time_strategy(
+            _tpc_channel, base.replace(**flags), "active", num_bits
+        )
+        assert off_fp == on_fp, (
+            f"{plane}-enabled run diverged from the {plane}-off baseline"
+        )
+        assert off_cycles == on_cycles, (
+            f"cycle counts diverged with {plane} on "
+            f"({off_cycles} vs {on_cycles})"
+        )
+        overhead = (on_s - off_s) / off_s if off_s > 0 else 0.0
+        return {
+            "workload": "tpc_channel",
+            "disabled_wall_s": round(off_s, 4),
+            "enabled_wall_s": round(on_s, 4),
+            "overhead_frac": round(overhead, 4),
+            "identical": True,
+            "cycles": off_cycles,
+        }
 
-def _bench_metrics(config: GpuConfig, num_bits: int) -> Dict[str, Any]:
-    """Measure the metrics plane's overhead on the channel workload.
-
-    Runs the TPC channel with ``metrics_enabled`` off and on under the
-    active strategy, asserts the channel results are bit-identical — the
-    engine profiler only *reads* scheduler state — and reports the
-    wall-clock overhead of sampled self-profiling.  The budget is <2%
-    (``budget_frac``); the measured ``overhead_frac`` is recorded for
-    the history trail rather than hard-asserted, since sub-second wall
-    clocks are noisy on shared CI hosts.
-    """
-    strategy = "active"
-    base = config.replace(engine_strategy=strategy)
-    off_s, off_cycles, off_fp = _time_strategy(
-        _tpc_channel, base.replace(metrics_enabled=False),
-        strategy, num_bits
-    )
-    on_s, on_cycles, on_fp = _time_strategy(
-        _tpc_channel, base.replace(metrics_enabled=True),
-        strategy, num_bits
-    )
-    assert off_fp == on_fp, (
-        "metrics-enabled run diverged from the metrics-off baseline"
-    )
-    assert off_cycles == on_cycles, (
-        f"cycle counts diverged with metrics on "
-        f"({off_cycles} vs {on_cycles})"
-    )
-    overhead = (on_s - off_s) / off_s if off_s > 0 else 0.0
-    return {
-        "workload": "tpc_channel",
-        "strategy": strategy,
-        "disabled_wall_s": round(off_s, 4),
-        "enabled_wall_s": round(on_s, 4),
-        "overhead_frac": round(overhead, 4),
-        "budget_frac": 0.02,
-        "identical": True,
-        "cycles": off_cycles,
-    }
+    telemetry = enabled_leg("telemetry", telemetry_enabled=True)
+    metrics = enabled_leg("metrics", metrics_enabled=True)
+    metrics.update(strategy="active", budget_frac=0.02)
+    return telemetry, metrics
 
 
 def _bench_supervision(config: GpuConfig, num_bits: int) -> Dict[str, Any]:
@@ -213,42 +185,20 @@ def _bench_supervision(config: GpuConfig, num_bits: int) -> Dict[str, Any]:
     }
 
 
-def _bench_full_volta(
-    config: GpuConfig,
-    num_bits: int,
-    report: Dict[str, Any],
-) -> Dict[str, Any]:
-    """Pin the active strategy's throughput at the Table-1 V100 scale.
-
-    The block records that scale explicitly even when the bench itself
-    ran at another ``--scale``.  When the bench config already is
-    full-Volta the measured workload entry is reused instead of
-    re-simulated.
-    """
-    block: Dict[str, Any] = {
+def _bench_full_volta(num_bits: int) -> Dict[str, Any]:
+    """Pin the active strategy's throughput at the Table-1 V100 scale."""
+    active_s, cycles, _ = _time_strategy(
+        _tpc_channel, VOLTA_V100, "active", num_bits
+    )
+    return {
         "num_sms": VOLTA_V100.num_sms,
         "num_l2_slices": VOLTA_V100.num_l2_slices,
         "workload": "tpc_channel",
         "num_bits": num_bits,
+        "cycles": cycles,
+        "active_wall_s": round(active_s, 4),
+        "active_cycles_per_s": round(cycles / active_s, 1),
     }
-    at_volta = (
-        config.num_sms == VOLTA_V100.num_sms
-        and config.num_l2_slices == VOLTA_V100.num_l2_slices
-    )
-    entry = report["workloads"].get("tpc_channel")
-    if at_volta and entry is not None:
-        for key in ("cycles", "active_wall_s", "active_cycles_per_s"):
-            block[key] = entry[key]
-        return block
-    active_s, cycles, _ = _time_strategy(
-        _tpc_channel, VOLTA_V100, "active", num_bits
-    )
-    block.update(
-        cycles=cycles,
-        active_wall_s=round(active_s, 4),
-        active_cycles_per_s=round(cycles / active_s, 1),
-    )
-    return block
 
 
 def bench_engine(
@@ -310,12 +260,17 @@ def bench_engine(
             entry["active_cycles_per_s"] = round(cycles / active_s, 1)
         report["workloads"][name] = entry
     report["min_speedup"] = round(min(speedups), 3)
-    phase("full_volta")
-    report["full_volta"] = _bench_full_volta(config, num_bits, report)
-    phase("telemetry")
-    report["telemetry"] = _bench_telemetry(config, num_bits)
-    phase("metrics")
-    report["metrics"] = _bench_metrics(config, num_bits)
+    at_volta = (
+        config.num_sms == VOLTA_V100.num_sms
+        and config.num_l2_slices == VOLTA_V100.num_l2_slices
+    )
+    if not at_volta:
+        phase("full_volta")
+        report["full_volta"] = _bench_full_volta(num_bits)
+    phase("telemetry+metrics")
+    report["telemetry"], report["metrics"] = _bench_observability(
+        config, num_bits
+    )
     phase("supervision")
     report["supervision"] = _bench_supervision(config, num_bits)
     if output is not None:

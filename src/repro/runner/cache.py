@@ -74,6 +74,37 @@ def _env_int(name: str) -> Optional[int]:
 
 _code_version: Optional[str] = None
 
+#: Per source tree: the stat fingerprint last hashed, and its version.
+_tree_versions: Dict[Path, Tuple[Tuple[Tuple[str, int, int], ...], str]] = {}
+
+
+def source_version(root: Path) -> str:
+    """Hash of every ``.py`` file under ``root``, rehashed only on change.
+
+    Each call stats the tree; the files are read and hashed again only
+    when the ``(relative path, st_mtime_ns, st_size)`` fingerprint
+    differs from the one last hashed for ``root``.  So an in-process
+    source edit is still caught, while an unchanged tree costs a
+    directory walk instead of a read of every file.
+    """
+    paths = sorted(root.rglob("*.py"))
+    fingerprint = tuple(
+        (path.relative_to(root).as_posix(), stat.st_mtime_ns, stat.st_size)
+        for path, stat in ((path, path.stat()) for path in paths)
+    )
+    memo = _tree_versions.get(root)
+    if memo is not None and memo[0] == fingerprint:
+        return memo[1]
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\x00")
+        digest.update(path.read_bytes())
+        digest.update(b"\x00")
+    version = digest.hexdigest()[:16]
+    _tree_versions[root] = (fingerprint, version)
+    return version
+
 
 def code_version(refresh: bool = False) -> str:
     """Hash of every ``.py`` file in the ``repro`` package (memoised).
@@ -84,20 +115,14 @@ def code_version(refresh: bool = False) -> str:
 
     The memo exists because sweeps compute thousands of keys; it goes
     stale if the source tree changes while the process lives (a notebook
-    kernel spanning an edit/reload cycle).  ``refresh=True`` rehashes the
-    tree and replaces the memo — :class:`ResultCache` does this once per
-    construction, so every new cache sees the code that is on disk *now*.
+    kernel spanning an edit/reload cycle).  ``refresh=True`` checks the
+    tree again through :func:`source_version` and replaces the memo —
+    :class:`ResultCache` does this once per construction, so every new
+    cache sees the code that is on disk *now*.
     """
     global _code_version
     if _code_version is None or refresh:
-        package_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
-            digest.update(path.relative_to(package_root).as_posix().encode())
-            digest.update(b"\x00")
-            digest.update(path.read_bytes())
-            digest.update(b"\x00")
-        _code_version = digest.hexdigest()[:16]
+        _code_version = source_version(Path(__file__).resolve().parent.parent)
     return _code_version
 
 

@@ -583,8 +583,7 @@ def run_supervised(
         m_quarantined.inc(len(quarantines))
 
     if metrics is None:
-        # No caller-owned registry: make the sweep visible process-wide
-        # (``python -m repro metrics`` reads the default registry).
+        # No caller-owned registry: make the sweep visible process-wide.
         get_registry().merge(registry)
 
     return SweepOutcome(

@@ -246,42 +246,47 @@ class TestGoldenCommand:
 
 
 class TestMetricsCommand:
+    """A sweep's ``--metrics`` manifest, folded by ``metrics --merge``."""
+
     @pytest.fixture(autouse=True)
     def _isolated_dirs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "sweeps"))
         self.tmp_path = tmp_path
+        self.path = tmp_path / "metrics.json"
 
     def _manifest(self, capsys):
-        import json
-
-        path = self.tmp_path / "metrics.json"
         assert main(
-            ["metrics", "--iterations", "1", "--bits", "4",
-             "--json", str(path)]
+            ["fig10", "--iterations", "1", "--bits", "4",
+             "--metrics", str(self.path)]
         ) == 0
-        return json.loads(path.read_text()), capsys.readouterr().out
+        capsys.readouterr()
+        return json.loads(self.path.read_text())
 
     def test_sweep_emits_prometheus_and_manifest(self, capsys):
-        payload, out = self._manifest(capsys)
+        payload = self._manifest(capsys)
+        assert main(["metrics", "--merge", str(self.path)]) == 0
+        out = capsys.readouterr().out
         assert "# TYPE sweep_jobs_total counter" in out
         assert 'sweep_jobs_total{state="completed"} 1' in out
         # Engine self-profiles from the fresh job fold into the output.
         assert "engine_profile_samples_total" in out
-        assert "Infinity" not in self.tmp_path.joinpath(
-            "metrics.json"
-        ).read_text()
+        assert "Infinity" not in self.path.read_text()
         families = payload["metrics"]
         assert families["sweep_jobs_total"]["kind"] == "counter"
         assert families["sweep_worker_lifetime_seconds"]["kind"] == "sampler"
         assert "engine_fast_forward_span_cycles" in families
 
     def test_merge_doubles_shard_counters(self, capsys):
-        self._manifest(capsys)  # writes metrics.json, drains capsys
-        shard = str(self.tmp_path / "metrics.json")
+        self._manifest(capsys)
+        shard = str(self.path)
         assert main(["metrics", "--merge", shard, shard]) == 0
         out = capsys.readouterr().out
         assert 'sweep_jobs_total{state="completed"} 2' in out
+
+    def test_merge_is_required(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["metrics"])
 
 
 class TestBenchHistoryCommand:
@@ -333,6 +338,68 @@ class TestBenchHistoryCommand:
         assert "skipped" in capsys.readouterr().out.lower()
 
 
+class TestBenchReport:
+    """``bench`` report shape, timed on instant fake workloads."""
+
+    @pytest.fixture(autouse=True)
+    def _fake_workloads(self, monkeypatch):
+        from repro.runner import bench
+
+        self.runs = []
+
+        def fake(config, num_bits):
+            self.runs.append(config)
+            return 100, ("received", num_bits)
+
+        monkeypatch.setattr(bench, "_tpc_channel", fake)
+        monkeypatch.setattr(
+            bench, "_WORKLOADS", {"tpc_channel": fake, "fig9_sync": fake}
+        )
+        monkeypatch.setattr(bench, "_bench_supervision", lambda *_: {})
+
+    def test_volta_report_has_no_separate_full_volta_run(self, capsys):
+        from repro.config import VOLTA_V100
+        from repro.runner import bench_engine
+
+        report = bench_engine(VOLTA_V100, num_bits=2, output=None)
+        assert "full_volta" not in report
+        # Two strategies per workload, then one shared off leg and one
+        # leg per observability plane.
+        assert len(self.runs) == 2 * 2 + 3
+        assert main(["bench", "--no-output", "--no-history"]) == 0
+        assert "active @ full Volta:" in capsys.readouterr().out
+
+    def test_smaller_scale_pins_a_full_volta_run(self):
+        from repro.config import VOLTA_V100, small_config
+        from repro.runner import bench_engine
+
+        report = bench_engine(small_config(), num_bits=2, output=None)
+        assert report["full_volta"]["num_sms"] == VOLTA_V100.num_sms
+        assert VOLTA_V100 in self.runs
+
+    def test_planes_share_one_off_leg(self):
+        from repro.config import small_config
+        from repro.runner import bench_engine
+
+        report = bench_engine(small_config(), num_bits=2, output=None)
+        telemetry, metrics = report["telemetry"], report["metrics"]
+        assert telemetry["disabled_wall_s"] == metrics["disabled_wall_s"]
+        assert telemetry["identical"] and metrics["identical"]
+        assert sum(c.telemetry_enabled for c in self.runs) == 1
+        assert sum(c.metrics_enabled for c in self.runs) == 1
+
+    def test_perturbing_plane_fails_the_identity_assert(self, monkeypatch):
+        from repro.config import small_config
+        from repro.runner import bench
+
+        def perturbed(config, num_bits):
+            return 100, ("received", config.metrics_enabled)
+
+        monkeypatch.setattr(bench, "_tpc_channel", perturbed)
+        with pytest.raises(AssertionError, match="metrics-enabled run"):
+            bench.bench_engine(small_config(), num_bits=2, output=None)
+
+
 class TestServeCommand:
     """``serve`` end to end, with jobs run in-process on the shards."""
 
@@ -371,6 +438,30 @@ class TestServeCommand:
         assert warm["service"]["dispatched"] == 0
         assert warm["service"]["cache_hit"] == 2
         assert warm["answers"] == cold["answers"]
+
+    def test_fig10_and_serve_share_store_entries(self, monkeypatch,
+                                                 capsys):
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(self.tmp_path / "j"))
+        assert main(["fig10", *self.GRID]) == 0
+        code, manifest = self._serve()
+        assert code == 0
+        assert manifest["service"]["dispatched"] == 0
+        assert manifest["service"]["cache_hit"] == len(manifest["grid"])
+
+    def test_metrics_manifest_adds_service_and_store_counters(self):
+        path = self.tmp_path / "metrics.json"
+        code, _ = self._serve("--metrics", str(path))
+        assert code == 0
+        families = json.loads(path.read_text())["metrics"]
+
+        def value(name, **labels):
+            (series,) = [s for s in families[name]["series"]
+                         if s["labels"] == labels]
+            return series["value"]
+
+        assert value("service_jobs_total", state="dispatched") == 2
+        assert value("cache_ops_total", op="put") == 2
+        assert "engine_profile_samples_total" in families
 
     def test_queries_file(self):
         queries = self.tmp_path / "queries.json"

@@ -355,6 +355,38 @@ class TestCodeVersionRefresh:
         assert cache.code_version == real
         assert code_version() == real  # the module memo was replaced too
 
+    def test_unchanged_tree_reads_no_file_on_refresh(self, tmp_path,
+                                                     monkeypatch):
+        from pathlib import Path
+
+        from repro.runner.cache import source_version
+
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "a.py").write_text("A = 1\n")
+        (tmp_path / "pkg" / "b.py").write_text("B = 2\n")
+        version = source_version(tmp_path)
+
+        def no_read(path):
+            raise AssertionError(f"re-read {path} of an unchanged tree")
+
+        monkeypatch.setattr(Path, "read_bytes", no_read)
+        assert source_version(tmp_path) == version
+
+    def test_touched_file_changes_the_version(self, tmp_path):
+        import os
+
+        from repro.runner.cache import source_version
+
+        source = tmp_path / "a.py"
+        source.write_text("A = 1\n")
+        stat = source.stat()
+        version = source_version(tmp_path)
+        # Same size and mtime would hide the edit; the fingerprint
+        # differs here in mtime only.
+        source.write_text("A = 2\n")
+        os.utime(source, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+        assert source_version(tmp_path) != version
+
     def test_keys_use_the_cache_pinned_version(self, tmp_path, monkeypatch):
         import repro.runner.cache as cache_mod
 
