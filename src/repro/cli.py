@@ -79,6 +79,25 @@ DEFAULT_SCALE = "small"
 COMMAND_SCALES = {"bench": "volta"}
 
 
+def _at_least(kind, low, strict=False):
+    """Argparse ``type``: a ``kind`` number ``>= low`` (``> low`` if strict)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            bound = "greater than" if strict else "at least"
+            raise argparse.ArgumentTypeError(
+                f"must be {bound} {low}, got {text}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
+
+
+_POSITIVE_INT = _at_least(int, 1)
+
+
 def _config(args) -> GpuConfig:
     config = SCALES[args.scale]()
     if getattr(args, "validate", False):
@@ -339,8 +358,6 @@ def _print_sweep_latency(rows) -> None:
 
 def cmd_linkchan(args) -> int:
     """NVLink-channel sweep over a multi-GPU fabric (fig10-style)."""
-    import json as _json
-
     from .runner import SimJob
 
     config = _config(args)
@@ -367,20 +384,6 @@ def cmd_linkchan(args) -> int:
          for r in rows],
     ))
     _print_sweep_latency(rows)
-    if args.json:
-        manifest = {
-            "scale": args.scale,
-            "topology": args.topology,
-            "devices": args.devices,
-            "link_width": args.link_width,
-            "link_latency": args.link_latency,
-            "bits": args.bits,
-            "points": rows,
-            "failures": len(failures),
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(manifest, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
     return 1 if failures else 0
 
 
@@ -986,24 +989,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--panel", choices=("tpc", "multi-tpc", "gpc", "multi-gpc"),
         default="tpc",
     )
-    fig10.add_argument("--iterations", type=int, nargs="+",
+    fig10.add_argument("--iterations", type=_POSITIVE_INT, nargs="+",
                        default=[1, 2, 3, 4, 5])
-    fig10.add_argument("--bits", type=int, default=12)
+    fig10.add_argument("--bits", type=_POSITIVE_INT, default=12)
 
     table2 = sub.add_parser("table2", help="measured channel summary")
-    table2.add_argument("--bits", type=int, default=10)
+    table2.add_argument("--bits", type=_POSITIVE_INT, default=10)
 
     linkchan = sub.add_parser(
         "linkchan",
         help="NVLink-class inter-GPU covert channel sweep "
              "(multi-device fabric; bw vs error per iteration count)",
     )
-    linkchan.add_argument("--iterations", type=int, nargs="+",
+    linkchan.add_argument("--iterations", type=_POSITIVE_INT, nargs="+",
                           default=[1, 2, 3],
                           help="sender/receiver memory ops per bit slot")
-    linkchan.add_argument("--bits", type=int, default=16,
+    linkchan.add_argument("--bits", type=_POSITIVE_INT, default=16,
                           help="payload bits per sweep point")
-    linkchan.add_argument("--devices", type=int, default=2,
+    linkchan.add_argument("--devices", type=_at_least(int, 2), default=2,
                           help="GPUs in the fabric (attacker is device 0)")
     linkchan.add_argument(
         "--topology", choices=("ring", "full", "switch"), default="ring",
@@ -1013,10 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="link bandwidth in flits/cycle")
     linkchan.add_argument("--link-latency", type=int, default=150,
                           help="one-way link flight time in cycles")
-    linkchan.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="write the sweep manifest (points + fabric shape) as JSON",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -1027,10 +1026,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--panel", choices=("tpc", "multi-tpc", "gpc", "multi-gpc"),
         default="tpc",
     )
-    serve.add_argument("--iterations", type=int, nargs="+",
+    serve.add_argument("--iterations", type=_POSITIVE_INT, nargs="+",
                        default=[1, 2, 4],
                        help="swept iteration counts (the surface grid)")
-    serve.add_argument("--bits", type=int, default=8,
+    serve.add_argument("--bits", type=_POSITIVE_INT, default=8,
                        help="payload bits per sweep point")
     serve.add_argument(
         "--queries", default=None, metavar="FILE",
@@ -1042,7 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="answers manifest output (default: serve-answers.json)",
     )
     serve.add_argument(
-        "--shards", type=int, default=ServiceConfig.shards,
+        "--shards", type=_POSITIVE_INT, default=ServiceConfig.shards,
         help="service shard workers (default: %(default)s)",
     )
     serve.add_argument(
@@ -1066,12 +1065,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="bypass the on-disk result cache (.repro_cache)",
         )
         sweep.add_argument(
-            "--timeout", type=float, default=None, metavar="SECONDS",
+            "--timeout", type=_at_least(float, 0.0, strict=True),
+            default=None, metavar="SECONDS",
             help="per-job wall-clock budget; a worker exceeding it is "
                  "killed and the job retried",
         )
         sweep.add_argument(
-            "--retries", type=int, default=None, metavar="N",
+            "--retries", type=_at_least(int, 0), default=None, metavar="N",
             help="extra attempts per failed job, with exponential backoff",
         )
         sweep.add_argument(
@@ -1113,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="time the naive vs active-set engine strategies"
     )
-    bench.add_argument("--bits", type=int, default=24,
+    bench.add_argument("--bits", type=_POSITIVE_INT, default=24,
                        help="symbols per benchmark workload")
     bench.add_argument("--output", default="BENCH_engine.json",
                        help="report file (default: BENCH_engine.json)")
@@ -1162,7 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--out", default="trace.json",
                        help="output file (Chrome trace-event JSON)")
-    trace.add_argument("--bits", type=int, default=16,
+    trace.add_argument("--bits", type=_POSITIVE_INT, default=16,
                        help="payload bits for fig9/transmit")
     trace.add_argument("--ops", type=int, default=8,
                        help="accesses per kernel for fig2/fig5")

@@ -20,7 +20,7 @@ It is the public entry point for every experiment::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..config import GpuConfig, VOLTA_V100
 from ..noc.arbiter import make_policy
@@ -365,79 +365,19 @@ class GpuDevice:
         if self.remote_reply_mux is not None:
             engine.register(self.remote_reply_mux)
         engine.register_all(self.reply_distributors)
-        self._wire_wakes()
         if config.engine_strategy == "active":
             self._wire_active()
 
-    def _wire_wakes(self) -> None:
-        """Connect every queue to its consumer's wake-up hook.
-
-        This is what lets the engine's active-set scheduler park idle
-        components: a component with empty inputs sleeps until the queue
-        an upstream component pushes into wakes it.  Warp completions
-        additionally wake the thread-block scheduler (retirement /
-        promotion / dispatch are all downstream of a warp finishing).
-        """
-        config = self.config
-        members = config.gpc_members()
-        for tpc in range(config.num_tpcs):
-            mux_wake = self.tpc_muxes[tpc].wake
-            for sm in config.tpc_sms(tpc):
-                self.inject_queues[sm].on_push = mux_wake
-        for gpc in range(config.num_gpcs):
-            mux_wake = self.gpc_muxes[gpc].wake
-            for tpc in members[gpc]:
-                self.tpc_queues[tpc].on_push = mux_wake
-        for queue in self.gpc_queues:
-            queue.on_push = self.request_xbar.wake
-        for s in range(config.num_l2_slices):
-            self.l2_request_queues[s].on_push = self.l2_slices[s].wake
-        if config.reply_voq:
-            for voqs in self.l2_reply_voqs:
-                for gpc, queue in enumerate(voqs[: config.num_gpcs]):
-                    queue.on_push = self.reply_muxes[gpc].wake
-        else:
-            for voqs in self.l2_reply_voqs:
-                voqs[0].on_push = self.reply_muxes[0].wake
-        if self.remote_reply_mux is not None:
-            mux_wake = self.remote_reply_mux.wake
-            for voqs in self.l2_reply_voqs:
-                voqs[self._remote_voq_index].on_push = mux_wake
-        for gpc in range(config.num_gpcs):
-            self.gpc_reply_queues[gpc].on_push = (
-                self.reply_distributors[gpc].wake
-            )
-        for sm in self.sms:
-            sm.on_warp_done = self.scheduler.wake
-
     def _wire_active(self) -> None:
-        """Active-strategy fast paths: sparse ticks and fabric wakes.
+        """Switch the muxes and crossbars to their sparse ticks.
 
-        Switches the mux tiers and crossbars to their sparse live-input
-        ticks (which park while every live head is blocked on output
-        space) and wakes blocked SMs when the shared fabric egress queue
-        frees space.  The wiring is the same whatever observers
-        (tracer, invariant checker, profiler) are attached, so validated
-        and traced runs execute the production tick path.  ``naive``
-        devices keep the scalar ticks as the reference the lockstep
-        oracle compares these against, digest for digest.
+        The sparse ticks park while every live head is blocked on output
+        space; the queues wake them (:mod:`repro.noc.buffer`).  The same
+        whatever observers are attached, so validated and traced runs
+        execute the production tick path.  ``naive`` devices keep the
+        scalar ticks as the reference the lockstep oracle compares
+        these against, digest for digest.
         """
-        if self.fabric_inject is not None:
-            # Every SM of the device injects into the fabric egress
-            # queue, so it has no single producer; freed space wakes the
-            # SMs whose LSU is blocked (on this queue or on anything
-            # else: an extra tick of a blocked SM is a no-op).  Each SM's
-            # own inject queue wakes it through the producer protocol.
-            sms = self.sms
-
-            def _wake_sms() -> None:
-                for sm in sms:
-                    if sm._blocked:
-                        sm._blocked = False
-                        sm.wake()
-
-            self.fabric_inject.on_space = _wake_sms
-
         for mux in self.tpc_muxes:
             mux._sparse = True
         for mux in self.gpc_muxes:

@@ -43,6 +43,7 @@ class L2Slice(Component):
         self.name = f"l2s{slice_id}"
         self.config = config
         self.request_queue = request_queue
+        request_queue.attach_consumer(self)
         # Virtual output queues: one reply queue per destination GPC, so a
         # reply bound for a congested GPC never head-of-line-blocks
         # replies bound elsewhere (single-FIFO replies would couple every
@@ -166,8 +167,8 @@ class L2Slice(Component):
 
         A nonempty pipeline whose head is already due means the reply
         queue is backpressuring — stay active and retry every cycle.
-        New requests wake the slice via the request queue's push hook;
-        DRAM fills via :meth:`dram_complete`.
+        New requests wake the slice through the request queue it
+        consumes; DRAM fills through :meth:`dram_complete`.
         """
         if self.request_queue or self._mshr_ready:
             return None

@@ -47,6 +47,7 @@ class GpcReplyDistributor(Component):
         self.name = f"gpc{gpc_id}.reply"
         self.config = config
         self.input_queue = input_queue
+        input_queue.attach_consumer(self)
         self.deliver = deliver
         self.stats = stats
         self._member_tpcs = set(member_tpcs)

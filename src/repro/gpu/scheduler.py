@@ -54,6 +54,8 @@ class ThreadBlockScheduler(Component):
     ) -> None:
         self.config = config
         self.sms = sms
+        for sm in sms:
+            sm.on_warp_done = self.wake
         self.streams: List[Stream] = []
         self._order = dispatch_order(config)
         #: Blocks resident on each SM (block -> freed when done).

@@ -121,8 +121,8 @@ class StreamingMultiprocessor(Component):
         self._noise = config.timing_noise
         self._noise_seed = (config.seed << 8) ^ 0x5A17 ^ sm_id ^ (seed_salt << 20)
         self._rng = random.Random(self._noise_seed)
-        #: Hook fired when a warp finishes (wired by the device to wake
-        #: the thread-block scheduler so it can retire/promote/dispatch).
+        #: Hook fired when a warp finishes (set by the thread-block
+        #: scheduler to its own wake, so it can retire/promote/dispatch).
         self.on_warp_done: Optional[Callable[[], None]] = None
         #: Round-trip latency histogram (fixed buckets, percentile
         #: queries) alongside the sampler's running aggregates.
@@ -139,12 +139,13 @@ class StreamingMultiprocessor(Component):
         #: True when this tick's last issue attempt was refused (queue
         #: full or out of credits); cleared whenever the LSU runs.  A
         #: blocked LSU parks reactively instead of retrying every cycle:
-        #: a pop of the injection queue (whose producer this SM is), of
-        #: the fabric egress queue, or a reply returning credits wakes
-        #: it.  The retry ticks it skips are state-preserving no-ops, so
-        #: skipping them is cycle-exact.
+        #: a pop of a queue it produces into (its injection queue, the
+        #: fabric egress queue) or a reply returning credits wakes it.
+        #: The retry ticks it skips are state-preserving no-ops.
         self._blocked = False
         inject_queue.attach_producer(self)
+        if remote_queue is not None:
+            remote_queue.attach_producer(self)
 
     def attach_telemetry(self, hub) -> None:
         """Opt this SM into flit-lifecycle event tracing."""

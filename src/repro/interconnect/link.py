@@ -40,9 +40,10 @@ class LinkPipe(Component):
     name:
         Trace name, e.g. ``"link0-1"``.
     tx, rx:
-        Boundary queues.  The pipe pops ``tx`` and commits into ``rx``;
-        it is the sole caller of ``rx.reserve``/``rx.commit`` and the RX
-        queue's producer, so a credit stall parks it until RX pops.
+        Boundary queues.  The pipe pops ``tx`` and commits into ``rx``:
+        it is the TX queue's consumer, woken by every commit, and the RX
+        queue's producer (the sole caller of ``rx.reserve``/``rx.commit``),
+        so a credit stall parks it until RX pops.
     width:
         Flits accepted per cycle (link bandwidth).
     latency:
@@ -71,6 +72,7 @@ class LinkPipe(Component):
         #: Set on a credit stall (the far RX has no room for the TX
         #: head); the RX queue's next pop clears it and wakes the pipe.
         self._blocked = False
+        tx.attach_consumer(self)
         rx.attach_producer(self)
 
     def attach_telemetry(self, hub) -> None:
@@ -165,6 +167,7 @@ class FabricIngress(Component):
         self.name = name
         self.queue = queue
         self.device = device
+        queue.attach_consumer(self)
 
     def tick(self, cycle: int) -> None:
         queue = self.queue

@@ -171,20 +171,6 @@ class MultiGpuSystem:
         self.engine.register_all(self.link_pipes)
         self.engine.register_all(self.ingress)
 
-        # Reactive wake wiring (the active strategy parks idle
-        # fabric components; these hooks un-park them on new input).
-        for node, router in enumerate(self.routers):
-            if node < topo.num_devices:
-                device = self.devices[node]
-                device.fabric_inject.on_push = router.wake
-                device.fabric_reply.on_push = router.wake
-        for edge, pipe in zip(topo.links, self.link_pipes):
-            self._tx[edge].on_push = pipe.wake
-            self._rx[edge].on_push = self.routers[edge[1]].wake
-            # Space wakes need no wiring: each router and pipe registered
-            # as the producer of the queues it fills.
-        for d in range(topo.num_devices):
-            self.delivery_queues[d].on_push = self.ingress[d].wake
         if config.engine_strategy == "active":
             # Sparse live-input ticks, which also park a router while
             # every live head waits for a credit-stalled TX queue;

@@ -7,26 +7,28 @@ reserve/commit semantics: space for a whole packet is reserved when its
 first flit is transmitted (virtual cut-through), the packet object is
 enqueued when its last flit arrives, and the space is released on pop.
 
-A queue may also have one consuming switch (a :class:`LiveInputs`
-subclass: :class:`~repro.noc.mux.Mux` or
-:class:`~repro.noc.crossbar.Crossbar`).  The queue then tells that switch
-whenever its head packet changes — empty to nonempty on ``commit``, a new
-head or empty on ``pop``, empty on ``clear`` — so the switch keeps its
-nonempty input ports as a live list instead of rescanning every input on
-every tick.
+The queue is also what wakes the components around it, which register
+with it when they are built.  Its one consumer (a switch, an L2 slice, a
+reply distributor, a link pipe or a fabric ingress shim) is woken by
+every ``commit``.  A consuming switch (a :class:`LiveInputs` subclass:
+:class:`~repro.noc.mux.Mux` or :class:`~repro.noc.crossbar.Crossbar`)
+registers with its input port and is also told whenever the head packet
+changes — empty to nonempty on ``commit``, a new head or empty on
+``pop``, empty on ``clear`` — so it keeps its nonempty input ports as a
+live list instead of rescanning every input on every tick.
 
-A queue may likewise have one producer: the component that fills it (a
-switch, an SM, a link pipe).  A producer that found no room for any of
-its packets sets its ``_blocked`` flag and parks; the next ``pop`` —
-the only event that frees space — clears the flag and wakes it.  An
-unblocked producer is never woken by a pop.
+Its producers are the components that fill it (a switch, an SM, a link
+pipe; every SM of a device fills the shared fabric egress queue).  A
+producer that found no room for any of its packets sets its ``_blocked``
+flag and parks; the next ``pop`` — the only event that frees space —
+clears the flag and wakes it.  An unblocked producer is never woken.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Deque, List, Optional
 
 from .packet import Packet
 
@@ -35,8 +37,8 @@ class PacketQueue:
     """FIFO of packets with a flit-capacity bound."""
 
     __slots__ = ("name", "capacity_flits", "_queue", "_used_flits",
-                 "_reserved_flits", "on_push", "on_space", "meter",
-                 "_consumer", "_port", "_producer")
+                 "_reserved_flits", "meter", "_consumer", "_switch",
+                 "_port", "_producer", "_more_producers")
 
     def __init__(self, name: str, capacity_flits: int) -> None:
         if capacity_flits <= 0:
@@ -46,52 +48,50 @@ class PacketQueue:
         self._queue: Deque[Packet] = deque()
         self._used_flits = 0
         self._reserved_flits = 0
-        #: Optional hook fired when a packet lands in the queue.  The
-        #: device wires it to the consuming component's ``wake`` so the
-        #: engine's active-set scheduler learns about new work.
-        self.on_push: Optional[Callable[[], None]] = None
-        #: Optional hook fired when a pop frees space, for a queue shared
-        #: by several producers (the fabric egress queue every SM of a
-        #: device injects into); a queue with one producer uses
-        #: :meth:`attach_producer` instead.
-        self.on_space: Optional[Callable[[], None]] = None
         #: Optional telemetry occupancy meter (``QueueMeter``); stays
         #: ``None`` unless the device enables telemetry.
         self.meter = None
-        #: The switch this queue feeds and its input port there (see
-        #: :meth:`attach_consumer`); ``None`` for queues no switch reads.
-        self._consumer: Optional["LiveInputs"] = None
+        #: The component this queue feeds (see :meth:`attach_consumer`);
+        #: ``None`` for queues nothing drains.
+        self._consumer = None
+        #: The consumer again if it is a switch, and its input port there.
+        self._switch: Optional["LiveInputs"] = None
         self._port = -1
-        #: The component that fills this queue (see
-        #: :meth:`attach_producer`); ``None`` when no one registered.
+        #: The components that fill this queue (see :meth:`attach_producer`):
+        #: the first, which ``pop`` checks without a loop (most queues
+        #: have one), then the others in registration order.
         self._producer = None
+        self._more_producers: tuple = ()
 
-    def attach_consumer(self, switch: "LiveInputs", port: int) -> None:
-        """Make ``switch`` the one consumer told about head changes.
+    def attach_consumer(self, component, port: Optional[int] = None) -> None:
+        """Make ``component`` the one consumer every ``commit`` wakes.
 
-        A queue has exactly one consumer: a second registration would
-        silently leave the first switch's live list stale, so it raises.
+        A switch passes its input ``port`` and is also told about head
+        changes.  A second registration would leave the first consumer
+        unwoken, so it raises.
         """
         if self._consumer is not None:
+            where = "" if self._switch is None else f" port {self._port}"
             raise ValueError(
                 f"{self.name}: already consumed by "
-                f"{self._consumer.name} port {self._port}"
+                f"{self._consumer.name}{where}"
             )
-        self._consumer = switch
-        self._port = port
+        self._consumer = component
+        if port is not None:
+            self._switch = component
+            self._port = port
 
     def attach_producer(self, component) -> None:
-        """Make ``component`` the one producer woken when space frees.
+        """Add ``component`` to the producers woken when space frees.
 
         ``component`` has a ``_blocked`` flag, which it sets when a tick
-        found no room for any of its packets.  A second registration
-        would leave the first producer parked forever, so it raises.
+        found no room for any of its packets.  A pop wakes every blocked
+        producer, in registration order.
         """
-        if self._producer is not None:
-            raise ValueError(
-                f"{self.name}: already produced by {self._producer.name}"
-            )
-        self._producer = component
+        if self._producer is None:
+            self._producer = component
+        else:
+            self._more_producers += (component,)
 
     # -- capacity ------------------------------------------------------ #
     @property
@@ -126,12 +126,13 @@ class PacketQueue:
         self._used_flits += packet.flits
         queue = self._queue
         queue.append(packet)
-        if self._consumer is not None and len(queue) == 1:
-            self._consumer._note_head(self._port, packet)
+        if self._switch is not None and len(queue) == 1:
+            self._switch._note_head(self._port, packet)
         if self.meter is not None:
             self.meter.note(self._used_flits)
-        if self.on_push is not None:
-            self.on_push()
+        consumer = self._consumer
+        if consumer is not None:
+            consumer.wake()
 
     def push(self, packet: Packet) -> bool:
         """Reserve-and-commit in one step; False if there is no room."""
@@ -149,14 +150,17 @@ class PacketQueue:
         queue = self._queue
         packet = queue.popleft()
         self._used_flits -= packet.flits
-        if self._consumer is not None:
-            self._consumer._note_head(self._port, queue[0] if queue else None)
+        if self._switch is not None:
+            self._switch._note_head(self._port, queue[0] if queue else None)
         producer = self._producer
         if producer is not None and producer._blocked:
             producer._blocked = False
             producer.wake()
-        if self.on_space is not None:
-            self.on_space()
+        if self._more_producers:
+            for producer in self._more_producers:
+                if producer._blocked:
+                    producer._blocked = False
+                    producer.wake()
         return packet
 
     def __len__(self) -> int:
@@ -173,8 +177,8 @@ class PacketQueue:
         epoch peak would keep reporting pre-clear occupancy after an
         engine reset.  A consuming switch is told the queue went empty.
         """
-        if self._consumer is not None and self._queue:
-            self._consumer._note_head(self._port, None)
+        if self._switch is not None and self._queue:
+            self._switch._note_head(self._port, None)
         self._queue.clear()
         self._used_flits = 0
         self._reserved_flits = 0

@@ -303,8 +303,9 @@ class Crossbar(LiveInputs, Component):
 
         That is when every input queue is empty, or when the sparse tick
         found every live head blocked on space at its routed output
-        (``_blocked``).  An input's push hook or an output's pop (which
-        wakes its blocked producer) ends the wait.
+        (``_blocked``).  A commit to an input (which wakes the queue's
+        consumer) or an output's pop (which wakes its blocked producer)
+        ends the wait.
         """
         return FOREVER if self._blocked or not self._live else None
 

@@ -260,7 +260,7 @@ class Mux(LiveInputs, Component):
         That is when every input queue is empty, or when the sparse tick
         found every live head blocked on output space (``_blocked``).
         A blocked tick is a no-op, and only two events end the wait: a
-        new head on an input, whose push hook wakes the mux, and a pop
+        commit to an input, which wakes the queue's consumer, and a pop
         of the output, which wakes its blocked producer.
         """
         return FOREVER if self._blocked or not self._live else None

@@ -27,8 +27,10 @@ settled end-of-cycle state, that audits:
   leave that derived state out;
 * **park consistency** — under the ``active`` strategy a switch the
   engine has parked holds no head that could move: every live port is
-  unreserved and its head exceeds its routed output's free space, so a
-  lost wake-up is caught at the first audit after it happens.
+  unreserved and its head exceeds its routed output's free space, and a
+  parked non-switch consumer holds input only with a timer pending or
+  its ``_blocked`` flag set, so a lost wake-up is caught at the first
+  audit after it happens.
 
 Violations raise a structured :class:`InvariantViolation` naming the
 cycle, the component, and the failed invariant.  The checker never
@@ -86,7 +88,8 @@ class InvariantChecker(Component):
     which wires a fabric-boundary checker into a
     :class:`~repro.interconnect.MultiGpuSystem`; or construct directly
     and call :meth:`watch_queue` / :meth:`watch_switch` /
-    :meth:`watch_link` for bare-component tests.
+    :meth:`watch_link` / :meth:`watch_consumer` for bare-component
+    tests.
     """
 
     name = "validate.checker"
@@ -98,6 +101,7 @@ class InvariantChecker(Component):
         self.queues: List[PacketQueue] = []
         self.switches: List = []  # Mux and Crossbar instances
         self.links: List = []  # LinkPipe-shaped credit holders
+        self.consumers: List[Tuple[Component, PacketQueue]] = []
         #: request uid -> (inject cycle, kind, flits) for in-flight packets.
         self._in_flight: Dict[int, Tuple[int, str, int]] = {}
         self.injected = 0
@@ -138,6 +142,10 @@ class InvariantChecker(Component):
         checker.watch_switch(device.request_xbar)
         for switch in device.reply_muxes:
             checker.watch_switch(switch)
+        for l2_slice in device.l2_slices:
+            checker.watch_consumer(l2_slice, l2_slice.request_queue)
+        for distributor in device.reply_distributors:
+            checker.watch_consumer(distributor, distributor.input_queue)
         for sm in device.sms:
             sm._validator = checker
         device._validator = checker
@@ -187,6 +195,9 @@ class InvariantChecker(Component):
             checker.watch_switch(router)
         for pipe in system.link_pipes:
             checker.watch_link(pipe)
+            checker.watch_consumer(pipe, pipe.tx)
+        for ingress in system.ingress:
+            checker.watch_consumer(ingress, ingress.queue)
         system._validator = checker
         system.engine.register(checker)
         return checker
@@ -211,6 +222,10 @@ class InvariantChecker(Component):
         ):
             raise TypeError(f"cannot audit {type(pipe).__name__} as a link")
         self.links.append(pipe)
+
+    def watch_consumer(self, component: Component, queue: PacketQueue) -> None:
+        """Audit that non-switch ``component`` never parks on ``queue``'s input."""
+        self.consumers.append((component, queue))
 
     # ------------------------------------------------------------------ #
     # Conservation hooks (called from SM inject / device deliver).
@@ -294,6 +309,9 @@ class InvariantChecker(Component):
                 expected_reserved[key] = expected_reserved.get(key, 0) + flits
         for queue in self.queues:
             self._audit_queue(cycle, queue, expected_reserved.get(id(queue), 0))
+        for component, queue in self.consumers:
+            if queue:
+                self._audit_parked_consumer(cycle, component, queue)
 
     def _audit_switch(self, cycle: int, switch) -> None:
         progress = switch._progress
@@ -372,6 +390,26 @@ class InvariantChecker(Component):
                     f"flits, {output.name} has {output.free_flits} free; "
                     f"lost wake-up?)"
                 )
+
+    def _audit_parked_consumer(
+        self, cycle: int, component: Component, queue: PacketQueue
+    ) -> None:
+        """Parked on input with no timer and not blocked: a lost wake-up."""
+        engine = component._engine
+        if engine is None or engine.strategy != "active":
+            return
+        index = component._engine_index
+        if (
+            index in engine._active
+            or engine._timer_at[index] is not None
+            or getattr(component, "_blocked", False)
+        ):
+            return
+        self._raise(
+            cycle, component.name, "park-consistency",
+            f"parked with {len(queue)} packet(s) in {queue.name}, no "
+            f"pending timer and not blocked (lost wake-up?)"
+        )
 
     def _audit_link(self, cycle: int, pipe) -> None:
         """Sanity of a link pipe's in-flight window.

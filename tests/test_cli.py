@@ -27,6 +27,45 @@ class TestParser:
         assert args.iterations == [2, 4]
 
 
+class TestNumericArguments:
+    """Out-of-range numbers are argparse errors, before any job exists."""
+
+    @pytest.fixture(autouse=True)
+    def _no_jobs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "sweeps"))
+        monkeypatch.chdir(tmp_path)
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep was started")
+
+        monkeypatch.setattr("repro.cli._run_sweep", no_sweep)
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--shards", "0"],
+        ["fig10", "--iterations", "2", "0"],
+        ["fig10", "--bits", "0"],
+        ["fig10", "--timeout", "0"],
+        ["fig10", "--retries", "-1"],
+        ["linkchan", "--devices", "1"],
+    ], ids=["shards", "iterations", "bits", "timeout", "retries", "devices"])
+    def test_rejected_with_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[1]}: must be" in capsys.readouterr().err
+
+    def test_boundary_values_parse(self):
+        args = build_parser().parse_args(
+            ["linkchan", "--devices", "2", "--iterations", "1", "--bits",
+             "1", "--timeout", "0.5", "--retries", "0"]
+        )
+        assert (args.devices, args.iterations, args.bits) == (2, [1], 1)
+        assert (args.timeout, args.retries) == (0.5, 0)
+        assert build_parser().parse_args(
+            ["serve", "--shards", "1"]).shards == 1
+
+
 class TestCommands:
     def test_info(self, capsys):
         assert main(["info"]) == 0

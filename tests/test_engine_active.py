@@ -143,7 +143,7 @@ class TestActiveWiring:
             [mux._sparse for mux in device.gpc_muxes],
             [mux._sparse for mux in device.reply_muxes],
             device.request_xbar._sparse,
-            [device.sms.index(queue._producer)
+            [(device.sms.index(queue._producer), queue._more_producers)
              for queue in device.inject_queues],
         )
 
@@ -165,7 +165,7 @@ class TestActiveWiring:
         assert all(tpc + gpc + reply) and xbar
         # Each SM is its own inject queue's producer, woken by a pop
         # when blocked.
-        assert producers == list(range(len(producers)))
+        assert producers == [(sm, ()) for sm in range(len(producers))]
         assert wiring == plain
 
     def test_naive_keeps_the_scalar_reference(self):
@@ -173,7 +173,12 @@ class TestActiveWiring:
         switches = device.tpc_muxes + device.gpc_muxes + device.reply_muxes
         assert not any(switch._sparse for switch in switches)
         assert not device.request_xbar._sparse
-        assert all(queue.on_space is None for queue in device.inject_queues)
+        # The wake protocol is the same for both strategies: each SM is
+        # its own inject queue's only producer.
+        assert [
+            (queue._producer, queue._more_producers)
+            for queue in device.inject_queues
+        ] == [(sm, ()) for sm in device.sms]
 
 
 class TestFastForward:

@@ -98,7 +98,7 @@ class TestReservations:
 
 
 class TestConsumer:
-    """The one switch a queue tells about head changes (its live list)."""
+    """The one component a commit wakes; a switch also tracks heads."""
 
     def _mux(self, name, inputs):
         return Mux(name, inputs, PacketQueue(f"{name}.out", 16), width=1,
@@ -133,6 +133,19 @@ class TestConsumer:
         queues[0].clear()
         assert mux._live == [] and mux._heads == [None, None, None]
 
+    def test_commit_wakes_a_portless_consumer(self):
+        queue = PacketQueue("q", 8)
+        consumer = _StubComponent()
+        queue.attach_consumer(consumer)
+        queue.push(make_packet(2))
+        queue.push(make_packet(2))
+        assert consumer.wakes == 2
+        queue.pop()  # a pop frees space: it wakes producers, not consumers
+        queue.clear()
+        assert consumer.wakes == 2
+        with pytest.raises(ValueError, match="consumed by stub$"):
+            queue.attach_consumer(_StubComponent())
+
     def test_consumer_built_over_nonempty_queues(self):
         queue = PacketQueue("q", 8)
         packet = make_packet(3)
@@ -165,7 +178,7 @@ def _pipe_into(output):
                     width=1, latency=1)
 
 
-class _StubProducer:
+class _StubComponent:
     name = "stub"
 
     def __init__(self):
@@ -177,31 +190,33 @@ class _StubProducer:
 
 
 class TestProducer:
-    """The one component a queue wakes when a pop frees space."""
+    """The components a queue wakes when a pop frees space."""
 
     @pytest.mark.parametrize("build", [
         _mux_into, _crossbar_into, _sm_into, _pipe_into,
     ], ids=["mux", "crossbar", "sm", "link-pipe"])
-    def test_second_producer_rejected(self, build):
+    def test_producers_register_in_build_order(self, build):
         shared = PacketQueue("shared", 8)
         first = build(shared)
-        with pytest.raises(ValueError, match=f"produced by {first.name}"):
-            build(shared)
+        second = build(shared)
         assert shared._producer is first
+        assert shared._more_producers == (second,)
 
-    def test_pop_wakes_only_a_blocked_producer(self):
+    def test_pop_wakes_only_blocked_producers(self):
         queue = PacketQueue("q", 8)
-        producer = _StubProducer()
-        queue.attach_producer(producer)
+        first, second = _StubComponent(), _StubComponent()
+        queue.attach_producer(first)
+        queue.attach_producer(second)
         for _ in range(3):
             queue.push(make_packet(2))
         queue.pop()
-        assert producer.wakes == 0
-        producer._blocked = True
+        assert first.wakes == second.wakes == 0
+        second._blocked = True
         queue.pop()
-        assert producer.wakes == 1 and not producer._blocked
+        assert (first.wakes, second.wakes) == (0, 1)
+        assert not second._blocked
         queue.pop()  # the flag was cleared: no second wake
-        assert producer.wakes == 1
+        assert (first.wakes, second.wakes) == (0, 1)
 
     @pytest.mark.parametrize("build", [_mux_into, _crossbar_into],
                              ids=["mux", "crossbar"])
@@ -210,7 +225,6 @@ class TestProducer:
         switch = build(output)
         switch._sparse = True
         (queue,) = switch.inputs
-        queue.on_push = switch.wake
         engine = Engine([switch], strategy="active")
         output.push(make_packet(3))  # one free flit left
         queue.push(make_packet(2))

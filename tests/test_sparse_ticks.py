@@ -93,7 +93,7 @@ class _Sink(Component):
         self.every = every
         self.log = []
         for queue in queues:
-            queue.on_push = self.wake
+            queue.attach_consumer(self)
 
     def tick(self, cycle):
         if cycle % self.every:
@@ -166,8 +166,6 @@ def _mux_builder(policy_name, num_inputs, width, output_flits):
         mux.attach_telemetry(hub)
         if sparse:
             mux._sparse = True
-            for queue in inputs:
-                queue.on_push = mux.wake
         source = _Source(inputs, seed=11, num_outputs=1)
         meter = _LiveMeter(inputs)
         sink = _Sink([output])
@@ -233,8 +231,6 @@ def _crossbar_builder(policy_name, width=1, input_width=2):
         xbar.attach_telemetry(hub)
         if sparse:
             xbar._sparse = True
-            for queue in inputs:
-                queue.on_push = xbar.wake
         source = _Source(inputs, seed=13, num_outputs=len(outputs))
         sink = _Sink(outputs)
         engine = Engine([source, xbar, sink],

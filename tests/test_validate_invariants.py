@@ -12,7 +12,7 @@ from repro.noc.arbiter import make_policy
 from repro.noc.buffer import PacketQueue
 from repro.noc.mux import Mux
 from repro.noc.packet import Packet, READ, WRITE
-from repro.sim.engine import Engine
+from repro.sim.engine import FOREVER, Component, Engine
 from repro.validate import InvariantChecker, InvariantViolation
 
 
@@ -129,8 +129,9 @@ def _bare_switch_rig(skip_commit_at=None, strategy="naive"):
 
     ``skip_commit_at`` drops the Nth (0-based) ``commit`` on the output
     queue — the classic lost-flit bug the checker exists to catch.  An
-    ``active`` rig runs the mux's sparse tick with its push wake wired,
-    so the mux parks exactly as it does inside a device.
+    ``active`` rig runs the mux's sparse tick (its input queue wakes it,
+    as every consumer), so the mux parks exactly as it does inside a
+    device.
     """
     engine = Engine(strategy=strategy)
     in_q = PacketQueue("rig.in", 32)
@@ -146,7 +147,6 @@ def _bare_switch_rig(skip_commit_at=None, strategy="naive"):
     checker.watch_switch(mux)
     if strategy == "active":
         mux._sparse = True
-        in_q.on_push = mux.wake
     engine.register(mux)
     engine.register(checker)
     return engine, in_q, out_q, mux, checker
@@ -248,6 +248,48 @@ class TestFaultInjection:
         engine.step(8)
         assert not in_q and out_q.head().flits == 4
         assert checker.checks_run == 16 and checker.violations == 0
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_parked_consumer_holding_input(self, blocked):
+        engine = Engine(strategy="active")
+        queue = PacketQueue("drain.in", 8)
+        drain = engine.register(_Drain(queue))
+        checker = InvariantChecker()
+        checker.watch_consumer(drain, queue)
+        engine.register(checker)
+        engine.step(2)
+        assert drain._engine_index not in engine._active  # parked, empty
+        queue.push(Packet(kind=READ, address=0, flits=1, src_sm=0,
+                          slice_id=0, birth_cycle=0))
+        assert drain._engine_index in engine._active  # the commit woke it
+        engine._active.discard(drain._engine_index)  # lose that wake
+        drain._blocked = blocked
+        if blocked:  # waiting on downstream space: a legitimate park
+            engine.step(1)
+            assert checker.violations == 0
+            return
+        with pytest.raises(InvariantViolation) as excinfo:
+            engine.step(1)
+        assert excinfo.value.kind == "park-consistency"
+        assert excinfo.value.component == "drain"
+
+
+class _Drain(Component):
+    """A portless consumer: pops its queue whenever it holds a packet."""
+
+    name = "drain"
+
+    def __init__(self, queue):
+        self.queue = queue
+        self._blocked = False
+        queue.attach_consumer(self)
+
+    def tick(self, cycle):
+        if self.queue:
+            self.queue.pop()
+
+    def idle_until(self, cycle):
+        return None if self.queue else FOREVER
 
 
 class TestConservationHooks:
