@@ -17,7 +17,8 @@ import time
 
 from repro import small_config
 from repro.analysis import format_table
-from repro.runner import ResultCache, SimJob, run_jobs
+from repro.config import SweepSupervision
+from repro.runner import ResultCache, SimJob, SweepError, run_supervised
 
 
 def main() -> None:
@@ -40,16 +41,18 @@ def main() -> None:
     cache = ResultCache()
     start = time.perf_counter()
     # Each point executes in its own supervised worker process: a crash,
-    # or a hang past timeout_s, is retried with backoff (up to `retries`
-    # extra attempts) instead of aborting the sweep, and every completed
-    # result is checkpointed write-through as it arrives.
-    rows = run_jobs(
+    # or a hang past timeout_s, is retried with backoff (up to
+    # max_attempts attempts in all) instead of aborting the sweep, and
+    # every completed result is checkpointed write-through as it arrives.
+    outcome = run_supervised(
         jobs,
         cache=cache,
-        timeout_s=600.0,
-        retries=2,
+        policy=SweepSupervision(timeout_s=600.0, max_attempts=3),
         progress=lambda done, total: print(f"  {done}/{total} points done"),
     )
+    if outcome.failures:
+        raise SweepError(outcome.failures, outcome.results)
+    rows = outcome.results
     elapsed = time.perf_counter() - start
 
     print(format_table(

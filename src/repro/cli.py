@@ -96,6 +96,17 @@ def _at_least(kind, low, strict=False):
 
 
 _POSITIVE_INT = _at_least(int, 1)
+_POSITIVE_FLOAT = _at_least(float, 0.0, strict=True)
+
+
+def _write_json(path, payload, stream=None) -> None:
+    """Write ``payload`` as indented, key-sorted JSON and say so on
+    ``stream`` (stdout by default)."""
+    import json as _json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        _json.dump(payload, handle, indent=2, sort_keys=True)
+    print(f"wrote {path}", file=stream)
 
 
 def _config(args) -> GpuConfig:
@@ -215,20 +226,6 @@ def _metrics_registry(args):
     return MetricsRegistry()
 
 
-def _write_metrics(args, registry, results, fresh) -> None:
-    """Fold the fresh jobs' engine profiles in and write ``--metrics``."""
-    import json as _json
-
-    from .runner import merge_metrics
-
-    engine = merge_metrics(results, fresh=fresh)
-    if engine is not None:
-        registry.merge_manifest(engine)
-    with open(args.metrics, "w", encoding="utf-8") as handle:
-        _json.dump(registry.to_manifest(), handle, indent=2, sort_keys=True)
-    print(f"wrote {args.metrics}")
-
-
 def _progress_renderer(args, name, total):
     """A live ``SweepProgress`` renderer when ``--progress`` was given."""
     if not args.progress:
@@ -259,8 +256,9 @@ def _run_sweep(args, jobs, name):
     ``.repro_sweeps/<name>.jsonl`` — and a rerun with ``--resume``
     replays them instead of re-simulating.  ``--progress`` attaches a
     live single-line renderer to the supervisor's event stream, and
-    ``--metrics`` writes the sweep's metrics manifest, failed jobs
-    included.
+    ``--metrics`` writes the sweep's metrics manifest — the store's
+    counters plus the supervisor's, engine profiles of the points run
+    fresh included.
     """
     from .runner import JobFailure, SweepError, run_supervised
     from .runner.journal import SweepJournal, default_journal_path
@@ -277,7 +275,6 @@ def _run_sweep(args, jobs, name):
                 resume=args.resume,
                 progress=renderer.progress if renderer else None,
                 on_event=renderer.on_event if renderer else None,
-                metrics=registry,
             )
     finally:
         if renderer is not None:
@@ -295,7 +292,8 @@ def _run_sweep(args, jobs, name):
     for failure in outcome.failures:
         print(f"FAILED {failure}", file=sys.stderr)
     if registry is not None:
-        _write_metrics(args, registry, outcome.results, outcome.fresh)
+        registry.merge_manifest(outcome.metrics)
+        _write_json(args.metrics, registry.to_manifest())
     if outcome.failures and not args.keep_going:
         raise SweepError(outcome.failures, outcome.results)
     rows = [r for r in outcome.results if not isinstance(r, JobFailure)]
@@ -390,11 +388,13 @@ def cmd_linkchan(args) -> int:
 def _serve_queries(path: Optional[str], grid: List[int]) -> List[dict]:
     """Load ``serve --queries`` as ``{"iterations": x, ...}`` mappings.
 
-    Each entry must be a number or an object with a numeric
-    ``"iterations"``; anything else raises ``ValueError`` naming it.
-    Without a file the queries are the swept grid itself.
+    Each entry must be a finite number or an object with a finite
+    numeric ``"iterations"``; anything else (``NaN`` and ``Infinity``
+    included) raises ``ValueError`` naming it.  Without a file the
+    queries are the swept grid itself.
     """
     import json as _json
+    import math
 
     if path is None:
         return [{"iterations": float(count)} for count in grid]
@@ -407,7 +407,10 @@ def _serve_queries(path: Optional[str], grid: List[int]) -> List[dict]:
         raise ValueError("--queries must be a JSON list")
 
     def numeric(value) -> bool:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return (
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
 
     queries = []
     for index, raw in enumerate(raw_queries):
@@ -418,7 +421,8 @@ def _serve_queries(path: Optional[str], grid: List[int]) -> List[dict]:
         else:
             raise ValueError(
                 f"--queries entry {index} ({_json.dumps(raw)}) must be a "
-                f"number or an object with a numeric \"iterations\""
+                f"finite number or an object with a finite numeric "
+                f"\"iterations\""
             )
     return queries
 
@@ -434,11 +438,9 @@ def cmd_serve(args) -> int:
     points.  The queries are validated before anything runs.  Answers
     plus service/cache counters land in the ``--answers`` JSON manifest,
     which is what the CI ``service-smoke`` job asserts on; ``--metrics``
-    adds the service and store counter families to the sweep's metrics
-    manifest.
+    writes the service, store and shard-supervision counter families and
+    the engine profiles of the points swept fresh.
     """
-    import json as _json
-
     from .runner import (
         CapacitySurface,
         JobFailure,
@@ -458,21 +460,12 @@ def cmd_serve(args) -> int:
             max_entries=args.cache_entries, max_bytes=args.cache_bytes,
             metrics=registry,
         )
-    jobs = _fig10_jobs(args)
-    fresh = None
-    if registry is not None and cache is not None:
-        # The service runs every job the store lacks; only those carry
-        # an engine profile of this run.
-        fresh = [
-            index for index, job in enumerate(jobs)
-            if cache.meta(job.key(cache.code_version)) is None
-        ]
     results, service_manifest = serve_requests(
-        [jobs], cache=cache, policy=_sweep_policy(args),
+        [_fig10_jobs(args)], cache=cache, policy=_sweep_policy(args),
         service=ServiceConfig(shards=args.shards), metrics=registry,
     )
     if registry is not None:
-        _write_metrics(args, registry, results[0], fresh)
+        _write_json(args.metrics, registry.to_manifest())
     rows = [r for r in results[0] if not isinstance(r, JobFailure)]
     failures = [r for r in results[0] if isinstance(r, JobFailure)]
     for failure in failures:
@@ -514,9 +507,7 @@ def cmd_serve(args) -> int:
         "failures": [failure.to_dict() for failure in failures],
     }
     if args.answers:
-        with open(args.answers, "w", encoding="utf-8") as handle:
-            _json.dump(manifest, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.answers}")
+        _write_json(args.answers, manifest)
     return 1 if failures else 0
 
 
@@ -565,13 +556,14 @@ def cmd_table2(args) -> int:
     return 1 if failures else 0
 
 
-def _bench_history(args, report) -> int:
+def _bench_history(args, report, append: bool = True) -> int:
     """Check the report against BENCH_history.jsonl, then append it.
 
     The check runs *before* the append so the baseline never includes
     the run under test.  Prints the advisory result; returns 3 when
     ``--check-history`` was given and a throughput fell more than the
-    threshold below its trailing median, 0 otherwise.
+    threshold below its trailing median, 0 otherwise.  ``append=False``
+    only checks (a re-checked report already appended itself).
     """
     from .metrics.history import (
         HISTORY_FILE,
@@ -582,12 +574,11 @@ def _bench_history(args, report) -> int:
 
     path = args.history_file or HISTORY_FILE
     check = check_history(report, path=path, scale=args.scale)
-    append_history(bench_record(report, scale=args.scale), path=path)
+    if append:
+        append_history(bench_record(report, scale=args.scale), path=path)
     for line in check.lines():
         print(line)
-    if args.check_history and not check.ok:
-        return 3
-    return 0
+    return 3 if args.check_history and not check.ok else 0
 
 
 def cmd_bench(args) -> int:
@@ -597,19 +588,9 @@ def cmd_bench(args) -> int:
 
     if args.from_report:
         # Re-check an existing report against the history without
-        # re-benchmarking (the CI warn-only step): no append, since the
-        # report's own run already appended itself.
-        from .metrics.history import HISTORY_FILE, check_history
-
+        # re-benchmarking (the CI warn-only step).
         with open(args.from_report, "r", encoding="utf-8") as handle:
-            report = _json.load(handle)
-        check = check_history(
-            report, path=args.history_file or HISTORY_FILE,
-            scale=args.scale,
-        )
-        for line in check.lines():
-            print(line)
-        return 3 if args.check_history and not check.ok else 0
+            return _bench_history(args, _json.load(handle), append=False)
 
     on_phase = None
     if args.progress:
@@ -683,10 +664,8 @@ def cmd_metrics(args) -> int:
         with open(path, "r", encoding="utf-8") as handle:
             registry.merge_manifest(_json.load(handle))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(registry.to_manifest(), handle, indent=2,
-                       sort_keys=True)
-        print(f"wrote {args.json}", file=sys.stderr)
+        # stderr: stdout carries the Prometheus text.
+        _write_json(args.json, registry.to_manifest(), stream=sys.stderr)
     sys.stdout.write(render_manifest_prometheus(registry.to_manifest()))
     return 0
 
@@ -736,7 +715,7 @@ def cmd_trace(args) -> int:
 def cmd_fuzz(args) -> int:
     from .validate import fuzz
 
-    runs = 6 if args.quick and args.runs is None else (args.runs or 25)
+    runs = args.runs if args.runs is not None else (6 if args.quick else 25)
 
     def report(case) -> None:
         status = "ok  " if case.ok else "FAIL"
@@ -770,8 +749,6 @@ def cmd_fuzz(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Fault-injection drill for the supervised sweep runner."""
-    import json as _json
-
     from .runner import run_chaos
     from .runner.chaos import FAULT_PLANS
 
@@ -781,7 +758,9 @@ def cmd_chaos(args) -> int:
             print(f"unknown fault kind {kind!r}; choose from "
                   f"{sorted(FAULT_PLANS)}", file=sys.stderr)
             return 2
-    num_jobs = 12 if args.quick and args.jobs is None else (args.jobs or 32)
+    num_jobs = args.jobs if args.jobs is not None else (
+        12 if args.quick else 32
+    )
     timeout = args.timeout if args.timeout is not None else (
         0.3 if args.quick else 0.5
     )
@@ -817,13 +796,9 @@ def cmd_chaos(args) -> int:
     for problem in report.problems:
         print(f"PROBLEM: {problem}", file=sys.stderr)
     if args.manifest:
-        with open(args.manifest, "w", encoding="utf-8") as handle:
-            _json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote {args.manifest}")
+        _write_json(args.manifest, report.to_dict())
     if args.metrics and report.metrics is not None:
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            _json.dump(report.metrics, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.metrics}")
+        _write_json(args.metrics, report.metrics)
     print("chaos drill: " + ("OK" if report.ok else "FAILED"))
     return 0 if report.ok else 1
 
@@ -924,16 +899,11 @@ def cmd_golden(args) -> int:
     for run in runs:
         print(run.report())
     if args.report:
-        import json as _json
-
-        payload = {
+        _write_json(args.report, {
             "scale": scale,
             "passed": not failed,
             "artifacts": [run.to_dict() for run in runs],
-        }
-        with open(args.report, "w", encoding="utf-8") as handle:
-            _json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.report}")
+        })
     print(
         f"{len(runs)} artifact(s) checked at scale {scale}: "
         f"{len(runs) - len(failed)} passed, {len(failed)} failed"
@@ -1065,8 +1035,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="bypass the on-disk result cache (.repro_cache)",
         )
         sweep.add_argument(
-            "--timeout", type=_at_least(float, 0.0, strict=True),
-            default=None, metavar="SECONDS",
+            "--timeout", type=_POSITIVE_FLOAT, default=None,
+            metavar="SECONDS",
             help="per-job wall-clock budget; a worker exceeding it is "
                  "killed and the job retried",
         )
@@ -1085,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sweep in (fig10, table2, linkchan):
         sweep.add_argument(
-            "--workers", type=int, default=None,
+            "--workers", type=_POSITIVE_INT, default=None,
             help="parallel supervised worker processes (default: one per "
                  "sweep point, capped at the CPU count)",
         )
@@ -1173,7 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="randomized integrity fuzzing (invariants + lockstep oracle)",
     )
-    fuzz.add_argument("--runs", type=int, default=None,
+    fuzz.add_argument("--runs", type=_POSITIVE_INT, default=None,
                       help="number of cases (default: 25, or 6 with --quick)")
     fuzz.add_argument("--seed", type=int, default=0,
                       help="first case seed (cases use seed..seed+runs-1)")
@@ -1195,7 +1165,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection drill: crash/hang/kill workers mid-sweep "
              "and verify supervision, resume and cache quarantine",
     )
-    chaos.add_argument("--jobs", type=int, default=None,
+    chaos.add_argument("--jobs", type=_POSITIVE_INT, default=None,
                        help="sweep size (default: 32, or 12 with --quick)")
     chaos.add_argument("--seed", type=int, default=0,
                        help="fault-placement seed")
@@ -1203,10 +1173,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", action="append", dest="kinds", metavar="KIND",
         help="inject only this fault kind (repeatable; default: all)",
     )
-    chaos.add_argument("--timeout", type=float, default=None,
+    chaos.add_argument("--timeout", type=_POSITIVE_FLOAT, default=None,
                        help="per-job supervision timeout in seconds "
                             "(default: 0.5, or 0.3 with --quick)")
-    chaos.add_argument("--workers", type=int, default=None,
+    chaos.add_argument("--workers", type=_POSITIVE_INT, default=None,
                        help="concurrent supervised workers")
     chaos.add_argument("--manifest", default="chaos-manifest.json",
                        metavar="FILE",
@@ -1250,7 +1220,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(check only; used to perturb and to replay reductions)",
     )
     golden.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_POSITIVE_INT, default=1,
         help="parallel worker processes per seed sweep (default: 1)",
     )
     golden.add_argument(

@@ -15,7 +15,9 @@ and aggregate across worker shards.
 Well-known families published by the runner stack:
 
 * ``sweep_jobs_total`` / ``sweep_attempts_total`` / ``sweep_retries_total``
-  — supervised sweep execution (:mod:`repro.runner.supervisor`);
+  — supervised sweep execution (:mod:`repro.runner.supervisor`), in
+  each sweep's own registry, returned as ``SweepOutcome.metrics`` with
+  the engine profiles of the jobs it ran fresh;
 * ``cache_ops_total{op=hit|miss|put|eviction}`` — the shared artifact
   store (:class:`repro.runner.cache.ResultCache`);
 * ``service_requests_total`` / ``service_jobs_total{state=...}`` /

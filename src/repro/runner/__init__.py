@@ -2,21 +2,25 @@
 
 Public surface::
 
-    from repro.runner import SimJob, run_jobs, ResultCache
+    from repro.runner import ResultCache, SimJob, SweepError, run_supervised
 
     jobs = [SimJob(fn="repro.runner.workloads.fig10_point",
                    config=cfg, params={"kind": "tpc", "iteration_count": n})
             for n in (1, 2, 3, 4, 5)]
-    rows = run_jobs(jobs, workers=4, cache=ResultCache())
+    outcome = run_supervised(jobs, workers=4, cache=ResultCache())
+    if outcome.failures:
+        raise SweepError(outcome.failures, outcome.results)
+    rows = outcome.results
 
-Every sweep runs under per-job supervision
-(:func:`~repro.runner.supervisor.run_supervised`): one worker process
+:func:`run_supervised` is the one sweep front door: one worker process
 per attempt, per-job timeouts, bounded retries with deterministic
-backoff, crash isolation, journal checkpointing and resume, tuned by
-keyword arguments on :func:`run_jobs`::
-
-    rows = run_jobs(jobs, cache=ResultCache(), timeout_s=300, retries=2,
-                    strict=False, journal="sweep.jsonl", resume=True)
+backoff (a :class:`~repro.config.SweepSupervision` ``policy``), crash
+isolation, and journal checkpointing and resume (a
+:class:`SweepJournal` plus ``resume=True``).  A job whose attempts run
+out is a :class:`JobFailure` in its slot; the caller decides whether
+that raises.  :attr:`SweepOutcome.metrics` is the sweep's metrics
+manifest — supervision counters plus the engine profiles of the jobs
+it ran fresh — and callers fold it into the registry they report from.
 
 The contract is drilled end-to-end by the chaos harness
 (:func:`repro.runner.chaos.run_chaos`, ``python -m repro chaos``).
@@ -54,11 +58,9 @@ __all__ = [
     "execute",
     "job_key",
     "load_journal",
-    "merge_metrics",
     "merge_telemetry",
     "resolve",
     "run_chaos",
-    "run_jobs",
     "run_supervised",
     "serve_requests",
 ]
@@ -70,10 +72,7 @@ __getattr__, __dir__ = lazy_exports(
         ".cache": ("ResultCache", "code_version", "job_key"),
         ".chaos": ("ChaosReport", "run_chaos"),
         ".journal": ("SweepJournal", "load_journal"),
-        ".runner": (
-            "SimJob", "execute", "merge_metrics", "merge_telemetry", "resolve",
-            "run_jobs",
-        ),
+        ".runner": ("SimJob", "execute", "merge_telemetry", "resolve"),
         ".service": ("ServiceError", "SweepService", "serve_requests"),
         ".supervisor": (
             "JobFailure", "SweepError", "SweepOutcome", "run_supervised",

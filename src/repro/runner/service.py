@@ -24,18 +24,23 @@ attempt under the full :class:`~repro.config.SweepSupervision` net
 killed mid-job is retried, not lost.  The pool starts with the first
 dispatch, so constructing a service starts no threads.
 
-All scheduler state (the in-flight map, the counters) and the artifact
-store are owned by the asyncio event-loop thread: a finished job settles
-through a done-callback on the loop, which does the store's single
-``put`` there.  Shard threads never touch the store (``run_supervised``
-gets ``cache=None``), so :class:`~repro.runner.cache.ResultCache`, whose
-counters are not thread-safe, needs no locking.  The store's
+All scheduler state (the in-flight map, the counters), the artifact
+store and the metrics registry are owned by the asyncio event-loop
+thread: a finished job settles through a done-callback on the loop,
+which does the store's single ``put`` there and folds the shard's
+:attr:`~repro.runner.supervisor.SweepOutcome.metrics` — its supervision
+counts and the engine profile of the job it ran — into the registry.
+Shard threads touch neither (``run_supervised`` gets ``cache=None`` and
+counts into a registry of its own), so
+:class:`~repro.runner.cache.ResultCache` and the registry, whose
+counters are not thread-safe, need no locking.  The store's
 write-through is the recovery path: a restarted service answers every
 point that settled before the restart as a cache hit.
 
 Service throughput/dedup counters land in the :mod:`repro.metrics`
 registry (``service_requests_total``, ``service_jobs_total{state=...}``)
-next to the artifact store's ``cache_ops_total`` family.
+next to the artifact store's ``cache_ops_total`` family and the shards'
+``sweep_*`` families.
 
 Synchronous callers (CLI, tests) use :func:`serve_requests`, which runs
 an event loop for the duration of a batch of requests::
@@ -84,7 +89,8 @@ class SweepService:
     service:
         Shape record (shard count); defaults to :class:`ServiceConfig`.
     metrics:
-        Registry for service counters (default: the process registry).
+        Registry for service counters and each shard's folded sweep
+        metrics (default: the process registry).
 
     Use as an async context manager, or await :meth:`close` explicitly.
     :meth:`submit` may be called from any number of tasks on the
@@ -225,27 +231,29 @@ class SweepService:
 
     # -- shard side ---------------------------------------------------- #
     def _run_one(self, job: Any) -> Any:
-        """Execute one job on a shard thread; returns result or JobFailure."""
-        outcome = run_supervised(
+        """Execute one job on a shard thread; returns its sweep outcome."""
+        return run_supervised(
             [job],
             workers=1,
             cache=None,  # the loop thread owns store reads/writes
             policy=self.policy,
-            metrics=self.registry,
         )
-        return outcome.results[0]
 
     def _settle(
         self, key: str, future: asyncio.Future, done: asyncio.Future
     ) -> None:
-        """Resolve a dispatched key: store, wake subscribers.
+        """Resolve a dispatched key: count, store, wake subscribers.
 
-        Runs as a done-callback on the loop thread, so the store put,
-        the in-flight map mutation and the future resolution are atomic
-        with respect to :meth:`submit` — a request observing the key
-        gone will find the artifact in the store.
+        Runs as a done-callback on the loop thread, so the metrics fold,
+        the store put, the in-flight map mutation and the future
+        resolution are atomic with respect to :meth:`submit` — a request
+        observing the key gone will find the artifact in the store.
         """
-        result = done.exception() or done.result()
+        result = done.exception()
+        if result is None:
+            outcome = done.result()
+            self.registry.merge_manifest(outcome.metrics)
+            result = outcome.results[0]
         if isinstance(result, (JobFailure, BaseException)):
             self._note("failed")
         else:

@@ -1,7 +1,8 @@
 """Supervised, fault-tolerant sweep execution.
 
-:func:`run_supervised` is the one sweep executor: ``run_jobs``, every
-CLI sweep and each shard of the sweep service run their jobs through it.  A plain process pool treats a sweep as an
+:func:`run_supervised` is the one sweep front door: every CLI sweep,
+the golden harness, the chaos drill and each shard of the sweep service
+run their jobs through it.  A plain process pool treats a sweep as an
 all-or-nothing batch — one worker exception aborts every sibling, a hung
 worker stalls the pool forever, and a crash (segfault, OOM kill,
 ``os._exit``) tears the pool down mid-flight.  This module instead
@@ -22,13 +23,17 @@ runs:
 * **Graceful degradation.**  A job whose attempts are exhausted becomes a
   structured :class:`JobFailure` *in the results list*; healthy jobs
   complete normally and the sweep returns a full failure manifest.
-  Strict callers (``run_jobs(..., strict=True)``, the default) get a
-  :class:`SweepError` at the end, after every healthy job has finished
-  and been checkpointed.
+  Strict callers raise :class:`SweepError` from the outcome's failures,
+  after every healthy job has finished and been checkpointed.
 * **Durable progress.**  With a :class:`~repro.runner.journal.SweepJournal`
   attached, every completed point is checkpointed as it arrives (and
   cache puts are write-through), so a crash or Ctrl-C costs only the
   points that were literally in flight.
+* **Fresh-only accounting.**  Each sweep counts its supervision events
+  into a registry of its own and folds in the engine profile
+  (``result["metrics"]``) of every job it ran fresh — never of a cache
+  hit, a journal replay or a failed slot — so :attr:`SweepOutcome.metrics`
+  is the sweep's whole manifest, for the caller to fold where it wants.
 
 The supervision state machine per job::
 
@@ -53,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..config import SweepSupervision
-from ..metrics.registry import MetricsRegistry, get_registry
+from ..metrics.registry import MetricsRegistry
 from .cache import ResultCache
 from .journal import SweepJournal
 
@@ -123,39 +128,22 @@ class SweepOutcome:
 
     ``results`` is in job order; failed slots hold :class:`JobFailure`
     instances.  ``counters`` aggregates supervision events (attempts,
-    retries, per-kind failures, cache/journal replays) and is folded into
-    the telemetry-style :meth:`manifest`.
+    retries, per-kind failures, cache/journal replays) as plain ints.
     """
 
     results: List[Any]
     failures: List[JobFailure]
     counters: Dict[str, int]
+    #: Labeled metrics manifest of the sweep (``repro.metrics`` shape):
+    #: its supervision counters plus the engine profiles of the jobs it
+    #: ran fresh.  Fold it with ``MetricsRegistry.merge_manifest``.
+    metrics: Dict[str, Any]
     quarantines: List[Dict[str, Any]] = field(default_factory=list)
     journal_path: Optional[str] = None
-    #: Indices of jobs that executed *fresh* this run and succeeded —
-    #: cache hits, journal replays and failed slots excluded.  Telemetry
-    #: and metrics aggregation over "fresh, healthy points" keys on this.
-    fresh: List[int] = field(default_factory=list)
-    #: Labeled metrics manifest of the sweep (``repro.metrics`` shape),
-    #: mergeable across shards via ``MetricsRegistry.merge_manifest``.
-    metrics: Optional[Dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def manifest(self) -> Dict[str, Any]:
-        """JSON-ready supervision summary (the failure manifest)."""
-        return {
-            "jobs": len(self.results),
-            "ok": self.ok,
-            "counters": dict(self.counters),
-            "fresh": len(self.fresh),
-            "failures": [failure.to_dict() for failure in self.failures],
-            "quarantines": list(self.quarantines),
-            "journal": self.journal_path,
-            "metrics": self.metrics,
-        }
 
 
 def backoff_delay(policy: SweepSupervision, key: str, attempt: int) -> float:
@@ -261,13 +249,12 @@ def run_supervised(
     resume: bool = False,
     mp_context=None,
     on_event: Optional[Callable[[str, Dict[str, Any]], None]] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> SweepOutcome:
     """Run a sweep under per-job supervision; never aborts on one job.
 
     Results come back in job order; a job whose attempts are exhausted
-    yields a :class:`JobFailure` in its slot (callers wanting a raise use
-    :func:`repro.runner.run_jobs` with ``strict=True``).  With a
+    yields a :class:`JobFailure` in its slot (callers wanting a raise
+    raise ``SweepError(outcome.failures, outcome.results)``).  With a
     ``journal``, completed points are checkpointed as they arrive and —
     with ``resume=True`` — points already completed by a previous run are
     replayed without execution.  Cache puts are write-through.  On
@@ -279,20 +266,18 @@ def run_supervised(
     ``ok``, ``fail``, ``cache-hit``, ``replay`` — each with a small info
     dict (``index``, plus ``attempt``/``retry``/``kind`` where they
     apply); :class:`repro.metrics.SweepProgress` plugs in here.  Labeled
-    supervision metrics are recorded into ``metrics`` when given; when
-    not, a private registry is used and folded into the process default
-    (:func:`repro.metrics.get_registry`) on completion, and the manifest
-    lands on :attr:`SweepOutcome.metrics` either way.
+    supervision metrics and the engine profiles of fresh jobs land in a
+    registry of the sweep's own, returned as :attr:`SweepOutcome.metrics`;
+    no other registry is written.
     """
     policy = policy or SweepSupervision.from_env()
     total = len(jobs)
     results: List[Any] = [None] * total
     failures: Dict[int, JobFailure] = {}
     counters: collections.Counter = collections.Counter()
-    fresh: List[int] = []
     done = 0
 
-    registry = metrics if metrics is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     m_completed = registry.counter("sweep_jobs_total", state="completed")
     m_failed = registry.counter("sweep_jobs_total", state="failed")
     m_cache_hit = registry.counter("sweep_jobs_total", state="cache_hit")
@@ -385,7 +370,8 @@ def run_supervised(
         if cache is not None:
             result = cache.put(attempt.key, result)
         results[attempt.index] = result
-        fresh.append(attempt.index)
+        if isinstance(result, dict) and result.get("metrics"):
+            registry.merge_manifest(result["metrics"])
         elapsed = time.monotonic() - attempt.started
         m_completed.inc()
         m_lifetime.add(elapsed)
@@ -582,16 +568,11 @@ def run_supervised(
         counters["quarantined"] = len(quarantines)
         m_quarantined.inc(len(quarantines))
 
-    if metrics is None:
-        # No caller-owned registry: make the sweep visible process-wide.
-        get_registry().merge(registry)
-
     return SweepOutcome(
         results=results,
         failures=[failures[index] for index in sorted(failures)],
         counters=dict(counters),
+        metrics=registry.to_manifest(),
         quarantines=quarantines,
         journal_path=str(journal.path) if journal is not None else None,
-        fresh=fresh,
-        metrics=registry.to_manifest(),
     )

@@ -1,11 +1,12 @@
 """Seed-sweep execution and evaluation of paper artifacts.
 
 ``run_artifact`` fans an artifact's seed sweep over
-:mod:`repro.runner` (multiprocessing + content-hash result cache, the
-same machinery the figure sweeps use), folds the per-seed metric dicts
-into ``{metric: [per-seed samples]}``, and ``check_artifact`` evaluates
-the artifact's expectations — and, when a committed golden exists, the
-statistical drift check — into one :class:`ArtifactRun` verdict.
+:func:`repro.runner.run_supervised` (supervised worker processes +
+content-hash result cache, the same machinery the figure sweeps use),
+folds the per-seed metric dicts into ``{metric: [per-seed samples]}``,
+and ``check_artifact`` evaluates the artifact's expectations — and,
+when a committed golden exists, the statistical drift check — into one
+:class:`ArtifactRun` verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..config import (
     medium_config,
     small_config,
 )
-from ..runner import ResultCache, SimJob, run_jobs
+from ..runner import ResultCache, SimJob, SweepError, run_supervised
 from .artifacts import Artifact, artifacts_for_scale, get_artifact
 from .expectations import ExpectationResult
 from .golden import (
@@ -96,7 +97,10 @@ def run_artifact(
         SimJob(fn=artifact.fn, config=base, params=job_params, seed=seed)
         for seed in sweep_seeds
     ]
-    rows = run_jobs(jobs, workers=workers, cache=cache)
+    outcome = run_supervised(jobs, workers=workers, cache=cache)
+    if outcome.failures:
+        raise SweepError(outcome.failures, outcome.results)
+    rows = outcome.results
     samples: Dict[str, List[Any]] = {}
     for row in rows:
         if not isinstance(row, dict):

@@ -63,11 +63,21 @@ def inline_service(monkeypatch):
     Replaces the service's ``run_supervised`` binding with a fake that
     calls :func:`repro.runner.execute` directly: no worker processes, so
     the scheduler property tests can run hundreds of jobs, and a job's
-    exception propagates to every subscriber of its key.
+    exception propagates to every subscriber of its key.  Like the real
+    outcome, the fake's ``metrics`` carries the engine profiles of the
+    jobs it ran.
     """
+    from repro.metrics import MetricsRegistry
     from repro.runner import execute, service
 
     def fake_run_supervised(jobs, **_kwargs):
-        return SimpleNamespace(results=[execute(job) for job in jobs])
+        results = [execute(job) for job in jobs]
+        registry = MetricsRegistry()
+        for result in results:
+            if isinstance(result, dict) and result.get("metrics"):
+                registry.merge_manifest(result["metrics"])
+        return SimpleNamespace(
+            results=results, metrics=registry.to_manifest()
+        )
 
     monkeypatch.setattr(service, "run_supervised", fake_run_supervised)

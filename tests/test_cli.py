@@ -39,7 +39,9 @@ class TestNumericArguments:
         def no_sweep(*args, **kwargs):
             raise AssertionError("a sweep was started")
 
-        monkeypatch.setattr("repro.cli._run_sweep", no_sweep)
+        for target in ("repro.cli._run_sweep", "repro.runner.run_chaos",
+                       "repro.validate.fuzz", "repro.testing.check_artifact"):
+            monkeypatch.setattr(target, no_sweep)
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--shards", "0"],
@@ -48,7 +50,18 @@ class TestNumericArguments:
         ["fig10", "--timeout", "0"],
         ["fig10", "--retries", "-1"],
         ["linkchan", "--devices", "1"],
-    ], ids=["shards", "iterations", "bits", "timeout", "retries", "devices"])
+        ["fig10", "--workers", "0"],
+        ["table2", "--workers", "-1"],
+        ["linkchan", "--workers", "0"],
+        ["golden", "--workers", "0", "check"],
+        ["chaos", "--workers", "0"],
+        ["chaos", "--jobs", "0"],
+        ["chaos", "--timeout", "0"],
+        ["fuzz", "--runs", "0"],
+    ], ids=["shards", "iterations", "bits", "timeout", "retries", "devices",
+            "fig10-workers", "table2-workers", "linkchan-workers",
+            "golden-workers", "chaos-workers", "chaos-jobs",
+            "chaos-timeout", "fuzz-runs"])
     def test_rejected_with_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -64,6 +77,11 @@ class TestNumericArguments:
         assert (args.timeout, args.retries) == (0.5, 0)
         assert build_parser().parse_args(
             ["serve", "--shards", "1"]).shards == 1
+        chaos = build_parser().parse_args(
+            ["chaos", "--jobs", "1", "--timeout", "0.01", "--workers", "1"]
+        )
+        assert (chaos.jobs, chaos.timeout, chaos.workers) == (1, 0.01, 1)
+        assert build_parser().parse_args(["fuzz", "--runs", "1"]).runs == 1
 
 
 class TestCommands:
@@ -328,6 +346,65 @@ class TestMetricsCommand:
             main(["metrics"])
 
 
+class TestFreshOnlyMetrics:
+    """A point's engine profile counts once: in the run that simulated it.
+
+    Real supervised workers, no inline fake: the profiles fold in
+    ``run_supervised`` and, for ``serve``, on the service's loop thread.
+    Every run passes ``--metrics`` so all of them key the same store
+    entries.
+    """
+
+    GRID = ["--iterations", "1", "2", "--bits", "2"]
+
+    @pytest.fixture(autouse=True)
+    def _isolated_dirs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "sweeps"))
+        self.tmp_path = tmp_path
+
+    def _families(self, capsys, *argv):
+        path = self.tmp_path / "metrics.json"
+        assert main([*argv, *self.GRID, "--metrics", str(path)]) == 0
+        capsys.readouterr()
+        return json.loads(path.read_text())["metrics"]
+
+    @staticmethod
+    def _engine(families):
+        return [name for name in families if name.startswith("engine_")]
+
+    @staticmethod
+    def _jobs(families, state):
+        (value,) = [s["value"] for s in families["sweep_jobs_total"]["series"]
+                    if s["labels"] == {"state": state}]
+        return value
+
+    def test_serve_cold_then_warm_then_fig10_from_the_store(self, capsys):
+        answers = str(self.tmp_path / "answers.json")
+        cold = self._families(capsys, "serve", "--answers", answers)
+        assert "engine_profile_samples_total" in cold
+        assert self._jobs(cold, "completed") == 2
+        (attempts,) = cold["sweep_attempts_total"]["series"]
+        assert attempts["value"] == 2
+
+        warm = self._families(capsys, "serve", "--answers", answers)
+        assert self._engine(warm) == []
+        assert "sweep_jobs_total" not in warm  # nothing dispatched
+
+        stored = self._families(capsys, "fig10")
+        assert self._engine(stored) == []
+        assert self._jobs(stored, "cache_hit") == 2
+
+    def test_fig10_cold_then_resumed_from_the_journal(self, capsys):
+        cold = self._families(capsys, "fig10", "--no-cache")
+        assert "engine_profile_samples_total" in cold
+        assert self._jobs(cold, "completed") == 2
+
+        resumed = self._families(capsys, "fig10", "--no-cache", "--resume")
+        assert self._engine(resumed) == []
+        assert self._jobs(resumed, "journal_replay") == 2
+
+
 class TestBenchHistoryCommand:
     def _report(self, tmp_path, factor=1.0):
         import json
@@ -519,9 +596,13 @@ class TestServeCommand:
             ('[1, {"iterations": "2"}]', '{"iterations": "2"}'),
             ('{"iterations": 1}', "JSON list"),
             ("[1,", "--queries"),
+            ("[1, NaN]", "NaN"),
+            ("[Infinity]", "Infinity"),
+            ('[{"iterations": -Infinity}]', '{"iterations": -Infinity}'),
         ],
         ids=["string", "no-iterations", "bool", "string-iterations",
-             "not-a-list", "bad-json"],
+             "not-a-list", "bad-json", "nan", "infinity",
+             "negative-infinity-iterations"],
     )
     def test_malformed_queries_exit_before_sweeping(
         self, capsys, monkeypatch, entries, named
@@ -552,7 +633,7 @@ class TestServeCommand:
             # The supervisor numbers the one job it was given as job 0.
             failure = JobFailure(0, job.fn, job.key(None), "exception",
                                  "injected", 1)
-            return SimpleNamespace(results=[failure])
+            return SimpleNamespace(results=[failure], metrics={})
 
         monkeypatch.setattr(service, "run_supervised", fail_second_point)
         code, manifest = self._serve()

@@ -3,8 +3,8 @@
 Covers the labeled-metrics registry and its mergeable manifests, the
 Prometheus text exposition, the sampled engine self-profiler (including
 the bit-identity contract), the live sweep-progress renderer, the
-bench-trajectory history, and the supervised-sweep metrics aggregation
-(merged counts cover only fresh, healthy points).
+bench-trajectory history, and the supervised-sweep metrics manifest
+(engine profiles count only fresh, healthy points).
 """
 
 import io
@@ -30,7 +30,7 @@ from repro.runner import (
     JobFailure,
     ResultCache,
     SimJob,
-    merge_metrics,
+    SweepJournal,
     merge_telemetry,
     run_supervised,
 )
@@ -479,7 +479,7 @@ class TestHistory:
 
 
 class TestSupervisedAggregation:
-    """Satellite: merged counts cover only fresh, healthy points."""
+    """Satellite: a sweep's manifest counts only fresh, healthy points."""
 
     def _jobs(self):
         healthy = [fig10_job(1, 501, metrics_enabled=True),
@@ -488,14 +488,22 @@ class TestSupervisedAggregation:
                       params={"tag": "metrics-agg"})
         return healthy + [sick]
 
-    def test_outcome_metrics_and_fresh_with_failures(self):
+    @staticmethod
+    def _registry(outcome):
+        return MetricsRegistry().merge_manifest(outcome.metrics)
+
+    @staticmethod
+    def _engine(outcome):
+        return [name for name in outcome.metrics["metrics"]
+                if name.startswith("engine_")]
+
+    def test_outcome_metrics_with_failures(self):
         with scoped_registry() as captured:
             outcome = run_supervised(self._jobs(), workers=2, policy=FAST)
         assert len(outcome.failures) == 1
-        assert outcome.fresh == [0, 1]  # the failed slot is not fresh
+        registry = self._registry(outcome)
 
         def value(name, **labels):
-            registry = MetricsRegistry().merge_manifest(outcome.metrics)
             return registry.value(name, **labels).value
 
         assert value("sweep_jobs_total", state="completed") == 2
@@ -505,59 +513,47 @@ class TestSupervisedAggregation:
         assert value(
             "sweep_attempt_failures_total", kind="exception"
         ) == 2
-        # Without a caller-owned registry the sweep folds into the
-        # process default (scoped here for isolation).
-        assert captured.value(
-            "sweep_jobs_total", state="completed"
-        ).value == 2
-        assert outcome.manifest()["fresh"] == 2
+        # The two fresh points' engine profiles are in the manifest...
+        ff = registry.value("engine_fast_forwards_total", strategy="active")
+        assert ff is not None and ff.value > 0
+        # ...and nothing lands in the process registry: the caller
+        # folds the manifest where it reports from.
+        assert captured.to_manifest() == {"metrics": {}}
 
-    def test_caller_owned_registry_is_not_folded_globally(self):
-        registry = MetricsRegistry()
-        with scoped_registry() as captured:
-            outcome = run_supervised(
-                [fig10_job(1, 511)], workers=1, policy=FAST,
-                metrics=registry,
-            )
-        assert outcome.ok
-        assert registry.value("sweep_jobs_total", state="completed").value == 1
-        assert captured.value("sweep_jobs_total", state="completed") is None
-
-    def test_merge_covers_only_fresh_points(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+    def test_engine_profiles_fold_only_from_fresh_points(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache", metrics=MetricsRegistry())
         jobs = self._jobs()
-        with scoped_registry():
+        with SweepJournal(tmp_path / "sweep.jsonl") as journal:
             first = run_supervised(jobs, workers=2, cache=cache,
-                                   policy=FAST)
+                                   policy=FAST, journal=journal)
+            # Healthy results now come from the cache (the failed job
+            # is never cached): nothing runs fresh, so no engine profile
+            # is counted a second time.
             second = run_supervised(jobs, workers=2, cache=cache,
                                     policy=FAST)
-
-        # First run: both healthy jobs are fresh; engine profiles merge.
-        merged = merge_metrics(first.results, fresh=first.fresh)
-        assert merged["jobs"] == 2 and merged["devices"] >= 2
-        registry = MetricsRegistry().merge_manifest(merged)
-        ff = registry.value(
-            "engine_fast_forwards_total", strategy="active"
-        )
-        assert ff is not None and ff.value > 0
-
-        # Second run: healthy results come from the cache (the failed
-        # job is never cached), so nothing is fresh — a fresh-filtered
-        # merge must not double-count the first run's observations.
+            # Journal replays are not fresh either.
+            replayed = run_supervised(jobs[:2], workers=2, policy=FAST,
+                                      journal=journal, resume=True)
+        assert self._engine(first)
         assert second.counters["cache_hits"] == 2
-        assert second.fresh == []
-        assert merge_metrics(second.results, fresh=second.fresh) is None
-        # The unfiltered merge still sees the cached sections: that is
-        # exactly the double-count the fresh filter exists to prevent.
-        assert merge_metrics(second.results)["jobs"] == 2
+        assert self._engine(second) == []
+        assert replayed.counters["journal_replays"] == 2
+        assert self._engine(replayed) == []
 
-        telemetry = merge_telemetry(first.results, fresh=first.fresh)
+        telemetry = merge_telemetry(first.results)
         assert telemetry["jobs"] == 2
-        assert merge_telemetry(second.results, fresh=second.fresh) is None
 
     def test_failure_slots_never_contribute(self):
-        with scoped_registry():
-            outcome = run_supervised(self._jobs(), workers=2, policy=FAST)
+        outcome = run_supervised(self._jobs(), workers=2, policy=FAST)
         assert isinstance(outcome.results[2], JobFailure)
-        # Even an unfiltered merge skips the failure record.
-        assert merge_metrics(outcome.results)["jobs"] == 2
+        # The manifest's engine families are exactly the fold of the two
+        # healthy results' profiles: the failure record adds nothing.
+        expected = MetricsRegistry()
+        for result in outcome.results[:2]:
+            expected.merge_manifest(result["metrics"])
+        engine = {
+            name: family
+            for name, family in outcome.metrics["metrics"].items()
+            if name.startswith("engine_")
+        }
+        assert engine == expected.to_manifest()["metrics"]

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.config import small_config
-from repro.runner import ResultCache, SimJob, code_version, run_jobs
+from repro.runner import (
+    ResultCache, SimJob, SweepError, code_version, run_supervised,
+)
 from repro.runner.cache import canonical_json
 from repro.runner.runner import execute, resolve
 
@@ -16,6 +18,14 @@ def double(config, factor=2):
 
 
 DOUBLE = f"{__name__}.double"
+
+
+def run_strict(jobs, **kwargs):
+    """Supervised sweep results in job order; raises on failed jobs."""
+    outcome = run_supervised(jobs, **kwargs)
+    if outcome.failures:
+        raise SweepError(outcome.failures, outcome.results)
+    return outcome.results
 
 
 class TestResolve:
@@ -37,37 +47,37 @@ class TestResolve:
         assert json.loads(json.dumps(result)) == result
 
 
-class TestRunJobs:
+class TestFanOut:
     def _jobs(self, count=4):
         config = small_config()
         return [SimJob(fn=DOUBLE, config=config, seed=seed)
                 for seed in range(1, count + 1)]
 
     def test_inline_preserves_job_order(self):
-        results = run_jobs(self._jobs(), workers=1)
+        results = run_strict(self._jobs(), workers=1)
         assert [r["seed"] for r in results] == [1, 2, 3, 4]
 
     def test_parallel_matches_inline(self):
         jobs = self._jobs(6)
-        assert run_jobs(jobs, workers=3) == run_jobs(jobs, workers=1)
+        assert run_strict(jobs, workers=3) == run_strict(jobs, workers=1)
 
     def test_progress_callback_sees_every_completion(self):
         seen = []
-        run_jobs(self._jobs(3), workers=1,
-                 progress=lambda done, total: seen.append((done, total)))
+        run_strict(self._jobs(3), workers=1,
+                   progress=lambda done, total: seen.append((done, total)))
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
     def test_empty_job_list(self):
-        assert run_jobs([], workers=2) == []
+        assert run_strict([], workers=2) == []
 
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
         jobs = [SimJob(fn=DOUBLE, config=small_config(), seed=5)]
-        first = run_jobs(jobs, workers=1, cache=cache)
+        first = run_strict(jobs, workers=1, cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
-        second = run_jobs(jobs, workers=1, cache=cache)
+        second = run_strict(jobs, workers=1, cache=cache)
         assert cache.hits == 1
         assert second == first
 
@@ -85,8 +95,8 @@ class TestResultCache:
     def test_cached_and_fresh_results_type_identical(self, tmp_path):
         cache = ResultCache(tmp_path)
         jobs = [SimJob(fn=DOUBLE, config=small_config(), seed=5)]
-        fresh = run_jobs(jobs, workers=1, cache=cache)[0]
-        cached = run_jobs(jobs, workers=1, cache=cache)[0]
+        fresh = run_strict(jobs, workers=1, cache=cache)[0]
+        cached = run_strict(jobs, workers=1, cache=cache)[0]
         assert type(fresh) is type(cached)
         assert fresh == cached
 
@@ -180,7 +190,7 @@ class TestWriteThroughCache:
                    params={"explode": True}),
         ]
         with pytest.raises(RuntimeError, match="boom"):
-            run_jobs(jobs, workers=1, cache=cache)
+            run_strict(jobs, workers=1, cache=cache)
         # Job 0 completed before the crash and must be on disk.
         key = cache.key(FLAKY, config.replace(seed=1), {})
         assert cache.get(key) == {"seed": 1}
@@ -196,8 +206,8 @@ class TestWriteThroughCache:
                 raise RuntimeError("observer crash")
 
         with pytest.raises(RuntimeError, match="observer crash"):
-            run_jobs(jobs, workers=2, cache=cache,
-                     progress=explode_after_first)
+            run_strict(jobs, workers=2, cache=cache,
+                       progress=explode_after_first)
         hits = sum(
             cache.get(cache.key(FLAKY, config.replace(seed=s), {}))
             is not None
@@ -216,7 +226,7 @@ class TestWriteThroughCache:
             raise RuntimeError("observer crash")
 
         with pytest.raises(RuntimeError, match="observer crash"):
-            run_jobs(jobs, workers=2, progress=explode)
+            run_strict(jobs, workers=2, progress=explode)
         assert multiprocessing.active_children() == []
 
 
@@ -289,38 +299,6 @@ class TestQuarantine:
             assert cache.get(key) is None
         assert cache.quarantined == 2
         assert len(list((tmp_path / "_quarantine").glob("*.json"))) == 2
-
-
-class TestFreshSelection:
-    """Pinned regression: out-of-range ``fresh`` indices must raise.
-
-    ``_select`` used to drop indices outside the result list silently,
-    so an aggregate over a stale journal's fresh list quietly computed
-    a wrong answer instead of failing loudly.
-    """
-
-    def _results(self):
-        return [
-            {"telemetry": {"devices": 1, "read_latency": {}}},
-            {"telemetry": {"devices": 1, "read_latency": {}}},
-        ]
-
-    def test_valid_fresh_indices_select(self):
-        from repro.runner import merge_telemetry
-
-        merged = merge_telemetry(self._results(), fresh=[1])
-        assert merged["jobs"] == 1
-
-    def test_out_of_range_fresh_index_raises(self):
-        from repro.runner import merge_telemetry
-        from repro.runner.runner import _select
-
-        with pytest.raises(IndexError, match="different"):
-            _select(self._results(), fresh=[0, 5])
-        with pytest.raises(IndexError):
-            _select(self._results(), fresh=[-1])
-        with pytest.raises(IndexError):
-            merge_telemetry(self._results(), fresh=[2])
 
 
 class TestJobKey:

@@ -23,7 +23,7 @@ from repro.runner import (
     ServiceError,
     SimJob,
     SweepService,
-    run_jobs,
+    run_supervised,
     serve_requests,
 )
 
@@ -110,15 +110,15 @@ class TestScheduler:
             for seed in (7, 8, 9)
         ]
 
-    def test_seed_override_jobs_hit_run_jobs_results(
+    def test_seed_override_jobs_hit_supervised_results(
         self, probe_cfg, tmp_path
     ):
         jobs = self._seed_jobs(probe_cfg, tmp_path)
         cache_root = tmp_path / "cache"
-        stored = run_jobs(
+        stored = run_supervised(
             jobs, workers=1,
             cache=ResultCache(cache_root, metrics=MetricsRegistry()),
-        )
+        ).results
         (served,), manifest = serve_requests(
             [jobs],
             cache=ResultCache(cache_root, metrics=MetricsRegistry()),
@@ -179,31 +179,42 @@ class TestScheduler:
     ):
         from repro.runner import service
 
-        put_threads, job_threads = [], []
+        put_threads, fold_threads, job_threads = [], [], []
         original_put = ResultCache.put
+        original_fold = MetricsRegistry.merge_manifest
         original_run = service.run_supervised
+        registry = MetricsRegistry()
 
         def recording_put(cache, key, result):
             put_threads.append(threading.get_ident())
             return original_put(cache, key, result)
+
+        def recording_fold(target, manifest):
+            if target is registry:
+                fold_threads.append(threading.get_ident())
+            return original_fold(target, manifest)
 
         def recording_run(jobs, **kwargs):
             job_threads.append(threading.get_ident())
             return original_run(jobs, **kwargs)
 
         monkeypatch.setattr(ResultCache, "put", recording_put)
+        monkeypatch.setattr(MetricsRegistry, "merge_manifest", recording_fold)
         monkeypatch.setattr(service, "run_supervised", recording_run)
         jobs = [_probe_job(probe_cfg, f"t{i}", tmp_path) for i in range(8)]
         _, manifest = serve_requests(
             [jobs],
             cache=ResultCache(tmp_path / "cache", metrics=MetricsRegistry()),
             service=ServiceConfig(shards=4),
-            metrics=MetricsRegistry(),
+            metrics=registry,
         )
         # serve_requests runs its event loop on the calling thread.
         loop_thread = threading.get_ident()
         assert manifest["completed"] == 8
         assert put_threads == [loop_thread] * 8
+        # Each shard's outcome metrics fold into the service registry
+        # on the loop thread, once per job.
+        assert fold_threads == [loop_thread] * 8
         assert len(job_threads) == 8
         assert loop_thread not in job_threads
 

@@ -19,7 +19,6 @@ from repro.runner import (
     SimJob,
     SweepError,
     SweepJournal,
-    run_jobs,
     run_supervised,
 )
 from repro.runner.chaos import CHAOS_FN, CHAOS_STATE_ENV, attempts_recorded
@@ -162,28 +161,34 @@ class TestCrashIsolation:
         assert [h["attempt"] for h in failure.history] == [1, 2, 3]
         assert all("RuntimeError" in h["detail"] for h in failure.history)
 
-    def test_failure_manifest_shape(self, chaos_state):
+    def test_failure_record_shape(self, chaos_state):
         jobs = [chaos_job("boom2", "raise")]
         outcome = run_supervised(
             jobs, workers=1, policy=FAST.replace(max_attempts=1)
         )
-        manifest = outcome.manifest()
-        assert manifest["ok"] is False
-        assert manifest["jobs"] == 1
-        (entry,) = manifest["failures"]
+        assert outcome.ok is False
+        (failure,) = outcome.failures
+        entry = failure.to_dict()
         assert entry["kind"] == "exception"
-        assert entry["key"] == outcome.failures[0].key
+        assert entry["key"] == jobs[0].key()
+        assert entry["attempts"] == 1
+
+
+def run_strict(jobs, **kwargs):
+    """A sweep that raises on failed jobs, as the CLI sweeps do."""
+    outcome = run_supervised(jobs, **kwargs)
+    if outcome.failures:
+        raise SweepError(outcome.failures, outcome.results)
+    return outcome.results
 
 
 class TestStrictMode:
-    def test_run_jobs_strict_raises_after_completion(
-        self, chaos_state, tmp_path
-    ):
+    def test_strict_raises_after_completion(self, chaos_state, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         jobs = [chaos_job("sick", "raise"), chaos_job("well", "ok", value=5)]
         with pytest.raises(SweepError) as excinfo:
-            run_jobs(jobs, workers=2, cache=cache, retries=0,
-                     policy=FAST, strict=True)
+            run_strict(jobs, workers=2, cache=cache,
+                       policy=FAST.replace(max_attempts=1))
         error = excinfo.value
         assert len(error.failures) == 1
         assert error.failures[0].index == 0
@@ -195,25 +200,27 @@ class TestStrictMode:
         assert stored["token"] == "well"
         assert stored["value"] == 5
 
-    def test_run_jobs_graceful_returns_failures_inline(self, chaos_state):
+    def test_graceful_returns_failures_inline(self, chaos_state):
         jobs = [chaos_job("sick2", "raise"), chaos_job("well2", "ok")]
-        results = run_jobs(jobs, workers=2, retries=0, policy=FAST,
-                           strict=False)
+        results = run_supervised(
+            jobs, workers=2, policy=FAST.replace(max_attempts=1)
+        ).results
         assert isinstance(results[0], JobFailure)
         assert results[1]["token"] == "well2"
 
-    def test_run_jobs_without_supervision_kwargs_is_supervised(
+    def test_default_policy_comes_from_the_environment(
         self, tmp_path, monkeypatch
     ):
-        # Plain run_jobs is supervised too: a raising job becomes a
-        # SweepError after its healthy sibling ran and was cached.
+        # Without a policy the sweep is still supervised, under the
+        # environment's defaults: a raising job becomes a SweepError
+        # after its healthy sibling ran and was cached.
         monkeypatch.setenv("REPRO_SWEEP_BACKOFF_S", "0.01")
         cache = ResultCache(tmp_path / "cache")
         config = small_config()
         jobs = [SimJob(fn=EXPLODE, config=config, seed=1),
                 SimJob(fn=DOUBLE, config=config, seed=2)]
         with pytest.raises(SweepError) as excinfo:
-            run_jobs(jobs, workers=1, cache=cache)
+            run_strict(jobs, workers=1, cache=cache)
         (failure,) = excinfo.value.failures
         assert failure.index == 0 and failure.kind == "exception"
         assert "boom" in failure.message
@@ -273,11 +280,14 @@ class TestPolicyKnobs:
         policy = SweepSupervision.from_env()
         assert policy.timeout_s is None
 
-    def test_run_jobs_timeout_and_retries_build_policy(self, chaos_state):
-        # retries=1 -> 2 attempts: "raise,ok" recovers.
+    def test_second_attempt_recovers(self, chaos_state):
+        # max_attempts=2: "raise,ok" recovers on its retry.
         jobs = [chaos_job("flaky", "raise,ok", value=2)]
-        results = run_jobs(jobs, workers=1, retries=1, policy=FAST)
-        assert results[0]["value"] == 2
+        outcome = run_supervised(
+            jobs, workers=1, policy=FAST.replace(max_attempts=2)
+        )
+        assert outcome.results[0]["value"] == 2
+        assert outcome.counters["retries"] == 1
 
 
 class TestTeardown:
