@@ -10,14 +10,18 @@ Tag-store sets are built on first touch: a set exists only once a line
 has been installed in it.  A full Volta device has 22,784 sets across
 its 80 L1s and 48 L2 slices, and a bypassed L1 is never read, so
 building them up front cost most of a device's construction time and
-GC-tracked objects without changing any result.
+GC-tracked objects without changing any result.  A set is a plain list
+of tags in LRU order (most recent last): preloading the channels'
+9,472-line probe arrays into a Volta L2 takes 373 KB of lists where
+``OrderedDict`` sets took 1,191 KB.  The random-replacement rng is
+built on the first random eviction, so a device that never evicts
+seeds none.
 """
 
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 
 class SetAssociativeCache:
@@ -29,16 +33,20 @@ class SetAssociativeCache:
     replacement displaces it probabilistically (the mechanism behind the
     paper's third-kernel noise discussion, Section 5).
 
-    ``_sets`` maps a set index to its ``OrderedDict`` (tag -> True, most
-    recent last).  A set is created by the first install or allocating
-    access that lands in it; lookups that do not allocate create
-    nothing, and an invalidation drops every set.  Only random
-    replacement builds an rng.
+    ``_sets`` maps a set index to its list of tags in LRU order (most
+    recent last): a hit or re-install moves the tag to the end, LRU
+    eviction drops index 0 and random eviction drops a uniformly drawn
+    index.  A set is created by the first install or allocating access
+    that lands in it; lookups that do not allocate create nothing, and
+    an invalidation drops every set.  The random-replacement rng is
+    built from ``seed`` on the first random eviction and dropped by
+    :meth:`reset`, so LRU caches and caches that never evict hold none.
 
     Parameters
     ----------
     size_bytes / line_bytes / ways:
-        Geometry; ``size_bytes`` must be a multiple of ``line_bytes*ways``.
+        Geometry; ``size_bytes`` must be a positive multiple of
+        ``line_bytes*ways`` (anything else raises ``ValueError``).
     replacement:
         ``"lru"`` or ``"random"`` (seeded, deterministic).
     """
@@ -51,40 +59,35 @@ class SetAssociativeCache:
         replacement: str = "lru",
         seed: int = 0,
     ) -> None:
-        num_lines = size_bytes // line_bytes
-        if num_lines == 0 or num_lines % ways:
+        if size_bytes <= 0 or size_bytes % (line_bytes * ways):
             raise ValueError(
                 f"invalid cache geometry: {size_bytes}B / {line_bytes}B "
-                f"lines / {ways} ways"
+                f"lines / {ways} ways (size must be a positive multiple "
+                f"of {line_bytes * ways}B)"
             )
         if replacement not in ("lru", "random"):
             raise ValueError(f"unknown replacement {replacement!r}")
         self.line_bytes = line_bytes
         self.ways = ways
-        self.num_sets = num_lines // ways
+        self.num_sets = size_bytes // (line_bytes * ways)
         self.replacement = replacement
-        #: Set index -> OrderedDict tag -> True, most recent last; a set
-        #: is present only once a line has been installed in it.
-        self._sets: Dict[int, OrderedDict] = {}
+        #: Set index -> list of tags, most recent last; a set is present
+        #: only once a line has been installed in it.
+        self._sets: Dict[int, List[int]] = {}
         self.hits = 0
         self.misses = 0
         self._seed = seed
-        self._rng = self._fresh_rng()
+        #: Random-replacement rng, built on the first random eviction.
+        self._rng: Optional[random.Random] = None
 
-    def _fresh_rng(self) -> Optional[random.Random]:
+    def _evict(self, entries: List[int]) -> None:
         if self.replacement == "lru":
-            return None
-        return random.Random((self._seed << 8) ^ 0xCACE)
-
-    def _evict(self, entries: OrderedDict) -> None:
-        if self._rng is None:
-            entries.popitem(last=False)
-        else:
-            victim = self._rng.randrange(len(entries))
-            key = next(
-                k for i, k in enumerate(entries) if i == victim
-            )
-            del entries[key]
+            del entries[0]
+            return
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random((self._seed << 8) ^ 0xCACE)
+        del entries[rng.randrange(len(entries))]
 
     def _locate(self, address: int):
         """``(set index, tag, set)``; the set is None until first touched."""
@@ -92,15 +95,15 @@ class SetAssociativeCache:
         index = tag % self.num_sets
         return index, tag, self._sets.get(index)
 
-    def _fill(self, index: int, entries: Optional[OrderedDict],
+    def _fill(self, index: int, entries: Optional[List[int]],
               tag: int) -> None:
         """Install absent ``tag`` in set ``index``, evicting if full."""
         if entries is None:
-            self._sets[index] = OrderedDict(((tag, True),))
+            self._sets[index] = [tag]
             return
         if len(entries) >= self.ways:
             self._evict(entries)
-        entries[tag] = True
+        entries.append(tag)
 
     def probe(self, address: int) -> bool:
         """Check residency without updating LRU state or counters."""
@@ -115,7 +118,8 @@ class SetAssociativeCache:
         """
         index, tag, entries = self._locate(address)
         if entries is not None and tag in entries:
-            entries.move_to_end(tag)
+            entries.remove(tag)
+            entries.append(tag)
             self.hits += 1
             return True
         self.misses += 1
@@ -127,7 +131,8 @@ class SetAssociativeCache:
         """Install a line without counting an access (e.g. preloading)."""
         index, tag, entries = self._locate(address)
         if entries is not None and tag in entries:
-            entries.move_to_end(tag)
+            entries.remove(tag)
+            entries.append(tag)
             return
         self._fill(index, entries, tag)
 
@@ -137,15 +142,16 @@ class SetAssociativeCache:
         self.misses = 0
 
     def reset(self) -> None:
-        """Restore construction state: empty tag store AND a fresh rng.
+        """Restore construction state: empty tag store AND no rng.
 
         ``invalidate_all`` deliberately keeps the replacement rng stream
         running (a mid-run flush must not replay eviction decisions);
         a *reset* by contrast promises a device indistinguishable from a
-        freshly built one, which requires reseeding.
+        freshly built one, so the rng is dropped and the next random
+        eviction rebuilds it from the seed.
         """
         self.invalidate_all()
-        self._rng = self._fresh_rng()
+        self._rng = None
 
     def state_digest(self):
         """Compact comparable summary of tag-store + rng state.
@@ -153,9 +159,9 @@ class SetAssociativeCache:
         The non-empty sets are folded into one hash in index order (a
         full dump per compare would dominate oracle runtime), so an
         untouched cache and one invalidated after use digest the same.
-        Hit/miss counters and the replacement rng are included so two
-        caches that merely happen to hold the same lines after
-        different histories still differ.
+        Hit/miss counters and the replacement rng (None until its first
+        draw) are included so two caches that merely happen to hold the
+        same lines after different histories still differ.
         """
         sets = self._sets
         return (
@@ -208,7 +214,10 @@ class L1Cache:
             self.cache.install(address)
 
     def note_write(self, address: int) -> None:
-        """Write-through/no-allocate: invalidate a stale copy if present."""
+        """Write-through/no-allocate: update a resident copy in place.
+
+        A write to a line the L1 holds refreshes it to most recent; a
+        write to an absent line installs nothing.
+        """
         if self.enabled and self.cache.probe(address):
-            # Update-in-place modelled as a refresh of the line.
             self.cache.install(address)

@@ -208,7 +208,7 @@ class L2Slice(Component):
         )
 
     def reset(self) -> None:
-        self.cache.reset()  # invalidate AND reseed the replacement rng
+        self.cache.reset()  # invalidate AND drop the replacement rng
         self._pipeline.clear()
         self._mshr_ready.clear()
         # The request queue belongs to this slice (the crossbar clears

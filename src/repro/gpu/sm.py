@@ -117,10 +117,12 @@ class StreamingMultiprocessor(Component):
         self._group_counter = 0
         #: (ready_cycle, warp) pairs for L1 read hits completing later.
         self._l1_returns: List = []
-        #: Per-op timing noise (scheduler wake-up jitter etc.), seeded.
+        #: Per-op timing noise (scheduler wake-up jitter etc.), seeded;
+        #: the rng is built on the first draw, so an SM that completes no
+        #: memory op seeds none.
         self._noise = config.timing_noise
         self._noise_seed = (config.seed << 8) ^ 0x5A17 ^ sm_id ^ (seed_salt << 20)
-        self._rng = random.Random(self._noise_seed)
+        self._rng: Optional[random.Random] = None
         #: Hook fired when a warp finishes (set by the thread-block
         #: scheduler to its own wake, so it can retire/promote/dispatch).
         self.on_warp_done: Optional[Callable[[], None]] = None
@@ -416,7 +418,10 @@ class StreamingMultiprocessor(Component):
         """
         latency = cycle - warp.op_start_cycle
         if self._noise:
-            jitter = self._rng.randrange(0, self._noise + 1)
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = random.Random(self._noise_seed)
+            jitter = rng.randrange(0, self._noise + 1)
             latency += jitter
             warp.resume_value = latency
             warp.state = SLEEP
@@ -522,6 +527,7 @@ class StreamingMultiprocessor(Component):
         program generators themselves advance deterministically given the
         same resume sequence, so they need no direct representation.  A
         bypassed L1 is never read, so only an enabled one is digested.
+        The jitter rng reads None until its first draw.
         """
         return (
             tuple(
@@ -540,7 +546,7 @@ class StreamingMultiprocessor(Component):
             self._read_credits,
             self._write_credits,
             tuple(sorted(ready for ready, _ in self._l1_returns)),
-            hash(self._rng.getstate()[1]),
+            None if self._rng is None else hash(self._rng.getstate()[1]),
             self.inject_queue.state_digest(),
             (
                 None if self.remote_queue is None
@@ -556,5 +562,5 @@ class StreamingMultiprocessor(Component):
         self._read_credits = self.config.sm_mshrs
         self._write_credits = self.config.sm_write_buffer
         self._l1_returns.clear()
-        self.l1.cache.reset()  # invalidate AND reseed the replacement rng
-        self._rng = random.Random(self._noise_seed)
+        self.l1.cache.reset()  # invalidate AND drop the replacement rng
+        self._rng = None

@@ -1,13 +1,17 @@
 """Unit and property tests for the cache models."""
 
 import gc
+import random
+import tracemalloc
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.config import VOLTA_V100
+from repro.config import VOLTA_V100, small_config
 from repro.gpu.caches import L1Cache, SetAssociativeCache
 from repro.gpu.device import GpuDevice
+from repro.gpu.workloads import make_streaming_kernel
 
 
 class TestSetAssociative:
@@ -54,6 +58,15 @@ class TestSetAssociative:
             SetAssociativeCache(100, 64, 3)
         with pytest.raises(ValueError):
             SetAssociativeCache(32, 64, 2)
+
+    def test_size_must_be_a_whole_number_of_sets(self):
+        # 98,400 B is 768.75 lines: a whole line count would not be
+        # enough, the size must hold a whole number of 16-way sets.
+        with pytest.raises(ValueError, match="98400B / 128B lines / 16 ways"):
+            SetAssociativeCache(98400, 128, 16)
+        with pytest.raises(ValueError):
+            SetAssociativeCache(192, 64, 2)  # 3 lines, 1.5 sets
+        assert SetAssociativeCache(98304, 128, 16).num_sets == 48
 
     def test_invalidate_all(self):
         cache = SetAssociativeCache(1024, 64, 2)
@@ -130,6 +143,102 @@ class TestRandomReplacement:
             cache.access(line * 64)
         for entries in cache._sets.values():
             assert len(entries) <= 2
+
+
+class _OrderedDictCache:
+    """Reference model of the tag store with ``OrderedDict`` sets.
+
+    Encodes the semantics the list-backed sets must keep: tag -> True in
+    LRU order, a random victim found by an ``enumerate`` scan, an rng
+    seeded at construction and reseeded by ``reset`` but kept running by
+    ``invalidate_all``.
+    """
+
+    def __init__(self, size_bytes, line_bytes, ways, replacement, seed):
+        self.line_bytes, self.ways = line_bytes, ways
+        self.num_sets = size_bytes // (line_bytes * ways)
+        self.replacement, self.seed = replacement, seed
+        self.reset()
+
+    def reset(self):
+        self.invalidate_all()
+        self.rng = (random.Random((self.seed << 8) ^ 0xCACE)
+                    if self.replacement == "random" else None)
+
+    def invalidate_all(self):
+        self.sets, self.hits, self.misses = {}, 0, 0
+
+    def _set(self, address):
+        tag = address // self.line_bytes
+        return tag, self.sets.setdefault(tag % self.num_sets, OrderedDict())
+
+    def probe(self, address):
+        tag, entries = self._set(address)
+        return tag in entries
+
+    def install(self, address):
+        tag, entries = self._set(address)
+        if tag in entries:
+            entries.move_to_end(tag)
+            return
+        if len(entries) >= self.ways:
+            if self.rng is None:
+                entries.popitem(last=False)
+            else:
+                victim = self.rng.randrange(len(entries))
+                del entries[next(k for i, k in enumerate(entries)
+                                 if i == victim)]
+        entries[tag] = True
+
+    def access(self, address, allocate=True):
+        tag, entries = self._set(address)
+        if tag in entries:
+            entries.move_to_end(tag)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if allocate:
+            self.install(address)
+        return False
+
+
+_ADDRESSES = st.integers(min_value=0, max_value=4095)
+_CACHE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), _ADDRESSES, st.booleans()),
+        st.tuples(st.just("install"), _ADDRESSES),
+        st.tuples(st.just("probe"), _ADDRESSES),
+        st.tuples(st.just("invalidate_all")),
+        st.tuples(st.just("reset")),
+    ),
+    max_size=300,
+)
+
+
+class TestMatchesOrderedDictModel:
+    @given(
+        geometry=st.sampled_from(
+            [(64, 64, 1), (128, 64, 2), (512, 64, 2), (384, 32, 3),
+             (1024, 64, 4)]
+        ),
+        replacement=st.sampled_from(["lru", "random"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        ops=_CACHE_OPS,
+    )
+    def test_victim_for_victim(self, geometry, replacement, seed, ops):
+        cache = SetAssociativeCache(*geometry, replacement=replacement,
+                                    seed=seed)
+        model = _OrderedDictCache(*geometry, replacement, seed)
+        for op in ops:
+            name, args = op[0], op[1:]
+            assert getattr(cache, name)(*args) == getattr(model, name)(*args)
+            assert (cache.hits, cache.misses) == (model.hits, model.misses)
+            assert cache._sets == {
+                index: list(entries)
+                for index, entries in model.sets.items() if entries
+            }
+            if cache._rng is not None:
+                assert cache._rng.getstate() == model.rng.getstate()
 
 
 class TestL1Cache:
@@ -251,8 +360,102 @@ class TestLazySets:
         assert bypassed.state_digest() == before
 
     def test_only_random_replacement_builds_an_rng(self):
-        assert SetAssociativeCache(512, 64, 2)._rng is None
-        cache = SetAssociativeCache(512, 64, 2, replacement="random")
-        assert cache._rng is not None
-        cache.reset()
-        assert cache._rng is not None
+        """An rng is built on the first random eviction, from the seed,
+        and a reset drops it so the next eviction starts the stream over."""
+        lru = SetAssociativeCache(128, 64, 2)
+        for line in range(8):
+            lru.install(line * 64)
+        assert lru._rng is None
+
+        ways, seed = 4, 7
+        cache = SetAssociativeCache(
+            64 * ways, 64, ways, replacement="random", seed=seed
+        )  # 1 set
+        stream = random.Random((seed << 8) ^ 0xCACE)
+        resident = list(range(ways))
+        expected = []
+        for line in range(ways, ways + 20):
+            expected.append(resident.pop(stream.randrange(len(resident))))
+            resident.append(line)
+        for _ in range(2):
+            assert cache._rng is None
+            for line in range(ways):
+                cache.install(line * 64)
+            assert cache._rng is None  # installs that evict nothing draw nothing
+            victims = []
+            for line in range(ways, ways + 20):
+                before = list(cache._sets[0])
+                cache.install(line * 64)
+                victims += [tag for tag in before if tag not in cache._sets[0]]
+            assert victims == expected
+            assert cache._rng is not None
+            cache.reset()
+
+    def test_fresh_volta_device_holds_no_rng(self):
+        """Only the clock system, which draws its skew offsets at build
+        time, holds an rng; the 80 SM jitter and 48 L2 replacement rngs
+        wait for their first draw."""
+        GpuDevice(VOLTA_V100)  # first build pays the module imports
+        gc.collect()
+        before = {
+            id(o) for o in gc.get_objects() if isinstance(o, random.Random)
+        }
+        device = GpuDevice(VOLTA_V100)
+        built = [
+            o for o in gc.get_objects()
+            if isinstance(o, random.Random) and id(o) not in before
+        ]
+        assert built == [device.clocks._rng]
+        assert all(sm._rng is None for sm in device.sms)
+        assert all(l2.cache._rng is None for l2 in device.l2_slices)
+
+    def test_reset_device_digests_like_a_fresh_one(self):
+        config = small_config(timing_noise=16)
+        assert config.l2_replacement == "random"
+        device = GpuDevice(config)
+        fresh = [c.state_digest() for c in device.engine.components]
+        capacity = config.num_l2_slices * config.l2_slice_bytes
+        device.preload_region(0, 2 * capacity)  # evicts at random
+        device.launch(make_streaming_kernel(
+            config, "read", ops=6, num_blocks=config.num_sms,
+        ))
+        device.run()
+        assert all(l2.cache._rng is not None for l2 in device.l2_slices)
+        assert any(sm._rng is not None for sm in device.sms)
+        assert [c.state_digest() for c in device.engine.components] != fresh
+        device.engine.reset()
+        assert all(sm._rng is None for sm in device.sms)
+        assert all(l2.cache._rng is None for l2 in device.l2_slices)
+        assert [c.state_digest() for c in device.engine.components] == fresh
+        assert [
+            c.state_digest() for c in GpuDevice(config).engine.components
+        ] == fresh
+
+
+#: tracemalloc KB for a fresh Volta device plus the channels' 9,472-line
+#: L2 preload on CPython 3.11: 2,721 with ``OrderedDict`` sets and eager
+#: rngs, 1,541 with list sets and rngs built on first draw.  The bound is
+#: the latter plus about 15%.
+FOOTPRINT_BOUND_KB = 1_775
+
+
+class TestFootprint:
+    def test_preloaded_volta_device_fits_the_bound(self):
+        GpuDevice(VOLTA_V100).preload_region(0, 9472 * 128)  # imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            device = GpuDevice(VOLTA_V100)
+            device.preload_region(0, 9472 * 128)
+            footprint_kb = (tracemalloc.get_traced_memory()[0] - before) / 1024
+        finally:
+            tracemalloc.stop()
+        assert footprint_kb < FOOTPRINT_BOUND_KB
+        caches = [sm.l1.cache for sm in device.sms]
+        caches += [l2.cache for l2 in device.l2_slices]
+        assert sum(len(cache._sets) for cache in caches) == 2304
+        assert not any(
+            isinstance(entries, OrderedDict)
+            for cache in caches for entries in cache._sets.values()
+        )
