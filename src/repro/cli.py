@@ -816,7 +816,9 @@ def _parse_kv(pairs, label: str) -> dict:
     for pair in pairs or []:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
-            raise SystemExit(f"bad {label} {pair!r}; expected key=value")
+            print(f"bad {label} {pair!r}; expected key=value",
+                  file=sys.stderr)
+            raise SystemExit(2)
         try:
             parsed[key] = ast.literal_eval(raw)
         except (ValueError, SyntaxError):
@@ -834,7 +836,7 @@ def cmd_golden(args) -> int:
         record_artifact,
         reduce_failure,
     )
-    from .testing.harness import SCALE_FACTORIES
+    from .testing.harness import SCALE_FACTORIES, artifact_config
 
     scale = args.scale
     if scale not in SCALE_FACTORIES:
@@ -884,6 +886,12 @@ def cmd_golden(args) -> int:
     # would always report a meaningless config mismatch.
     params = _parse_kv(args.param, "--param") or None
     overrides = _parse_kv(args.override, "--override") or None
+    try:  # an unbuildable config fails here, before any job is forked
+        for artifact_id in chosen:
+            artifact_config(get_artifact(artifact_id), scale, overrides)
+    except (TypeError, ValueError) as exc:
+        print(f"repro golden: error: bad --override: {exc}", file=sys.stderr)
+        return 2
     against_golden = (
         params is None and overrides is None and args.seeds is None
     )

@@ -459,6 +459,10 @@ class GpuConfig:
                 f"unknown engine_strategy {self.engine_strategy!r}; "
                 f"expected one of {ENGINE_STRATEGIES}"
             )
+        check_cache_geometry(self.l1_size_bytes, self.l1_line_bytes,
+                             self.l1_ways, "L1 cache")
+        check_cache_geometry(self.l2_slice_bytes, self.l2_line_bytes,
+                             self.l2_ways, "L2 cache")
         if self.validate_interval <= 0:
             raise ValueError("validate_interval must be positive")
         if self.metrics_interval <= 0:
@@ -475,10 +479,6 @@ class GpuConfig:
     @property
     def core_clock_hz(self) -> float:
         return self.core_clock_mhz * 1e6
-
-    @property
-    def l2_slices_per_mc(self) -> int:
-        return self.num_l2_slices // self.num_memory_controllers
 
     def cycles_to_seconds(self, cycles: float) -> float:
         """Convert a cycle count to seconds at the core clock."""
@@ -541,6 +541,19 @@ class GpuConfig:
     def address_to_slice(self, address: int) -> int:
         """Map a byte address to its L2 slice (line-interleaved)."""
         return (address // self.l2_line_bytes) % self.num_l2_slices
+
+
+def check_cache_geometry(size_bytes: int, line_bytes: int, ways: int,
+                         what: str = "cache") -> None:
+    """Raise ``ValueError`` unless the size is a positive multiple of
+    ``line_bytes * ways`` (a whole number of sets)."""
+    if (line_bytes <= 0 or ways <= 0 or size_bytes <= 0
+            or size_bytes % (line_bytes * ways)):
+        raise ValueError(
+            f"invalid {what} geometry: {size_bytes}B / {line_bytes}B "
+            f"lines / {ways} ways (size must be a positive multiple "
+            f"of {line_bytes * ways}B)"
+        )
 
 
 #: Table 1 configuration: the Volta V100-like GPU evaluated in the paper.

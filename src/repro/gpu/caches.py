@@ -23,6 +23,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
+from ..config import check_cache_geometry
+
 
 class SetAssociativeCache:
     """Tag store with LRU or seeded-random replacement.
@@ -59,12 +61,7 @@ class SetAssociativeCache:
         replacement: str = "lru",
         seed: int = 0,
     ) -> None:
-        if size_bytes <= 0 or size_bytes % (line_bytes * ways):
-            raise ValueError(
-                f"invalid cache geometry: {size_bytes}B / {line_bytes}B "
-                f"lines / {ways} ways (size must be a positive multiple "
-                f"of {line_bytes * ways}B)"
-            )
+        check_cache_geometry(size_bytes, line_bytes, ways)
         if replacement not in ("lru", "random"):
             raise ValueError(f"unknown replacement {replacement!r}")
         self.line_bytes = line_bytes

@@ -174,14 +174,6 @@ class StreamingMultiprocessor(Component):
         self.wake()
         return slot
 
-    @property
-    def active_warps(self) -> int:
-        return sum(1 for warp in self.warps if warp.state != DONE)
-
-    @property
-    def idle(self) -> bool:
-        return self.active_warps == 0 and not self._l1_returns
-
     def retire_finished_warps(self) -> None:
         """Drop DONE warps so completed blocks free their slots."""
         self.warps = [warp for warp in self.warps if warp.state != DONE]

@@ -161,12 +161,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ #
     # Introspection.
     # ------------------------------------------------------------------ #
-    def families(self) -> Iterator[Tuple[str, str, str]]:
-        """``(name, kind, help)`` per family, name-sorted."""
-        for name in sorted(self._families):
-            family = self._families[name]
-            yield name, family.kind, family.help
-
     def series(
         self, name: str
     ) -> List[Tuple[Dict[str, str], Any]]:

@@ -52,6 +52,12 @@ class ArbitrationPolicy:
     #: by default; RANDOM must keep it False because it draws its rng on
     #: every ``choose``, contended or not, and SRR because its slot
     #: owner changes every cycle.
+    #:
+    #: What the sparse ticks skip under it: ``choose`` for a sole
+    #: candidate, and the per-flit ``note_flit(False)`` calls of a run
+    #: (one stands for all).  A switch tick with one live input
+    #: (``_run_sole``) also skips the candidate list, ``allowed_inputs``
+    #: and, in the crossbar, the per-output grouping.
     flit_invariant = False
 
     def __init__(self, num_inputs: int) -> None:

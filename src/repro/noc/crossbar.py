@@ -62,6 +62,9 @@ class Crossbar(LiveInputs, Component):
             make_policy(policy_name, len(inputs), seed=seed + i)
             for i in range(len(outputs))
         ]
+        #: A lone live input under a flit-invariant policy is served by
+        #: :meth:`_run_sole` (see :attr:`ArbitrationPolicy.flit_invariant`).
+        self._invariant = self._policies[0].flit_invariant
         self._progress: List[int] = [0] * len(inputs)
         self._reserved: List[bool] = [False] * len(inputs)
         # Live input ports and their heads, kept by the input queues for
@@ -96,7 +99,11 @@ class Crossbar(LiveInputs, Component):
 
     def tick(self, cycle: int) -> None:
         if self._sparse:
-            self._tick_sparse(cycle)
+            live = self._live
+            if len(live) == 1 and self._invariant:
+                self._run_sole(cycle, live[0])
+            elif live:
+                self._tick_sparse(cycle)
             return
         num_inputs = len(self.inputs)
         input_budget = [self.input_width] * num_inputs
@@ -165,9 +172,8 @@ class Crossbar(LiveInputs, Component):
         ``_heads``, which the input queues keep current: a packet popped
         in one round has already exposed its successor (or left the live
         list) when the next round groups.  Under a flit-invariant
-        policy a sole candidate is granted without calling the policy,
-        and :meth:`_collapse_round` grants a run of identical rounds at
-        once.
+        policy a sole candidate is granted without calling the policy;
+        a tick with one live input runs :meth:`_run_sole` instead.
 
         A first round that groups nothing means no live head can move
         this cycle: the tick sets ``_blocked`` and :meth:`idle_until`
@@ -175,8 +181,6 @@ class Crossbar(LiveInputs, Component):
         new head.
         """
         live = self._live
-        if not live:
-            return
         inputs = self.inputs
         outputs = self.outputs
         route = self.route
@@ -185,7 +189,7 @@ class Crossbar(LiveInputs, Component):
         heads = self._heads
         input_budget = [self.input_width] * len(inputs)
         output_budget = [self.width] * len(outputs)
-        invariant = self._policies[0].flit_invariant
+        invariant = self._invariant
         blocked = True  # until a round groups a port
         while True:
             moved = False
@@ -202,9 +206,6 @@ class Crossbar(LiveInputs, Component):
             if not per_output:
                 break
             blocked = False
-            if invariant:
-                self._collapse_round(cycle, per_output, input_budget,
-                                     output_budget)
             for out in sorted(per_output):
                 candidates = per_output[out]
                 policy = self._policies[out]
@@ -246,57 +247,79 @@ class Crossbar(LiveInputs, Component):
                 break
         self._blocked = blocked
 
-    def _collapse_round(self, cycle, per_output, input_budget,
-                        output_budget) -> None:
-        """Grant all but the last of a run of identical rounds at once.
+    def _run_sole(self, cycle: int, port: int) -> None:
+        """:meth:`_tick_sparse` for one live input, as a flit run.
 
-        When a round groups exactly one candidate per output under a
-        flit-invariant policy, every following round groups the same
-        ports: a granted port keeps its reserved head, and an ungrouped
-        port stays ungrouped because budgets and output space only
-        shrink within a tick.  Each policy keeps choosing its sole
-        candidate and ignores repeated mid-packet ``note_flit`` calls,
-        so the next ``k - 1`` rounds are identical, where ``k`` is the
-        least remaining packet flits, input budget or output budget of
-        any grouped port.  This advances each port ``k - 1`` flits
-        (reserving and emitting ``XBAR_GRANT`` as the first of those
-        rounds would) and leaves the ``k``-th to the caller's round, so
-        completions, wakes and telemetry keep their order.
+        Each round would group only ``port``, and its output's policy
+        must grant a sole candidate, so no grouping is needed.  The head
+        takes ``min(flits left, input budget, its output's budget)``
+        flits; after a completion the next head goes on while input
+        budget remains and it fits its own output's space and budget
+        (kept per output).  A run of a packet reports one
+        ``note_flit(False)`` (none if its only flit is the last), then
+        ``note_flit(True)`` if it ends the packet.
         """
         heads = self._heads
-        progress = self._progress
-        k = FOREVER
-        for out, candidates in per_output.items():
-            if len(candidates) > 1:
-                return
-            port = candidates[0]
-            left = heads[port].flits - progress[port]
-            if left < k:
-                k = left
-            if input_budget[port] < k:
-                k = input_budget[port]
-            if output_budget[out] < k:
-                k = output_budget[out]
-        if k < 2:
-            return
-        n = k - 1
+        packet = heads[port]
         reserved = self._reserved
+        outputs = self.outputs
+        route = self.route
+        out = route(packet)
+        if not reserved[port] and not outputs[out].can_reserve(packet.flits):
+            self._blocked = True
+            return
+        self._blocked = False
+        progress = self._progress
         tracer = self._tracer
-        for out in sorted(per_output):
-            port = per_output[out][0]
-            packet = heads[port]
+        width = self.width
+        budget = self.input_width
+        spent = {}  # flits sent to each output this tick
+        completed = 0
+        while True:
+            output = outputs[out]
+            flits = packet.flits
             if not reserved[port]:
-                self.outputs[out].reserve(packet.flits)
+                output.reserve(flits)
                 reserved[port] = True
+            room = width - spent.get(out, 0)
+            if room > budget:
+                room = budget
+            sent = progress[port]
+            if tracer is not None and sent == 0:
+                tracer.emit(cycle, XBAR_GRANT, self._tl_id,
+                            port, packet.uid, out)
+            policy = self._policies[out]
+            n = flits - sent
+            if n > room:
+                progress[port] = sent + room
+                if tracer is not None:
+                    self._tl_out[out].add(cycle, room)
+                policy.note_flit(port, packet, False)
+                break
             if tracer is not None:
-                if progress[port] == 0:
-                    tracer.emit(cycle, XBAR_GRANT, self._tl_id,
-                                port, packet.uid, out)
                 self._tl_out[out].add(cycle, n)
-            progress[port] += n
-            input_budget[port] -= n
-            output_budget[out] -= n
-            self._policies[out].note_flit(port, packet, False)
+            if n > 1:
+                policy.note_flit(port, packet, False)
+            policy.note_flit(port, packet, True)
+            self.inputs[port].pop()  # refreshes heads[port] and live
+            output.commit(packet)
+            progress[port] = 0
+            reserved[port] = False
+            completed += 1
+            if tracer is not None:
+                tracer.emit(cycle, XBAR_XFER, self._tl_id,
+                            port, packet.uid, out)
+            budget -= n
+            spent[out] = spent.get(out, 0) + n
+            packet = heads[port]
+            if not budget or packet is None:
+                break
+            out = route(packet)
+            if (spent.get(out, 0) >= width
+                    or not outputs[out].can_reserve(packet.flits)):
+                break
+        if completed and self.stats is not None:
+            self.stats.incr(self._packets_key, completed)
 
     def idle_until(self, cycle: int) -> Optional[int]:
         """Purely reactive: idle when no input can move a flit.

@@ -46,6 +46,9 @@ class Mux(LiveInputs, Component):
         self.output = output
         self.width = width
         self.policy = policy
+        #: A lone live input under a flit-invariant policy is served by
+        #: :meth:`_run_sole` (see :attr:`ArbitrationPolicy.flit_invariant`).
+        self._invariant = policy.flit_invariant
         self.stats = stats
         # Counter keys are interned once: the flits counter is bumped on
         # every granted flit, and per-flit f-string formatting was
@@ -82,7 +85,11 @@ class Mux(LiveInputs, Component):
 
     def tick(self, cycle: int) -> None:
         if self._sparse:
-            self._tick_sparse(cycle)
+            live = self._live
+            if len(live) == 1 and self._invariant:
+                self._run_sole(cycle, live[0])
+            elif live:
+                self._tick_sparse(cycle)
             return
         budget = self.width
         inputs = self.inputs
@@ -162,11 +169,11 @@ class Mux(LiveInputs, Component):
         larger than the output's free space — the tick sets ``_blocked``
         and returns, and :meth:`idle_until` parks the mux.  The test
         comes before ``allowed_inputs``, so a port waiting for its SRR
-        slot does not count as blocked.
+        slot does not count as blocked.  :meth:`tick` calls this with at
+        least one live port, and serves a lone one under a flit-invariant
+        policy through :meth:`_run_sole` instead.
         """
         live = self._live
-        if not live:
-            return
         inputs = self.inputs
         policy = self.policy
         reserved = self._reserved
@@ -187,7 +194,7 @@ class Mux(LiveInputs, Component):
         allowed = policy.allowed_inputs(cycle)
         if allowed is not None:
             candidates = [p for p in candidates if p in allowed]
-        forced = policy.flit_invariant
+        forced = self._invariant
         budget = self.width
         moved = 0
         completed = 0
@@ -247,6 +254,68 @@ class Mux(LiveInputs, Component):
                     stats.incr(self._packets_key, completed)
             if self._tl_link is not None:
                 self._tl_link.add(cycle, moved)
+
+    def _run_sole(self, cycle: int, port: int) -> None:
+        """:meth:`_tick_sparse` for one live input, as a flit run.
+
+        A sole candidate always wins, so no candidate list or policy
+        call is needed.  The head takes ``min(flits left, budget)``
+        flits; after a completion the next head goes on while budget
+        remains and it fits the output.  A run of a packet reports one
+        ``note_flit(False)`` (none if its only flit is the last), then
+        ``note_flit(True)`` if it ends the packet, as the general tick.
+        """
+        heads = self._heads
+        packet = heads[port]
+        reserved = self._reserved
+        output = self.output
+        if not reserved[port] and packet.flits > output.free_flits:
+            self._blocked = True
+            return
+        self._blocked = False
+        progress = self._progress
+        policy = self.policy
+        tracer = self._tracer
+        budget = self.width
+        moved = 0
+        completed = 0
+        while True:
+            flits = packet.flits
+            if not reserved[port]:
+                output.reserve(flits)
+                reserved[port] = True
+            sent = progress[port]
+            if tracer is not None and sent == 0:
+                tracer.emit(cycle, MUX_GRANT, self._tl_id, port, packet.uid)
+            n = flits - sent
+            if n > budget:
+                progress[port] = sent + budget
+                moved += budget
+                policy.note_flit(port, packet, False)
+                break
+            budget -= n
+            moved += n
+            if n > 1:
+                policy.note_flit(port, packet, False)
+            policy.note_flit(port, packet, True)
+            self.inputs[port].pop()  # refreshes heads[port] and live
+            output.commit(packet)
+            progress[port] = 0
+            reserved[port] = False
+            completed += 1
+            if tracer is not None:
+                tracer.emit(cycle, MUX_XFER, self._tl_id, port, packet.uid)
+            packet = heads[port]
+            if (not budget or packet is None
+                    or packet.flits > output.free_flits):
+                break
+        stats = self.stats
+        if stats is not None:
+            stats.incr(self._flits_key, moved)
+            if completed:
+                stats.incr(self._packets_key, completed)
+        if self._tl_link is not None:
+            self._tl_link.add(cycle, moved)
 
     def _can_start(self, port: int, head: Packet) -> bool:
         """A packet may (continue to) transmit if output space is secured."""

@@ -135,11 +135,18 @@ class Component:
         """Mark this component active (new external input arrived).
 
         Safe to call from anywhere — components not registered with an
-        engine, or registered with a ``naive`` engine, ignore it.
+        engine, or registered with a ``naive`` engine, ignore it.  This
+        is :meth:`Engine.wake` without a timer, inlined: every queue
+        commit and every pop that frees a blocked producer lands here.
         """
         engine = self._engine
         if engine is not None:
-            engine.wake(self)
+            index = self._engine_index
+            active = engine._active
+            if index not in active:
+                active.add(index)
+                if index > engine._scan_pos:
+                    heappush(engine._frontier, index)
 
 
 class Engine:
@@ -230,16 +237,6 @@ class Engine:
     def components(self) -> List[Component]:
         return list(self._components)
 
-    @property
-    def num_active(self) -> int:
-        """Components currently in the active set (``active`` strategy)."""
-        return len(self._active)
-
-    @property
-    def quiescent(self) -> bool:
-        """True when no component is active (timers may still be pending)."""
-        return not self._active
-
     # ------------------------------------------------------------------ #
     # Wake-up plumbing (active strategy; no-ops under naive).
     # ------------------------------------------------------------------ #
@@ -252,15 +249,10 @@ class Engine:
         naive loop would next run it.  With a future ``at``, a timer is
         scheduled instead.
         """
-        index = component._engine_index
         if at is not None and at > self.cycle:
-            self._schedule(index, at)
-            return
-        active = self._active
-        if index not in active:
-            active.add(index)
-            if index > self._scan_pos:
-                heappush(self._frontier, index)
+            self._schedule(component._engine_index, at)
+        else:
+            component.wake()
 
     def _schedule(self, index: int, at: int) -> None:
         if at >= FOREVER:
@@ -304,9 +296,10 @@ class Engine:
         active = self._active
         profiler = self.profiler
         timers = self._timers
-        target = self.cycle + cycles
-        while self.cycle < target:
-            cycle = self.cycle
+        timer_at = self._timer_at
+        cycle = self.cycle
+        target = cycle + cycles
+        while cycle < target:
             if timers and timers[0][0] <= cycle:
                 self._fire_due_timers(cycle)
             if not active:
@@ -322,7 +315,7 @@ class Engine:
                     self.on_fast_forward(cycle, jump)
                 if profiler is not None:
                     profiler.note_fast_forward(jump - cycle)
-                self.cycle = jump
+                self.cycle = cycle = jump
                 continue
             if profiler is not None and cycle >= profiler.next_sample:
                 profiler.sample(cycle, len(active))
@@ -341,12 +334,17 @@ class Engine:
                 ticked += 1
                 until = component.idle_until(cycle)
                 if until is not None and until > cycle + 1:
+                    # Park; the timer push is _schedule, inlined.
                     active.discard(index)
-                    self._schedule(index, until)
+                    if until < FOREVER:
+                        previous = timer_at[index]
+                        if previous is None or previous > until:
+                            timer_at[index] = until
+                            heappush(timers, (until, index))
             self._scan_pos = _NOT_SCANNING
             self.ticks_executed += ticked
-            self.cycle = cycle + 1
-        return self.cycle
+            self.cycle = cycle = cycle + 1
+        return cycle
 
     def run_until(
         self,

@@ -35,12 +35,10 @@ __all__ = [
     "Reduction",
     "StaleGoldenError",
     "above",
-    "all_expectation_ids",
     "artifacts_for_scale",
     "below",
     "between",
     "check_artifact",
-    "check_scale",
     "config_hash",
     "flat",
     "get_artifact",
@@ -60,8 +58,7 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".artifacts": (
-            "ARTIFACTS", "Artifact", "artifacts_for_scale",
-            "all_expectation_ids", "get_artifact",
+            "ARTIFACTS", "Artifact", "artifacts_for_scale", "get_artifact",
         ),
         ".expectations": (
             "Expectation", "ExpectationResult", "above", "below", "between",
@@ -72,7 +69,7 @@ __getattr__, __dir__ = lazy_exports(
             "StaleGoldenError", "config_hash",
         ),
         ".harness": (
-            "ArtifactRun", "check_artifact", "check_scale", "record_artifact",
+            "ArtifactRun", "check_artifact", "record_artifact",
             "run_artifact", "scale_config",
         ),
         ".reducer": ("Reduction", "reduce_failure"),

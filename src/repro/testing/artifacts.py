@@ -308,9 +308,3 @@ def artifacts_for_scale(scale: str) -> List[Artifact]:
     """Artifacts that define parameters for ``scale``, in registry order."""
     return [a for a in ARTIFACTS.values() if scale in a.scales]
 
-
-def all_expectation_ids() -> List[str]:
-    return [
-        exp.id for artifact in ARTIFACTS.values()
-        for exp in artifact.expectations
-    ]

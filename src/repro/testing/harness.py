@@ -21,7 +21,7 @@ from ..config import (
     small_config,
 )
 from ..runner import ResultCache, SimJob, SweepError, run_supervised
-from .artifacts import Artifact, artifacts_for_scale, get_artifact
+from .artifacts import Artifact, get_artifact
 from .expectations import ExpectationResult
 from .golden import (
     DriftResult,
@@ -253,22 +253,3 @@ def record_artifact(
     )
     return str(path)
 
-
-def check_scale(
-    scale: str,
-    artifact_ids: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
-    workers: Optional[int] = 1,
-    store: Optional[GoldenStore] = None,
-) -> List[ArtifactRun]:
-    """Check every artifact registered at ``scale`` (or a subset)."""
-    chosen = (
-        [get_artifact(a) for a in artifact_ids]
-        if artifact_ids else artifacts_for_scale(scale)
-    )
-    return [
-        check_artifact(
-            artifact.id, scale, cache=cache, workers=workers, store=store
-        )
-        for artifact in chosen
-    ]

@@ -291,6 +291,32 @@ class TestGoldenCommand:
         out = capsys.readouterr().out
         assert "FAIL fig7_8.sharing_slope" in out
 
+    @pytest.mark.parametrize("override", [
+        "l2_slice_bytes=98400", "l1_ways=0", "no_such_field=1",
+    ])
+    def test_unbuildable_override_exits_two_before_any_job(
+        self, override, capsys, monkeypatch
+    ):
+        import repro.testing.harness as harness
+
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a job was dispatched")
+
+        monkeypatch.setattr(harness, "run_supervised", no_jobs)
+        assert self._golden(
+            "check", "--artifact", "fig7_8", "--override", override,
+        ) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("repro golden: error: bad --override: ")
+        assert "\n" not in err
+
+    @pytest.mark.parametrize("flag", ["--override", "--param"])
+    def test_malformed_pair_exits_two(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._golden("check", "--artifact", "fig7_8", flag, "ops")
+        assert exc.value.code == 2
+        assert f"bad {flag} 'ops'" in capsys.readouterr().err
+
     def test_unknown_artifact_rejected(self, capsys):
         with pytest.raises(KeyError):
             self._golden("check", "--artifact", "fig99")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import (
     ARBITRATION_POLICIES,
+    ARCHITECTURES,
     ClockSkewModel,
     DramTiming,
     GpuConfig,
@@ -105,6 +106,23 @@ class TestValidation:
     def test_all_registered_policies_accepted(self):
         for policy in ARBITRATION_POLICIES:
             assert GpuConfig(arbitration=policy).arbitration == policy
+
+    @pytest.mark.parametrize("field,value", [
+        ("l2_slice_bytes", 98400),  # 48.05 sets of 16 x 128 B
+        ("l2_slice_bytes", 0),
+        ("l2_ways", 0),
+        ("l1_size_bytes", 100_000),
+        ("l1_line_bytes", 96),  # 128 KB is not whole 4 x 96 B sets
+    ])
+    def test_cache_geometry_must_be_whole_sets(self, field, value):
+        level = field[:2].upper()
+        with pytest.raises(ValueError, match=f"invalid {level} cache geometry"):
+            small_config(**{field: value})
+
+    def test_every_shipped_preset_constructs(self):
+        presets = [*ARCHITECTURES.values(), small_config(), medium_config()]
+        for preset in presets:
+            assert dataclasses.replace(preset) == preset
 
 
 class TestDerived:

@@ -14,7 +14,7 @@ across runs via ``.repro_cache``).  Run just this tier with::
 
 import pytest
 
-from repro.testing import ARTIFACTS, artifacts_for_scale
+from repro.testing import ARTIFACTS, GoldenStore, artifacts_for_scale
 from tests.plugin import paper_artifact
 
 
@@ -70,6 +70,17 @@ def test_every_small_artifact_has_a_marker_test():
         "@paper_artifact test (or a test references a removed artifact: "
         f"{sorted(covered - registered)})"
     )
+
+
+def test_every_small_artifact_has_a_committed_golden():
+    """Without its snapshot an artifact's test checks expectations only:
+    ``check_artifact`` skips the drift comparison on a missing golden."""
+    store = GoldenStore()
+    missing = [
+        a.id for a in artifacts_for_scale("small")
+        if not store.exists(a.id, "small")
+    ]
+    assert not missing, f"no committed small-scale golden for {missing}"
 
 
 def test_registry_expectation_ids_are_namespaced_and_unique():

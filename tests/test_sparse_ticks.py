@@ -17,7 +17,9 @@ compare the two tick paths cycle by cycle:
 
 The sparse side runs on an ``active`` engine with reactive wake hooks,
 so parking, wakes and quiescence fast-forward are all on the path under
-test.
+test.  Its two tick paths are counted: a lone live input under a
+flit-invariant policy goes through ``_run_sole``, every other tick
+through ``_tick_sparse``, and each case asserts which of them ran.
 """
 
 import random
@@ -129,6 +131,38 @@ def _run_lockstep(build, run_cycles=_RUN_CYCLES):
     return scalar, sparse
 
 
+def _count_paths(switch):
+    """Count the sparse switch's sole-input runs and general ticks.
+
+    Each call is also logged as ``(outputs committed to, packets left
+    at the inputs, blocked afterwards)`` for the crossbar cases below.
+    """
+    calls = {"_run_sole": [], "_tick_sparse": []}
+    outputs = getattr(switch, "outputs", None) or [switch.output]
+    for name, log in calls.items():
+        method = getattr(switch, name)
+
+        def counted(*args, _method=method, _log=log):
+            before = [len(q) for q in outputs]
+            _method(*args)
+            fed = sum(len(q) > n for q, n in zip(outputs, before))
+            left = sum(len(q) for q in switch.inputs)
+            _log.append((fed, left, switch._blocked))
+
+        setattr(switch, name, counted)
+    return calls
+
+
+def _assert_paths_ran(built, policy_name):
+    """Both sparse paths ran; the sole run only under its contract."""
+    paths = built["paths"]
+    assert paths["_tick_sparse"], "the general sparse tick never ran"
+    if make_policy(policy_name, 2).flit_invariant:
+        assert paths["_run_sole"], "no sole-input run"
+    else:  # RANDOM draws and SRR restricts even a sole candidate
+        assert not paths["_run_sole"]
+
+
 def _telemetry(hub):
     """Normalized event stream and per-epoch flits of every link."""
     assert hub.tracer.dropped == 0
@@ -164,15 +198,17 @@ def _mux_builder(policy_name, num_inputs, width, output_flits):
                   make_policy(policy_name, num_inputs, seed=7), stats)
         hub = Telemetry()
         mux.attach_telemetry(hub)
+        paths = None
         if sparse:
             mux._sparse = True
+            paths = _count_paths(mux)
         source = _Source(inputs, seed=11, num_outputs=1)
         meter = _LiveMeter(inputs)
         sink = _Sink([output])
         engine = Engine([source, meter, mux, sink],
                         strategy="active" if sparse else "naive")
         return {"engine": engine, "switch": mux, "sink": sink,
-                "stats": stats, "meter": meter, "hub": hub}
+                "stats": stats, "meter": meter, "hub": hub, "paths": paths}
 
     return build
 
@@ -186,6 +222,7 @@ class TestSparseMux:
         )
         # Parked while idle: the sparse side skipped no-op mux ticks.
         assert sparse["engine"].ticks_executed < scalar["engine"].ticks_executed
+        _assert_paths_ran(sparse, policy_name)
 
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_reply_mux_shape_matches_scalar(self, policy_name):
@@ -201,11 +238,12 @@ class TestSparseMux:
         rebuilding it.
         """
         num_inputs = 16
-        scalar, _ = _run_lockstep(
+        scalar, sparse = _run_lockstep(
             _mux_builder(policy_name, num_inputs, 3, 10), run_cycles=2500
         )
         samples = scalar["meter"].samples
         assert sum(samples) / len(samples) >= 0.75 * num_inputs
+        _assert_paths_ran(sparse, policy_name)
 
 
 #: Crossbar (output width, input width) shapes.  Width 1 grants one
@@ -215,13 +253,17 @@ class TestSparseMux:
 XBAR_SHAPES = [(1, 2), (8, 8), (3, 2)]
 
 
-def _crossbar_builder(policy_name, width=1, input_width=2):
-    """Build function for :func:`_run_lockstep` around one :class:`Crossbar`."""
+def _crossbar_builder(policy_name, width=1, input_width=2,
+                      output_flits=12, source=None, every=3):
+    """Build function for :func:`_run_lockstep` around one :class:`Crossbar`.
+
+    ``source(inputs)`` replaces the seeded bursty injector.
+    """
 
     def build(sparse):
         stats = StatsRegistry()
         inputs = [PacketQueue(f"in{i}", 24) for i in range(4)]
-        outputs = [PacketQueue(f"out{i}", 12) for i in range(3)]
+        outputs = [PacketQueue(f"out{i}", output_flits) for i in range(3)]
         xbar = Crossbar(
             "x", inputs, outputs, route=lambda p: p.slice_id,
             width=width, input_width=input_width, policy_name=policy_name,
@@ -229,16 +271,51 @@ def _crossbar_builder(policy_name, width=1, input_width=2):
         )
         hub = Telemetry()
         xbar.attach_telemetry(hub)
+        paths = None
         if sparse:
             xbar._sparse = True
-        source = _Source(inputs, seed=13, num_outputs=len(outputs))
-        sink = _Sink(outputs)
-        engine = Engine([source, xbar, sink],
+            paths = _count_paths(xbar)
+        injector = (
+            _Source(inputs, seed=13, num_outputs=len(outputs))
+            if source is None else source(inputs)
+        )
+        sink = _Sink(outputs, every)
+        engine = Engine([injector, xbar, sink],
                         strategy="active" if sparse else "naive")
         return {"engine": engine, "switch": xbar, "sink": sink,
-                "stats": stats, "hub": hub}
+                "stats": stats, "hub": hub, "paths": paths}
 
     return build
+
+
+class _SoloSource(Component):
+    """Feeds input 0 alone from a repeating ``(flits, output)`` pattern.
+
+    Each cycle it pushes packets until the queue refuses one, and the
+    pattern resumes there once room frees.  No other input is ever live.
+    """
+
+    name = "solo-source"
+
+    def __init__(self, queues, pattern):
+        self.queue = queues[0]
+        self.pattern = pattern
+        self.sent = 0
+
+    def tick(self, cycle):
+        if cycle >= _INJECT_CYCLES:
+            return
+        while True:
+            flits, out = self.pattern[self.sent % len(self.pattern)]
+            if not self.queue.push(Packet(
+                kind=WRITE, address=self.sent, flits=flits, src_sm=0,
+                slice_id=out, birth_cycle=cycle,
+            )):
+                return
+            self.sent += 1
+
+    def idle_until(self, cycle):
+        return None if cycle + 1 < _INJECT_CYCLES else FOREVER
 
 
 class TestSparseCrossbar:
@@ -253,6 +330,56 @@ class TestSparseCrossbar:
         assert {out for _, out, _ in scalar["sink"].log} == {0, 1, 2}
         # Parked while empty: the sparse side skipped idle crossbar ticks.
         assert sparse["engine"].ticks_executed < scalar["engine"].ticks_executed
+        _assert_paths_ran(sparse, policy_name)
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_sole_run_feeds_two_outputs_in_one_tick(self, policy_name):
+        """Consecutive packets of the lone input alternate outputs.
+
+        An input budget of 4 against 2 flits per output lets a tick send
+        1- and 2-flit packets to both outputs, so each output's budget
+        must be kept apart: one shared budget would stop at 2 flits.
+        """
+        pattern = [(1, 0), (1, 1), (2, 0), (1, 1), (1, 0), (2, 1)]
+        scalar, sparse = _run_lockstep(_crossbar_builder(
+            policy_name, width=2, input_width=4,
+            source=lambda inputs: _SoloSource(inputs, pattern), every=1,
+        ))
+        assert {out for _, out, _ in scalar["sink"].log} == {0, 1}
+        runs = sparse["paths"]["_run_sole"]
+        if make_policy(policy_name, 2).flit_invariant:
+            assert any(fed == 2 for fed, _, _ in runs)
+        else:
+            assert not runs
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_sole_run_stops_at_a_next_head_that_does_not_fit(
+        self, policy_name
+    ):
+        """A completion exposes a head that does not fit its output.
+
+        Each output holds 5 flits and every packet is 3, so after a
+        packet commits the next one waits for the sink, with budget left
+        (8 per input and output).  That tick granted, so it must not set
+        ``_blocked``; the next one, with nothing drained, must.
+        """
+        pattern = [(3, 0), (3, 0), (3, 1)]
+        scalar, sparse = _run_lockstep(_crossbar_builder(
+            policy_name, width=8, input_width=8, output_flits=5,
+            source=lambda inputs: _SoloSource(inputs, pattern), every=4,
+        ))
+        runs = sparse["paths"]["_run_sole"]
+        if make_policy(policy_name, 2).flit_invariant:
+            # Fed one output, packets left, and still unblocked ...
+            assert (1, True, False) in {
+                (fed, left > 0, blocked) for fed, left, blocked in runs
+            }
+            # ... and a later run found the head blocked.
+            assert (0, True, True) in {
+                (fed, left > 0, blocked) for fed, left, blocked in runs
+            }
+        else:
+            assert not runs
 
 
 class TestLiveLists:
