@@ -30,11 +30,11 @@ independent points over supervised worker processes (``--workers``,
 ``.repro_cache`` (disable with ``--no-cache``).  Hung workers are killed
 after ``--timeout`` seconds and failed jobs retried ``--retries`` times;
 crashes become structured failure records (``--keep-going`` finishes
-the sweep despite them), and completed points checkpoint to a journal
-(``--journal``, default ``.repro_sweeps/<sweep>.jsonl``) that
-``--resume`` replays after a crash or Ctrl-C.  ``--progress`` renders a
-live single-line status (done/total, cache hits, retries, per-worker
-elapsed) on stderr.
+the sweep despite them).  Completed points are written through to the
+store as they finish, so after a crash or Ctrl-C the same command
+resumes: finished points come back from the store and only the rest
+execute.  ``--progress`` renders a live single-line status (done/total,
+cache hits, retries, per-worker elapsed) on stderr.
 
 Every sweep (``serve`` too) writes its metrics manifest with
 ``--metrics FILE``: supervision and store counters plus the engine
@@ -248,41 +248,37 @@ def _sweep_policy(args):
 
 
 def _run_sweep(args, jobs, name):
-    """Run a CLI sweep under supervision, journaled for ``--resume``.
+    """Run a CLI sweep under supervision, resumable from the store.
 
     Returns ``(rows, failures)``: rows in job order with failed slots
     removed, failures as structured ``JobFailure`` records.  Completed
-    points checkpoint to an append-only JSONL journal — ``--journal`` or
-    ``.repro_sweeps/<name>.jsonl`` — and a rerun with ``--resume``
-    replays them instead of re-simulating.  ``--progress`` attaches a
+    points are written through to the result store, so rerunning an
+    interrupted sweep answers them from it and executes only the rest
+    (``--no-cache`` recomputes every point).  ``--progress`` attaches a
     live single-line renderer to the supervisor's event stream, and
     ``--metrics`` writes the sweep's metrics manifest — the store's
     counters plus the supervisor's, engine profiles of the points run
     fresh included.
     """
     from .runner import JobFailure, SweepError, run_supervised
-    from .runner.journal import SweepJournal, default_journal_path
 
     registry = _metrics_registry(args)
     renderer = _progress_renderer(args, name, len(jobs))
-    journal_path = args.journal or default_journal_path(name)
     try:
-        with SweepJournal(journal_path) as journal:
-            outcome = run_supervised(
-                jobs, workers=args.workers,
-                cache=_sweep_cache(args, registry),
-                policy=_sweep_policy(args), journal=journal,
-                resume=args.resume,
-                progress=renderer.progress if renderer else None,
-                on_event=renderer.on_event if renderer else None,
-            )
+        outcome = run_supervised(
+            jobs, workers=args.workers,
+            cache=_sweep_cache(args, registry),
+            policy=_sweep_policy(args),
+            progress=renderer.progress if renderer else None,
+            on_event=renderer.on_event if renderer else None,
+        )
     finally:
         if renderer is not None:
             renderer.close()
     counters = outcome.counters
-    replays = counters.get("journal_replays", 0)
-    if replays:
-        print(f"resumed from {journal_path}: {replays} point(s) replayed")
+    hits = counters.get("cache_hits", 0)
+    if hits:
+        print(f"{hits} of {len(jobs)} point(s) answered from the store")
     if counters.get("retries") or counters.get("quarantined"):
         print(
             f"supervision: {counters.get('attempts', 0)} attempt(s), "
@@ -1071,16 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--keep-going", action="store_true",
             help="complete the sweep despite failed jobs; failures are "
                  "reported as structured records (exit code 1)",
-        )
-        sweep.add_argument(
-            "--resume", action="store_true",
-            help="replay points already completed in this sweep's journal "
-                 "and execute only the remainder",
-        )
-        sweep.add_argument(
-            "--journal", default=None, metavar="FILE",
-            help="sweep journal path (default: .repro_sweeps/<sweep>.jsonl "
-                 "or $REPRO_JOURNAL_DIR)",
         )
         sweep.add_argument(
             "--progress", action="store_true",

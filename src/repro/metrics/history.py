@@ -8,7 +8,7 @@ run, so the performance trajectory the ROADMAP tracks (12.8x naive,
   record — config hash (scale + bits + workload set), per-workload
   per-strategy throughputs, and a host fingerprint;
 * :func:`append_history` appends it to ``BENCH_history.jsonl``
-  (the same torn-tail-tolerant JSONL discipline as the sweep journal);
+  (append-only JSONL whose loader skips a torn final line);
 * :func:`check_history` compares a fresh report against the **trailing
   median** of comparable records (same config hash *and* same host —
   cross-machine numbers are not comparable) and flags any throughput

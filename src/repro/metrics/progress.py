@@ -55,7 +55,6 @@ class SweepProgress:
         self.now = now
         self.done = 0
         self.cache_hits = 0
-        self.replays = 0
         self.retries = 0
         self.failures = 0
         #: index -> (attempt, start time) of jobs currently in workers.
@@ -87,8 +86,6 @@ class SweepProgress:
                 self.failures += 1
         elif kind == "cache-hit":
             self.cache_hits += 1
-        elif kind == "replay":
-            self.replays += 1
         self.render()
 
     def progress(self, done: int, total: int) -> None:
@@ -113,12 +110,11 @@ class SweepProgress:
 
     def _line(self) -> str:
         parts = [f"{self.label}  {self._bar()}{self.done}/{self.total or '?'}"]
-        served = self.cache_hits + self.replays
         if self.done:
-            rate = 100.0 * served / self.done
-            parts.append(f"cache {served} ({rate:.0f}%)")
+            rate = 100.0 * self.cache_hits / self.done
+            parts.append(f"cache {self.cache_hits} ({rate:.0f}%)")
         else:
-            parts.append(f"cache {served}")
+            parts.append(f"cache {self.cache_hits}")
         parts.append(f"retry {self.retries}")
         parts.append(f"fail {self.failures}")
         if self.inflight:

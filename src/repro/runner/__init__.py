@@ -15,10 +15,11 @@ Public surface::
 :func:`run_supervised` is the one sweep front door: one worker process
 per attempt, per-job timeouts, bounded retries with deterministic
 backoff (a :class:`~repro.config.SweepSupervision` ``policy``), crash
-isolation, and journal checkpointing and resume (a
-:class:`SweepJournal` plus ``resume=True``).  A job whose attempts run
-out is a :class:`JobFailure` in its slot; the caller decides whether
-that raises.  :attr:`SweepOutcome.metrics` is the sweep's metrics
+isolation, and write-through to the :class:`ResultCache` as each point
+finishes, so rerunning an interrupted sweep executes only the points
+that never finished.  A job whose attempts run out is a
+:class:`JobFailure` in its slot; the caller decides whether that
+raises.  :attr:`SweepOutcome.metrics` is the sweep's metrics
 manifest — supervision counters plus the engine profiles of the jobs
 it ran fresh — and callers fold it into the registry they report from.
 
@@ -50,14 +51,12 @@ __all__ = [
     "SimJob",
     "StaleSurfaceError",
     "SweepError",
-    "SweepJournal",
     "SweepOutcome",
     "SweepService",
     "bench_engine",
     "code_version",
     "execute",
     "job_key",
-    "load_journal",
     "merge_telemetry",
     "resolve",
     "run_chaos",
@@ -71,7 +70,6 @@ __getattr__, __dir__ = lazy_exports(
         ".bench": ("bench_engine",),
         ".cache": ("ResultCache", "code_version", "job_key"),
         ".chaos": ("ChaosReport", "run_chaos"),
-        ".journal": ("SweepJournal", "load_journal"),
         ".runner": ("SimJob", "execute", "merge_telemetry", "resolve"),
         ".service": ("ServiceError", "SweepService", "serve_requests"),
         ".supervisor": (

@@ -157,9 +157,8 @@ def job_key(
     """Content-hash key for one simulation point.
 
     This is the single keying scheme shared by :class:`ResultCache` and
-    the sweep journal (:mod:`repro.runner.journal`), so a journal written
-    against one cache replays against any other — the key depends only on
-    the point's inputs and the code version, never on where results are
+    the sweep service's in-flight dedup — the key depends only on the
+    point's inputs and the code version, never on where results are
     stored.
     """
     payload = canonical_json(

@@ -20,7 +20,8 @@ provides both halves:
      reference sweep;
   2. jobs that recover via retry produce exactly the fault-free result;
   3. exhausted jobs surface as structured ``JobFailure`` records, and a
-     ``resume`` run re-executes only those (journal replays the rest);
+     rerun against the same result store re-executes only those (the
+     store answers the rest);
   4. corrupted cache entries are quarantined and transparently
      recomputed, bit-identical again.
 
@@ -46,14 +47,13 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..config import GpuConfig, SweepSupervision, small_config
 from .cache import ResultCache
-from .journal import SweepJournal
 from .runner import SimJob
 from .supervisor import JobFailure, SweepOutcome, run_supervised
 
 #: Environment variable naming the attempt-ledger directory.  Passed via
 #: the environment (not workload params) so it never pollutes the
 #: content-hash job keys — two chaos runs with different scratch dirs
-#: but the same plan share cache entries and journal records.
+#: but the same plan share cache entries.
 CHAOS_STATE_ENV = "REPRO_CHAOS_STATE"
 
 #: Exit code used by the ``exit`` fault (recognisable in manifests).
@@ -63,7 +63,7 @@ CHAOS_EXIT_CODE = 41
 #: schedule consumed one step per attempt (the last step repeats).  The
 #: ``fatal-*`` plans outlast the default 3-attempt budget, producing a
 #: ``JobFailure`` — and then succeed on the next attempt, which is
-#: exactly what a ``--resume`` run should execute.
+#: exactly what a rerun against the same store should execute.
 FAULT_PLANS: Dict[str, str] = {
     "transient-raise": "raise,ok",
     "transient-hang": "hang,ok",
@@ -240,7 +240,7 @@ def run_chaos(
     (timeout ``timeout_s``, 3 attempts, fast deterministic backoff),
     then checks healthy bit-identity against a fault-free reference,
     resume-after-failure, and cache-corruption quarantine.  All scratch
-    state (attempt ledgers, cache, journal) lives under ``scratch`` (a
+    state (attempt ledgers, cache) lives under ``scratch`` (a
     temp dir by default).
     """
     config = config or small_config()
@@ -276,10 +276,9 @@ def run_chaos(
         # ---- Chaos run ------------------------------------------------
         os.environ[CHAOS_STATE_ENV] = str(scratch / "chaos-state")
         cache = ResultCache(scratch / "cache")
-        journal = SweepJournal(scratch / "journal.jsonl")
         outcome = run_supervised(
             jobs, workers=workers, cache=cache, progress=on_progress,
-            policy=policy, journal=journal,
+            policy=policy,
         )
 
         healthy = [i for i in range(num_jobs) if i not in plans]
@@ -312,22 +311,21 @@ def run_chaos(
             problems.append("exhausted jobs did not surface as JobFailure "
                             "records in the results")
 
-        # ---- Resume: only failed/missing points re-execute ------------
+        # ---- Resume: a rerun re-executes only failed/missing points ----
         ledger = scratch / "chaos-state"
         before = {
             _token(i): attempts_recorded(ledger, _token(i))
             for i in range(num_jobs)
         }
         resumed = run_supervised(
-            jobs, workers=workers, cache=None, policy=policy,
-            journal=SweepJournal(scratch / "journal.jsonl"), resume=True,
+            jobs, workers=workers, cache=cache, policy=policy,
         )
         executed = sorted(
             i for i in range(num_jobs)
             if attempts_recorded(ledger, _token(i)) > before[_token(i)]
         )
         resume_info: Dict[str, Any] = {
-            "replayed": resumed.counters.get("journal_replays", 0),
+            "replayed": resumed.counters.get("cache_hits", 0),
             "reexecuted": executed,
             "failures": len(resumed.failures),
         }

@@ -63,7 +63,7 @@ class SimJob:
         return self.config.replace(seed=self.seed)
 
     def key(self, version: Optional[str] = None) -> str:
-        """The job's content-hash key in the cache, journal and service.
+        """The job's content-hash key in the result store and the service.
 
         The seed override is folded into the config it keys on, so a
         ``seed=7`` job and one whose config already says ``seed=7`` share

@@ -24,15 +24,16 @@ runs:
   structured :class:`JobFailure` *in the results list*; healthy jobs
   complete normally and the sweep returns a full failure manifest.
   Strict callers raise :class:`SweepError` from the outcome's failures,
-  after every healthy job has finished and been checkpointed.
-* **Durable progress.**  With a :class:`~repro.runner.journal.SweepJournal`
-  attached, every completed point is checkpointed as it arrives (and
-  cache puts are write-through), so a crash or Ctrl-C costs only the
-  points that were literally in flight.
+  after every healthy job has finished and been stored.
+* **Durable progress.**  With a :class:`~repro.runner.cache.ResultCache`
+  attached, every completed point is written through to it as it
+  arrives, so a crash or Ctrl-C costs only the points that were
+  literally in flight: rerunning the same sweep answers the finished
+  points from the store and executes only the rest.
 * **Fresh-only accounting.**  Each sweep counts its supervision events
   into a registry of its own and folds in the engine profile
   (``result["metrics"]``) of every job it ran fresh — never of a cache
-  hit, a journal replay or a failed slot — so :attr:`SweepOutcome.metrics`
+  hit or a failed slot — so :attr:`SweepOutcome.metrics`
   is the sweep's whole manifest, for the caller to fold where it wants.
 
 The supervision state machine per job::
@@ -60,7 +61,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..config import SweepSupervision
 from ..metrics.registry import MetricsRegistry
 from .cache import ResultCache
-from .journal import SweepJournal
 
 #: Failure kinds reported by the supervisor.
 FAILURE_KINDS = ("exception", "timeout", "worker-death")
@@ -71,7 +71,7 @@ class JobFailure:
     """Structured record of a job whose attempts were all exhausted.
 
     Appears *in place* of the job's result in the sweep results list (in
-    graceful mode), in the sweep journal, and in the failure manifest.
+    graceful mode) and in the failure manifest.
     """
 
     index: int
@@ -106,8 +106,8 @@ class SweepError(RuntimeError):
     """Raised in strict mode when a sweep finishes with failed jobs.
 
     Raised only *after* the sweep has run to completion — every healthy
-    job's result has been cached and journaled, so a strict failure is
-    still resumable.
+    job's result has been written to the result store, so rerunning the
+    sweep executes only the failed points.
     """
 
     def __init__(self, failures: Sequence[JobFailure],
@@ -128,7 +128,7 @@ class SweepOutcome:
 
     ``results`` is in job order; failed slots hold :class:`JobFailure`
     instances.  ``counters`` aggregates supervision events (attempts,
-    retries, per-kind failures, cache/journal replays) as plain ints.
+    retries, per-kind failures, cache hits) as plain ints.
     """
 
     results: List[Any]
@@ -139,7 +139,6 @@ class SweepOutcome:
     #: ran fresh.  Fold it with ``MetricsRegistry.merge_manifest``.
     metrics: Dict[str, Any]
     quarantines: List[Dict[str, Any]] = field(default_factory=list)
-    journal_path: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -245,8 +244,6 @@ def run_supervised(
     progress: Optional[Callable[[int, int], None]] = None,
     *,
     policy: Optional[SweepSupervision] = None,
-    journal: Optional[SweepJournal] = None,
-    resume: bool = False,
     mp_context=None,
     on_event: Optional[Callable[[str, Dict[str, Any]], None]] = None,
 ) -> SweepOutcome:
@@ -255,15 +252,15 @@ def run_supervised(
     Results come back in job order; a job whose attempts are exhausted
     yields a :class:`JobFailure` in its slot (callers wanting a raise
     raise ``SweepError(outcome.failures, outcome.results)``).  With a
-    ``journal``, completed points are checkpointed as they arrive and —
-    with ``resume=True`` — points already completed by a previous run are
-    replayed without execution.  Cache puts are write-through.  On
-    ``KeyboardInterrupt`` (or any other escaping exception, including one
-    raised by ``progress``) every in-flight worker is killed and the
-    journal is flushed before the exception propagates.
+    ``cache``, points already in the store are answered from it without
+    execution and every completed point is written through as it
+    arrives, so a rerun of an interrupted sweep executes only the points
+    that never finished.  On ``KeyboardInterrupt`` (or any other escaping
+    exception, including one raised by ``progress``) every in-flight
+    worker is killed before the exception propagates.
 
     ``on_event`` receives fine-grained supervision events — ``launch``,
-    ``ok``, ``fail``, ``cache-hit``, ``replay`` — each with a small info
+    ``ok``, ``fail``, ``cache-hit`` — each with a small info
     dict (``index``, plus ``attempt``/``retry``/``kind`` where they
     apply); :class:`repro.metrics.SweepProgress` plugs in here.  Labeled
     supervision metrics and the engine profiles of fresh jobs land in a
@@ -280,12 +277,11 @@ def run_supervised(
     registry = MetricsRegistry()
     m_completed = registry.counter("sweep_jobs_total", state="completed")
     m_failed = registry.counter("sweep_jobs_total", state="failed")
-    m_cache_hit = registry.counter("sweep_jobs_total", state="cache_hit")
-    m_replayed = registry.counter(
+    m_cache_hit = registry.counter(
         "sweep_jobs_total",
         "Sweep jobs by terminal state (completed/failed) or skip "
-        "reason (cache_hit/journal_replay).",
-        state="journal_replay",
+        "reason (cache_hit).",
+        state="cache_hit",
     )
     m_attempts = registry.counter(
         "sweep_attempts_total", "Worker processes launched."
@@ -328,42 +324,18 @@ def run_supervised(
 
     quarantine_base = cache.quarantined if cache is not None else 0
 
-    replayed: Dict[str, Any] = {}
-    if journal is not None and resume:
-        replayed = journal.completed()
-
     pending: List[int] = []
     for index in range(total):
-        key = keys[index]
-        if key in replayed:
-            results[index] = replayed[key]
-            counters["journal_replays"] += 1
-            m_replayed.inc()
-            done += 1
-            emit("replay", index=index)
-            report()
+        hit = cache.get(keys[index]) if cache is not None else None
+        if hit is None:
+            pending.append(index)
             continue
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                results[index] = hit
-                counters["cache_hits"] += 1
-                m_cache_hit.inc()
-                done += 1
-                emit("cache-hit", index=index)
-                report()
-                continue
-        pending.append(index)
-
-    if journal is not None:
-        journal.record_begin(
-            total,
-            meta={
-                "pending": len(pending),
-                "replayed": counters["journal_replays"],
-                "resume": resume,
-            },
-        )
+        results[index] = hit
+        counters["cache_hits"] += 1
+        m_cache_hit.inc()
+        done += 1
+        emit("cache-hit", index=index)
+        report()
 
     def finish_success(attempt: _Attempt, result: Any) -> None:
         nonlocal done
@@ -376,8 +348,6 @@ def run_supervised(
         m_completed.inc()
         m_lifetime.add(elapsed)
         done += 1
-        if journal is not None:
-            journal.record_result(attempt.key, attempt.index, result)
         emit(
             "ok",
             index=attempt.index,
@@ -449,10 +419,6 @@ def run_supervised(
             results[attempt.index] = failure
             m_failed.inc()
             done += 1
-            if journal is not None:
-                journal.record_failure(
-                    failure.key, failure.index, failure.to_dict()
-                )
             emit(
                 "fail",
                 index=attempt.index,
@@ -555,12 +521,7 @@ def run_supervised(
                 _kill(attempt.process)
                 attempt.conn.close()
             inflight.clear()
-            if journal is not None:
-                journal.flush()
             raise
-
-    if journal is not None:
-        journal.flush()
 
     quarantines: List[Dict[str, Any]] = []
     if cache is not None and cache.quarantined > quarantine_base:
@@ -574,5 +535,4 @@ def run_supervised(
         counters=dict(counters),
         metrics=registry.to_manifest(),
         quarantines=quarantines,
-        journal_path=str(journal.path) if journal is not None else None,
     )

@@ -135,9 +135,12 @@ class Component:
         """Mark this component active (new external input arrived).
 
         Safe to call from anywhere — components not registered with an
-        engine, or registered with a ``naive`` engine, ignore it.  This
-        is :meth:`Engine.wake` without a timer, inlined: every queue
-        commit and every pop that frees a blocked producer lands here.
+        engine, or registered with a ``naive`` engine, ignore it.  The
+        component joins the active set at once: if its pipeline position
+        has not been passed this cycle it is ticked this very cycle,
+        otherwise next cycle — exactly when the naive loop would next run
+        it.  Every queue commit and every pop that frees a blocked
+        producer lands here.
         """
         engine = self._engine
         if engine is not None:
@@ -237,32 +240,6 @@ class Engine:
     def components(self) -> List[Component]:
         return list(self._components)
 
-    # ------------------------------------------------------------------ #
-    # Wake-up plumbing (active strategy; no-ops under naive).
-    # ------------------------------------------------------------------ #
-    def wake(self, component: Component, at: Optional[int] = None) -> None:
-        """(Re-)activate ``component``.
-
-        With ``at=None`` the component joins the active set immediately:
-        if its pipeline position has not been passed this cycle it is
-        ticked this very cycle, otherwise next cycle — exactly when the
-        naive loop would next run it.  With a future ``at``, a timer is
-        scheduled instead.
-        """
-        if at is not None and at > self.cycle:
-            self._schedule(component._engine_index, at)
-        else:
-            component.wake()
-
-    def _schedule(self, index: int, at: int) -> None:
-        if at >= FOREVER:
-            return
-        previous = self._timer_at[index]
-        if previous is not None and previous <= at:
-            return  # an equal-or-earlier timer is already pending
-        self._timer_at[index] = at
-        heappush(self._timers, (at, index))
-
     def _fire_due_timers(self, cycle: int) -> None:
         timers = self._timers
         active = self._active
@@ -334,7 +311,8 @@ class Engine:
                 ticked += 1
                 until = component.idle_until(cycle)
                 if until is not None and until > cycle + 1:
-                    # Park; the timer push is _schedule, inlined.
+                    # Park, with a timer unless purely reactive; an
+                    # equal-or-earlier pending timer stands.
                     active.discard(index)
                     if until < FOREVER:
                         previous = timer_at[index]

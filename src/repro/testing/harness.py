@@ -124,9 +124,10 @@ class ArtifactRun:
     seeds: List[int]
     samples: Dict[str, List[Any]]
     expectation_results: List[ExpectationResult]
-    #: None when no golden snapshot exists (expectations-only run).
+    #: None when not compared (a custom sweep, judged on expectations
+    #: only) or when the snapshot is missing or unusable.
     drift_results: Optional[List[DriftResult]] = None
-    #: Set when the snapshot exists but is unusable (config mismatch).
+    #: Set when the snapshot is missing or unusable (config mismatch).
     golden_error: Optional[str] = None
     overrides: Dict[str, Any] = field(default_factory=dict)
 
@@ -163,7 +164,7 @@ class ArtifactRun:
         elif self.drift_results is not None:
             lines += ["  " + r.line() for r in self.drift_results]
         else:
-            lines.append("  GOLDEN none recorded (expectations only)")
+            lines.append("  GOLDEN not compared (expectations only)")
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -227,9 +228,7 @@ def check_artifact(
             run.drift_results = store.check(
                 artifact_id, scale, config, samples
             )
-        except MissingGoldenError:
-            run.drift_results = None
-        except StaleGoldenError as exc:
+        except (MissingGoldenError, StaleGoldenError) as exc:
             run.golden_error = str(exc)
     return run
 

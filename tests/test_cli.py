@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -33,7 +35,6 @@ class TestNumericArguments:
     @pytest.fixture(autouse=True)
     def _no_jobs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "sweeps"))
         monkeypatch.chdir(tmp_path)
 
         def no_sweep(*args, **kwargs):
@@ -106,6 +107,46 @@ class TestCommands:
         assert main(["fig2", "--ops", "6"]) == 0
         out = capsys.readouterr().out
         assert "TPC sibling" in out
+
+    def test_fig5_runs(self, capsys):
+        assert main(["fig5", "--ops", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "TPC channel" in out
+        assert "GPC channel" in out
+
+    def test_fig15_runs(self, capsys):
+        assert main(["fig15", "--ops", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "SRR  slope: +0.000" in out
+
+    def test_table2_runs(self, capsys):
+        assert main(["table2", "--bits", "2", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "GPU GPC Channel (all GPCs)" in out
+        assert "bandwidth (Mbps)" in out
+
+    def test_linkchan_rerun_executes_nothing(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        manifest = tmp_path / "metrics.json"
+        argv = ["linkchan", "--iterations", "1", "--bits", "4",
+                "--metrics", str(manifest)]
+
+        def attempts():
+            families = json.loads(manifest.read_text())["metrics"]
+            (series,) = families["sweep_attempts_total"]["series"]
+            return series["value"]
+
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert attempts() == 1
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert attempts() == 0
+        assert "1 of 1 point(s) answered from the store" in second
+        table = first.splitlines()[1:]  # after the "wrote" line
+        assert table[0].startswith("iterations")
+        assert second.splitlines()[2:] == table
 
     def test_fig10_single_point(self, capsys):
         assert main(
@@ -196,36 +237,49 @@ class TestSweepSupervisionFlags:
     @pytest.fixture(autouse=True)
     def _isolated_dirs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "sweeps"))
         self.tmp_path = tmp_path
 
     def test_parser_accepts_supervision_flags(self):
         args = build_parser().parse_args(
-            ["fig10", "--timeout", "30", "--retries", "2",
-             "--keep-going", "--resume", "--journal", "x.jsonl"]
+            ["fig10", "--timeout", "30", "--retries", "2", "--keep-going"]
         )
         assert args.timeout == 30.0
         assert args.retries == 2
-        assert args.keep_going and args.resume
-        assert args.journal == "x.jsonl"
+        assert args.keep_going
 
-    # A plain sweep (no supervision flag) is journaled and resumable too.
+    # Recovery is a rerun of the same command: no sweep takes a resume
+    # or journal option.
+    @pytest.mark.parametrize("option", [["resume"], ["journal", "x.jsonl"]])
+    @pytest.mark.parametrize("command", ["fig10", "table2", "linkchan"])
+    def test_parser_rejects_removed_recovery_options(self, command, option,
+                                                     capsys):
+        name, *value = option
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, f"--{name}", *value])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    # A plain sweep (no supervision flag) resumes from the store too.
     @pytest.mark.parametrize(
         "flags", [[], ["--retries", "0"]], ids=["plain", "retries"]
     )
-    def test_fig10_journal_then_resume_replays(self, capsys, flags):
-        argv = ["fig10", "--iterations", "1", "--bits", "4",
-                "--no-cache", *flags]
+    def test_fig10_rerun_answers_from_the_store(self, capsys, flags):
+        argv = ["fig10", "--iterations", "1", "--bits", "4", *flags]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert (self.tmp_path / "sweeps" / "fig10-small.jsonl").is_file()
+        assert "answered from the store" not in first
 
-        assert main(argv + ["--resume"]) == 0
+        assert main(argv) == 0
         second = capsys.readouterr().out
-        assert "resumed from" in second
-        assert "1 point(s) replayed" in second
-        # The replayed table is bit-identical to the executed one.
+        assert "1 of 1 point(s) answered from the store" in second
+        # The stored table is bit-identical to the executed one.
         assert first.splitlines()[-4:] == second.splitlines()[-4:]
+
+        # --no-cache recomputes every point.
+        assert main(argv + ["--no-cache"]) == 0
+        third = capsys.readouterr().out
+        assert "answered from the store" not in third
+        assert third.splitlines()[-4:] == first.splitlines()[-4:]
 
 
 class TestGoldenCommand:
@@ -281,6 +335,16 @@ class TestGoldenCommand:
         assert payload["passed"] is True
         assert payload["artifacts"][0]["artifact"] == "fig7_8"
 
+    def test_missing_golden_exits_two(self, capsys):
+        shutil.copytree(Path(__file__).parent / "golden", self.golden_dir)
+        missing = self.golden_dir / "small" / "fig7_8.json"
+        missing.unlink()
+        assert self._golden("check", "--artifact", "fig7_8") == 2
+        out = capsys.readouterr().out
+        assert str(missing) in out
+        assert "golden record" in out
+        assert "0 passed, 1 failed" in out
+
     def test_perturbed_check_fails_with_exit_one(self, capsys):
         assert self._golden(
             "check", "--artifact", "fig7_8",
@@ -334,7 +398,6 @@ class TestMetricsCommand:
     @pytest.fixture(autouse=True)
     def _isolated_dirs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "sweeps"))
         self.tmp_path = tmp_path
         self.path = tmp_path / "metrics.json"
 
@@ -386,7 +449,6 @@ class TestFreshOnlyMetrics:
     @pytest.fixture(autouse=True)
     def _isolated_dirs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "sweeps"))
         self.tmp_path = tmp_path
 
     def _families(self, capsys, *argv):
@@ -421,14 +483,15 @@ class TestFreshOnlyMetrics:
         assert self._engine(stored) == []
         assert self._jobs(stored, "cache_hit") == 2
 
-    def test_fig10_cold_then_resumed_from_the_journal(self, capsys):
-        cold = self._families(capsys, "fig10", "--no-cache")
+    def test_fig10_cold_then_rerun_from_the_store(self, capsys):
+        cold = self._families(capsys, "fig10")
         assert "engine_profile_samples_total" in cold
         assert self._jobs(cold, "completed") == 2
 
-        resumed = self._families(capsys, "fig10", "--no-cache", "--resume")
-        assert self._engine(resumed) == []
-        assert self._jobs(resumed, "journal_replay") == 2
+        rerun = self._families(capsys, "fig10")
+        assert self._engine(rerun) == []
+        assert self._jobs(rerun, "cache_hit") == 2
+        assert self._jobs(rerun, "completed") == 0
 
 
 class TestBenchHistoryCommand:
@@ -581,9 +644,7 @@ class TestServeCommand:
         assert warm["service"]["cache_hit"] == 2
         assert warm["answers"] == cold["answers"]
 
-    def test_fig10_and_serve_share_store_entries(self, monkeypatch,
-                                                 capsys):
-        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(self.tmp_path / "j"))
+    def test_fig10_and_serve_share_store_entries(self, capsys):
         assert main(["fig10", *self.GRID]) == 0
         code, manifest = self._serve()
         assert code == 0

@@ -152,6 +152,18 @@ class TestHarness:
             line for line in run.report().splitlines() if "PASS" in line
         )
 
+    def test_check_artifact_with_missing_golden_fails(self, tmp_path, store):
+        run = check_artifact(
+            "fig7_8", "small", seeds=[11], params=TINY,
+            cache=ResultCache(tmp_path / "cache"), store=store,
+        )
+        assert run.expectations_passed, run.report()
+        assert run.drift_results is None
+        assert not run.passed
+        assert str(store.path("fig7_8", "small")) in run.golden_error
+        assert "golden record" in run.golden_error
+        assert "GOLDEN no golden for 'fig7_8'" in run.report()
+
     def test_check_artifact_perturbation_fails_expectations(self, tmp_path):
         run = check_artifact(
             "fig7_8", "small", seeds=[11], params=TINY,

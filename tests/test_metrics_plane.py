@@ -30,7 +30,6 @@ from repro.runner import (
     JobFailure,
     ResultCache,
     SimJob,
-    SweepJournal,
     merge_telemetry,
     run_supervised,
 )
@@ -297,7 +296,7 @@ class TestSweepProgress:
     def test_counts_cache_retry_and_failures(self):
         progress, stream = self._progress()
         progress.on_event("cache-hit", {"index": 0})
-        progress.on_event("replay", {"index": 1})
+        progress.on_event("cache-hit", {"index": 1})
         progress.on_event(
             "fail", {"index": 2, "attempt": 1, "kind": "timeout",
                      "retry": True},
@@ -307,7 +306,7 @@ class TestSweepProgress:
                      "retry": False},
         )
         progress.progress(3, 4)
-        assert progress.cache_hits == 1 and progress.replays == 1
+        assert progress.cache_hits == 2
         assert progress.retries == 1 and progress.failures == 1
         line = stream.getvalue().splitlines()[-1]
         assert "cache 2" in line and "retry 1" in line and "fail 1" in line
@@ -523,22 +522,19 @@ class TestSupervisedAggregation:
     def test_engine_profiles_fold_only_from_fresh_points(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", metrics=MetricsRegistry())
         jobs = self._jobs()
-        with SweepJournal(tmp_path / "sweep.jsonl") as journal:
-            first = run_supervised(jobs, workers=2, cache=cache,
-                                   policy=FAST, journal=journal)
-            # Healthy results now come from the cache (the failed job
-            # is never cached): nothing runs fresh, so no engine profile
-            # is counted a second time.
-            second = run_supervised(jobs, workers=2, cache=cache,
-                                    policy=FAST)
-            # Journal replays are not fresh either.
-            replayed = run_supervised(jobs[:2], workers=2, policy=FAST,
-                                      journal=journal, resume=True)
+        first = run_supervised(jobs, workers=2, cache=cache, policy=FAST)
+        # Healthy results now come from the cache (the failed job is
+        # never cached): nothing runs fresh, so no engine profile is
+        # counted a second time.
+        second = run_supervised(jobs, workers=2, cache=cache, policy=FAST)
+        # A rerun of just the stored points executes nothing at all.
+        rerun = run_supervised(jobs[:2], workers=2, cache=cache,
+                               policy=FAST)
         assert self._engine(first)
         assert second.counters["cache_hits"] == 2
         assert self._engine(second) == []
-        assert replayed.counters["journal_replays"] == 2
-        assert self._engine(replayed) == []
+        assert rerun.counters == {"cache_hits": 2}
+        assert self._engine(rerun) == []
 
         telemetry = merge_telemetry(first.results)
         assert telemetry["jobs"] == 2

@@ -73,8 +73,8 @@ def test_every_small_artifact_has_a_marker_test():
 
 
 def test_every_small_artifact_has_a_committed_golden():
-    """Without its snapshot an artifact's test checks expectations only:
-    ``check_artifact`` skips the drift comparison on a missing golden."""
+    """Names a missing snapshot directly; each artifact's own test would
+    also fail, with a ``golden_error`` from ``check_artifact``."""
     store = GoldenStore()
     missing = [
         a.id for a in artifacts_for_scale("small")

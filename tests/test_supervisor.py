@@ -18,7 +18,6 @@ from repro.runner import (
     ResultCache,
     SimJob,
     SweepError,
-    SweepJournal,
     run_supervised,
 )
 from repro.runner.chaos import CHAOS_FN, CHAOS_STATE_ENV, attempts_recorded
@@ -291,10 +290,10 @@ class TestPolicyKnobs:
 
 
 class TestTeardown:
-    def test_progress_exception_kills_inflight_and_flushes_journal(
+    def test_progress_exception_kills_inflight_and_keeps_finished_points(
         self, chaos_state, tmp_path
     ):
-        journal = SweepJournal(tmp_path / "sweep.jsonl")
+        cache = ResultCache(tmp_path / "cache")
         jobs = [chaos_job(f"t{i}", "ok", value=i + 1) for i in range(3)]
 
         calls = []
@@ -306,14 +305,17 @@ class TestTeardown:
 
         with pytest.raises(RuntimeError, match="observer crashed"):
             run_supervised(jobs, workers=1, policy=FAST,
-                           progress=progress, journal=journal)
+                           progress=progress, cache=cache)
         assert multiprocessing.active_children() == []
-        # The journal kept everything completed before the crash.
-        state = journal.load()
-        assert len(state.results) == 2
+        # The store kept everything completed before the crash.
+        stored = [cache.get(job.key(cache.code_version)) for job in jobs]
+        assert [r["value"] for r in stored[:2]] == [1, 2]
+        assert stored[2] is None
 
-    def test_resume_after_partial_journal(self, chaos_state, tmp_path):
-        journal_path = tmp_path / "sweep.jsonl"
+    def test_rerun_after_interrupt_executes_only_the_rest(
+        self, chaos_state, tmp_path
+    ):
+        cache = ResultCache(tmp_path / "cache")
         jobs = [chaos_job(f"r{i}", "ok", value=i + 1) for i in range(4)]
 
         def explode_late(done, total):
@@ -322,26 +324,23 @@ class TestTeardown:
 
         with pytest.raises(KeyboardInterrupt):
             run_supervised(jobs, workers=1, policy=FAST,
-                           progress=explode_late,
-                           journal=SweepJournal(journal_path))
+                           progress=explode_late, cache=cache)
         executed_before = [
             attempts_recorded(chaos_state, f"r{i}") for i in range(4)
         ]
-        assert sum(executed_before) == 2
+        assert executed_before == [1, 1, 0, 0]
 
-        outcome = run_supervised(
-            jobs, workers=1, policy=FAST,
-            journal=SweepJournal(journal_path), resume=True,
-        )
+        outcome = run_supervised(jobs, workers=1, policy=FAST, cache=cache)
         assert outcome.ok
-        assert [r["value"] for r in outcome.results] == [1, 2, 3, 4]
-        assert outcome.counters["journal_replays"] == 2
-        # Only the two missing points executed on resume.
-        executed_after = [
+        assert outcome.counters["cache_hits"] == 2
+        assert outcome.counters["attempts"] == 2
+        # Only the two missing points executed on the rerun.
+        assert [
             attempts_recorded(chaos_state, f"r{i}") for i in range(4)
-        ]
-        assert sum(executed_after) == 4
-        assert executed_after[:2] == executed_before[:2]
+        ] == [1, 1, 1, 1]
+        # Bit-identical to an uninterrupted, uncached run.
+        uninterrupted = run_supervised(jobs, workers=1, policy=FAST)
+        assert outcome.results == uninterrupted.results
 
 
 class _StartRecordingContext:
