@@ -49,7 +49,7 @@ class MemoryController(Component):
         self._row_misses_key = f"{name}.row_misses"
         self.timing = timing
         self.on_complete = on_complete
-        self.stats = stats
+        self._counters = None if stats is None else stats.counters
         self._queue: Deque[Tuple[int, bool, object]] = deque()
         self._open_row: Dict[int, int] = {}
         self._bank_ready: Dict[int, int] = {}
@@ -66,8 +66,8 @@ class MemoryController(Component):
     def enqueue(self, address: int, is_write: bool, token: object) -> None:
         self._queue.append((address, is_write, token))
         self.wake()
-        if self.stats is not None:
-            self.stats.incr(self._requests_key)
+        if self._counters is not None:
+            self._counters[self._requests_key] += 1
 
     def pending(self) -> int:
         return len(self._queue) + len(self._in_flight)
@@ -97,14 +97,14 @@ class MemoryController(Component):
         open_row = self._open_row.get(bank)
         if open_row == row:
             access = timing.row_hit_latency
-            if self.stats is not None:
-                self.stats.incr(self._row_hits_key)
+            if self._counters is not None:
+                self._counters[self._row_hits_key] += 1
         elif open_row is None:
             access = timing.t_rcd + timing.t_cl
         else:
             access = timing.row_miss_latency
-            if self.stats is not None:
-                self.stats.incr(self._row_misses_key)
+            if self._counters is not None:
+                self._counters[self._row_misses_key] += 1
         latency = access + self.BURST_CYCLES + timing.t_overhead
         self._queue.popleft()
         self._open_row[bank] = row

@@ -53,7 +53,7 @@ class L2Slice(Component):
         self.reply_queues = list(reply_queues)
         self.reply_route = reply_route or (lambda packet: 0)
         self.controller = controller
-        self.stats = stats
+        self._counters = None if stats is None else stats.counters
         #: Callback for posted-write completion when write_reply_flits == 0
         #: (credits return to the SM without a reply packet).
         self.write_done = write_done
@@ -91,8 +91,8 @@ class L2Slice(Component):
             if packet is None:
                 break
             self.request_queue.pop()
-            if self.stats is not None:
-                self.stats.incr(self._requests_key)
+            if self._counters is not None:
+                self._counters[self._requests_key] += 1
             hit = self.cache.access(self._local(packet.address), allocate=True)
             if self._tracer is not None:
                 self._tracer.emit(cycle, L2_HIT if hit else L2_MISS,
@@ -116,8 +116,8 @@ class L2Slice(Component):
             if hit or self.controller is None:
                 self._pipeline.append((cycle + self.config.l2_latency, packet))
             else:
-                if self.stats is not None:
-                    self.stats.incr(self._misses_key)
+                if self._counters is not None:
+                    self._counters[self._misses_key] += 1
                 self.controller.enqueue(
                     packet.address, packet.kind != READ, (self, packet)
                 )

@@ -49,7 +49,7 @@ class GpcReplyDistributor(Component):
         self.input_queue = input_queue
         input_queue.attach_consumer(self)
         self.deliver = deliver
-        self.stats = stats
+        self._counters = None if stats is None else stats.counters
         self._member_tpcs = set(member_tpcs)
         self._packets_key = f"{self.name}.packets"
         self._sms_per_tpc = config.sms_per_tpc
@@ -103,8 +103,8 @@ class GpcReplyDistributor(Component):
                     self._tracer.emit(cycle, REPLY_DELIVER, self._tl_id,
                                       packet.uid, packet.src_sm)
                 self.deliver(packet, cycle)
-                if self.stats is not None:
-                    self.stats.incr(self._packets_key)
+                if self._counters is not None:
+                    self._counters[self._packets_key] += 1
         self._tpc_budget = tpc_budget
         moved = self.config.gpc_reply_width - budget
         if moved and self._tl_link is not None:

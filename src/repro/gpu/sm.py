@@ -103,6 +103,8 @@ class StreamingMultiprocessor(Component):
         self.remote_queue = remote_queue
         self._read_clock = read_clock
         self.stats = stats
+        #: The registry's counter dict, bumped directly on the hot path.
+        self._counters = None if stats is None else stats.counters
         self.l1 = L1Cache(
             config.l1_size_bytes,
             config.l1_line_bytes,
@@ -112,6 +114,11 @@ class StreamingMultiprocessor(Component):
         )
         self.warps: List[WarpSlot] = []
         self._sched_pointer = 0
+        #: Flits of the larger request kind: queues with this much room
+        #: accept any transaction (see :meth:`_next_issue_refused`).
+        self._largest_request = max(
+            config.read_request_flits, config.write_request_flits
+        )
         self._read_credits = config.sm_mshrs
         self._write_credits = config.sm_write_buffer
         self._group_counter = 0
@@ -139,7 +146,9 @@ class StreamingMultiprocessor(Component):
         #: validation); same one-branch-when-disabled pattern as _tracer.
         self._validator = None
         #: True when this tick's last issue attempt was refused (queue
-        #: full or out of credits); cleared whenever the LSU runs.  A
+        #: full or out of credits), or when a tick that spent its issue
+        #: budget found the next attempt sure to be refused (see
+        #: :meth:`_next_issue_refused`); cleared whenever the LSU runs.  A
         #: blocked LSU parks reactively instead of retrying every cycle:
         #: a pop of a queue it produces into (its injection queue, the
         #: fabric egress queue) or a reply returning credits wakes it.
@@ -223,6 +232,34 @@ class StreamingMultiprocessor(Component):
             else:
                 self._blocked = True
                 break  # blocked on credits or queue space
+        if not budget:
+            # A spent budget says nothing about the next attempt; if it
+            # would be refused, park now instead of after a no-op retry.
+            self._blocked = self._next_issue_refused()
+
+    def _next_issue_refused(self) -> bool:
+        """Whether next cycle's first issue attempt is sure to be refused.
+
+        True when the warp at ``_sched_pointer`` is issuing and
+        :meth:`_admit` refuses its next transaction: that is the warp
+        :meth:`_current_issue_warp` returns without moving the pointer.
+        Nothing can change the refusal before the SM ticks again except
+        a pop of its queue or a returned credit, which both wake a
+        blocked SM, so the skipped retry is exactly the no-op a refused
+        attempt is.  When the scan would find a later warp, the retry
+        moves the pointer, which is not a no-op, so the SM stays busy.
+        """
+        if self._read_credits > 0 and self._write_credits > 0:
+            largest = self._largest_request
+            remote = self.remote_queue
+            if self.inject_queue._free >= largest and (
+                remote is None or remote._free >= largest
+            ):
+                return False  # any transaction would be accepted
+        warp = self.warps[self._sched_pointer]
+        if warp.state != ISSUING or not warp.pending_issue:
+            return False
+        return self._admit(warp.pending_issue[0]) is None
 
     def _current_issue_warp(self) -> Optional[WarpSlot]:
         """The warp whose op batch the LSU is currently draining.
@@ -306,9 +343,9 @@ class StreamingMultiprocessor(Component):
         if op.kind not in (READ, WRITE):
             raise ValueError(f"bad MemOp kind {op.kind!r}")
         lines = coalesce(op.addresses, self.config.l2_line_bytes)
-        if self.stats is not None:
-            self.stats.incr(self._mem_ops_key)
-            self.stats.incr(self._transactions_key, len(lines))
+        if self._counters is not None:
+            self._counters[self._mem_ops_key] += 1
+            self._counters[self._transactions_key] += len(lines)
         warp.op_start_cycle = cycle
         warp.op_blocking = op.blocking()
         self._group_counter += 1
@@ -338,8 +375,8 @@ class StreamingMultiprocessor(Component):
                 self._l1_returns.append(
                     (cycle + self.l1.hit_latency, warp)
                 )
-                if self.stats is not None:
-                    self.stats.incr(self._l1_hits_key)
+                if self._counters is not None:
+                    self._counters[self._l1_hits_key] += 1
                 continue
             if op.kind == WRITE:
                 self.l1.note_write(address)
@@ -353,23 +390,40 @@ class StreamingMultiprocessor(Component):
             warp.state = SLEEP
             warp.wake_cycle = cycle + 1
 
+    def _admit(self, txn: _Transaction) -> Optional[PacketQueue]:
+        """The queue ``txn`` would enter, or None if it would be refused.
+
+        A transaction is refused when its kind has no credit left or its
+        queue has no room for its request flits.
+        """
+        config = self.config
+        if txn.kind == READ:
+            if self._read_credits <= 0:
+                return None
+            flits = config.read_request_flits
+        else:
+            if self._write_credits <= 0:
+                return None
+            flits = config.write_request_flits
+        queue = self.inject_queue if txn.device is None else self.remote_queue
+        return queue if flits <= queue._free else None
+
     def _issue_one(self, warp: WarpSlot, cycle: int) -> bool:
         """Try to inject the warp's next transaction; True on success."""
         txn: _Transaction = warp.pending_issue[0]
-        if txn.kind == READ:
-            if self._read_credits <= 0:
-                return False
-            flits = self.config.read_request_flits
-        else:
-            if self._write_credits <= 0:
-                return False
-            flits = self.config.write_request_flits
+        queue = self._admit(txn)
+        if queue is None:
+            return False  # refused before a packet (and its uid) is made
+        config = self.config
         packet = Packet(
             kind=txn.kind,
             address=txn.address,
-            flits=flits,
+            flits=(
+                config.read_request_flits if txn.kind == READ
+                else config.write_request_flits
+            ),
             src_sm=self.sm_id,
-            slice_id=self.config.address_to_slice(txn.address),
+            slice_id=config.address_to_slice(txn.address),
             warp_ref=warp,
             group_id=warp.op_group,
             birth_cycle=cycle,
@@ -378,19 +432,15 @@ class StreamingMultiprocessor(Component):
                 self.device_id if txn.device is None else txn.device
             ),
         )
-        queue = (
-            self.inject_queue if txn.device is None else self.remote_queue
-        )
-        if not queue.push(packet):
-            return False
+        queue.push(packet)
         if txn.kind == READ:
             self._read_credits -= 1
         else:
             self._write_credits -= 1
         warp.pending_issue.pop(0)
         warp.outstanding += 1
-        if self.stats is not None:
-            self.stats.incr(self._injected_key)
+        if self._counters is not None:
+            self._counters[self._injected_key] += 1
         if self._tracer is not None:
             self._tracer.emit(cycle, SM_INJECT, self._tl_id, packet.uid,
                               1 if txn.kind == WRITE else 0,

@@ -46,18 +46,20 @@ class ArbitrationPolicy:
     #:   shrinks (a packet takes every flit of budget it needs at once);
     #: * repeated ``note_flit(port, packet, False)`` calls change no
     #:   state beyond the first (one call stands for a run of mid-packet
-    #:   flits).
+    #:   flits), and ``note_flit(port, packet, True)`` leaves the same
+    #:   state whether or not ``note_flit(port, packet, False)`` calls
+    #:   came just before it (a run that ends its packet is one call).
     #:
     #: Such a policy also leaves ``allowed_inputs`` unrestricted.  False
     #: by default; RANDOM must keep it False because it draws its rng on
     #: every ``choose``, contended or not, and SRR because its slot
     #: owner changes every cycle.
     #:
-    #: What the sparse ticks skip under it: ``choose`` for a sole
-    #: candidate, and the per-flit ``note_flit(False)`` calls of a run
-    #: (one stands for all).  A switch tick with one live input
-    #: (``_run_sole``) also skips the candidate list, ``allowed_inputs``
-    #: and, in the crossbar, the per-output grouping.
+    #: What the sparse ticks skip under it: ``allowed_inputs``,
+    #: ``choose`` for a sole candidate, and the per-flit ``note_flit``
+    #: calls of a run (one stands for all).  A switch tick with one live
+    #: input (``_run_sole``) also skips the candidate list and, in the
+    #: crossbar, the per-output grouping.
     flit_invariant = False
 
     def __init__(self, num_inputs: int) -> None:

@@ -2,20 +2,31 @@
 
 Every channel endpoint in the NoC is a :class:`PacketQueue`.  Capacity is
 counted in flits (not packets) so that big write/reply packets consume more
-buffering than single-flit read requests, and upstream muxes use
-reserve/commit semantics: space for a whole packet is reserved when its
-first flit is transmitted (virtual cut-through), the packet object is
-enqueued when its last flit arrives, and the space is released on pop.
+buffering than single-flit read requests.  A packet enters a queue in one
+of two ways:
+
+* ``push`` — the whole packet arrives at once (an SM or L2 injecting, a
+  switch whose grant moves every flit of a packet in one tick).  It takes
+  free space and enqueues the packet in one call, or refuses.
+* ``reserve`` then ``commit`` — virtual cut-through for a packet whose
+  flits cross over several cycles: space for the whole packet is reserved
+  when its first flit is transmitted and the packet object is enqueued
+  when its last flit arrives.
+
+Either way the space is released on ``pop``.  The queue keeps one
+``_free`` counter (``capacity - used - reserved``), which every admission
+test reads; ``used_flits`` is derived from it.
 
 The queue is also what wakes the components around it, which register
 with it when they are built.  Its one consumer (a switch, an L2 slice, a
 reply distributor, a link pipe or a fabric ingress shim) is woken by
-every ``commit``.  A consuming switch (a :class:`LiveInputs` subclass:
-:class:`~repro.noc.mux.Mux` or :class:`~repro.noc.crossbar.Crossbar`)
-registers with its input port and is also told whenever the head packet
-changes — empty to nonempty on ``commit``, a new head or empty on
-``pop``, empty on ``clear`` — so it keeps its nonempty input ports as a
-live list instead of rescanning every input on every tick.
+every ``push`` and ``commit``.  A consuming switch (a :class:`LiveInputs`
+subclass: :class:`~repro.noc.mux.Mux` or
+:class:`~repro.noc.crossbar.Crossbar`) registers with its input port, and
+the queue itself keeps that switch's ``_live``, ``_heads`` and
+``_max_flits`` current whenever the head packet changes — empty to
+nonempty on ``push``/``commit``, a new head or empty on ``pop``, empty on
+``clear`` — so the switch never rescans its inputs.
 
 Its producers are the components that fill it (a switch, an SM, a link
 pipe; every SM of a device fills the shared fabric egress queue).  A
@@ -36,7 +47,7 @@ from .packet import Packet
 class PacketQueue:
     """FIFO of packets with a flit-capacity bound."""
 
-    __slots__ = ("name", "capacity_flits", "_queue", "_used_flits",
+    __slots__ = ("name", "capacity_flits", "_queue", "_free",
                  "_reserved_flits", "meter", "_consumer", "_switch",
                  "_port", "_producer", "_more_producers")
 
@@ -46,7 +57,9 @@ class PacketQueue:
         self.name = name
         self.capacity_flits = capacity_flits
         self._queue: Deque[Packet] = deque()
-        self._used_flits = 0
+        #: Flits neither queued nor reserved: the one counter every
+        #: admission test reads.
+        self._free = capacity_flits
         self._reserved_flits = 0
         #: Optional telemetry occupancy meter (``QueueMeter``); stays
         #: ``None`` unless the device enables telemetry.
@@ -64,11 +77,11 @@ class PacketQueue:
         self._more_producers: tuple = ()
 
     def attach_consumer(self, component, port: Optional[int] = None) -> None:
-        """Make ``component`` the one consumer every ``commit`` wakes.
+        """Make ``component`` the one consumer every arrival wakes.
 
-        A switch passes its input ``port`` and is also told about head
-        changes.  A second registration would leave the first consumer
-        unwoken, so it raises.
+        A switch passes its input ``port``, and the queue then keeps the
+        switch's live list for that port.  A second registration would
+        leave the first consumer unwoken, so it raises.
         """
         if self._consumer is not None:
             where = "" if self._switch is None else f" port {self._port}"
@@ -97,49 +110,72 @@ class PacketQueue:
     @property
     def used_flits(self) -> int:
         """Flits of fully-arrived packets currently buffered."""
-        return self._used_flits
+        return self.capacity_flits - self._free - self._reserved_flits
 
     @property
     def free_flits(self) -> int:
         """Flits available for new reservations."""
-        return self.capacity_flits - self._used_flits - self._reserved_flits
+        return self._free
 
     def can_reserve(self, flits: int) -> bool:
-        return flits <= self.free_flits
+        return flits <= self._free
 
     def reserve(self, flits: int) -> None:
         """Reserve space for an in-flight packet (call once per packet)."""
-        if flits > self.free_flits:
+        if flits > self._free:
             raise OverflowError(
                 f"{self.name}: reserve({flits}) exceeds free space "
-                f"({self.free_flits})"
+                f"({self._free})"
             )
+        self._free -= flits
         self._reserved_flits += flits
 
     def commit(self, packet: Packet) -> None:
         """Enqueue a packet whose space was previously reserved."""
-        if packet.flits > self._reserved_flits:
+        flits = packet.flits
+        if flits > self._reserved_flits:
             raise RuntimeError(
                 f"{self.name}: commit without matching reservation"
             )
-        self._reserved_flits -= packet.flits
-        self._used_flits += packet.flits
+        self._reserved_flits -= flits
+        # The arrival below is push's too, inlined in both: a packet hop
+        # is one queue call on each side of a switch.  A first packet
+        # becomes the head and joins the consuming switch's live list.
         queue = self._queue
         queue.append(packet)
-        if self._switch is not None and len(queue) == 1:
-            self._switch._note_head(self._port, packet)
+        switch = self._switch
+        if switch is not None and len(queue) == 1:
+            port = self._port
+            insort(switch._live, port)
+            switch._heads[port] = packet
+            if flits > switch._max_flits:
+                switch._max_flits = flits
         if self.meter is not None:
-            self.meter.note(self._used_flits)
+            self.meter.note(self.used_flits)
         consumer = self._consumer
         if consumer is not None:
             consumer.wake()
 
     def push(self, packet: Packet) -> bool:
-        """Reserve-and-commit in one step; False if there is no room."""
-        if not self.can_reserve(packet.flits):
+        """Take space for and enqueue a whole packet; False if no room."""
+        flits = packet.flits
+        if flits > self._free:
             return False
-        self._reserved_flits += packet.flits
-        self.commit(packet)
+        self._free -= flits
+        queue = self._queue
+        queue.append(packet)
+        switch = self._switch
+        if switch is not None and len(queue) == 1:
+            port = self._port
+            insort(switch._live, port)
+            switch._heads[port] = packet
+            if flits > switch._max_flits:
+                switch._max_flits = flits
+        if self.meter is not None:
+            self.meter.note(self.used_flits)
+        consumer = self._consumer
+        if consumer is not None:
+            consumer.wake()
         return True
 
     # -- consumption --------------------------------------------------- #
@@ -149,9 +185,18 @@ class PacketQueue:
     def pop(self) -> Packet:
         queue = self._queue
         packet = queue.popleft()
-        self._used_flits -= packet.flits
-        if self._switch is not None:
-            self._switch._note_head(self._port, queue[0] if queue else None)
+        self._free += packet.flits
+        switch = self._switch
+        if switch is not None:
+            port = self._port
+            if queue:
+                head = queue[0]
+                switch._heads[port] = head
+                if head.flits > switch._max_flits:
+                    switch._max_flits = head.flits
+            else:
+                switch._heads[port] = None
+                switch._live.remove(port)
         producer = self._producer
         if producer is not None and producer._blocked:
             producer._blocked = False
@@ -175,12 +220,14 @@ class PacketQueue:
         A clear is a queue-level reset, so any attached telemetry meter is
         told the occupancy collapsed to zero — otherwise its standing
         epoch peak would keep reporting pre-clear occupancy after an
-        engine reset.  A consuming switch is told the queue went empty.
+        engine reset.  A consuming switch sees the port go empty.
         """
-        if self._switch is not None and self._queue:
-            self._switch._note_head(self._port, None)
+        switch = self._switch
+        if switch is not None and self._queue:
+            switch._heads[self._port] = None
+            switch._live.remove(self._port)
         self._queue.clear()
-        self._used_flits = 0
+        self._free = self.capacity_flits
         self._reserved_flits = 0
         if self.meter is not None:
             self.meter.note_cleared()
@@ -188,7 +235,7 @@ class PacketQueue:
     def state_digest(self):
         """Identity-free state tuple for the lockstep oracle."""
         return (
-            self._used_flits,
+            self.used_flits,
             self._reserved_flits,
             tuple(packet.signature() for packet in self._queue),
         )
@@ -201,10 +248,9 @@ class LiveInputs:
     ``_heads``, each port's head packet (``None`` when empty), in the
     shape the arbitration policies take; and ``_max_flits``, the largest
     head packet any input has exposed, an upper bound on every current
-    head.  The input queues keep all three current through
-    :meth:`_note_head`, so the lists change only when a queue's head
-    does and no tick has to rescan its inputs.  They are derived from the
-    queues and stay out of ``state_digest``.
+    head.  The input queues write all three whenever a head changes (see
+    :class:`PacketQueue`), so no tick has to rescan its inputs.  They are
+    derived from the queues and stay out of ``state_digest``.
     """
 
     _live: List[int]
@@ -217,17 +263,9 @@ class LiveInputs:
         self._max_flits = 0
         for port, queue in enumerate(inputs):
             queue.attach_consumer(self, port)
-            if queue:
-                self._note_head(port, queue.head())
-
-    def _note_head(self, port: int, head: Optional[Packet]) -> None:
-        """Input ``port``'s head packet is now ``head`` (None = empty)."""
-        heads = self._heads
-        if head is None:
-            self._live.remove(port)
-        else:
-            if heads[port] is None:
-                insort(self._live, port)
-            if head.flits > self._max_flits:
-                self._max_flits = head.flits
-        heads[port] = head
+            head = queue.head()
+            if head is not None:
+                self._live.append(port)
+                self._heads[port] = head
+                if head.flits > self._max_flits:
+                    self._max_flits = head.flits

@@ -56,7 +56,8 @@ class Crossbar(LiveInputs, Component):
         self.route = route
         self.width = width
         self.input_width = width if input_width is None else input_width
-        self.stats = stats
+        #: The registry's counter dict, bumped directly on the hot path.
+        self._counters = None if stats is None else stats.counters
         self._packets_key = f"{name}.packets"
         self._policies: List[ArbitrationPolicy] = [
             make_policy(policy_name, len(inputs), seed=seed + i)
@@ -154,8 +155,8 @@ class Crossbar(LiveInputs, Component):
                     self.outputs[out].commit(packet)
                     self._progress[port] = 0
                     self._reserved[port] = False
-                    if self.stats is not None:
-                        self.stats.incr(self._packets_key)
+                    if self._counters is not None:
+                        self._counters[self._packets_key] += 1
                     if self._tracer is not None:
                         self._tracer.emit(cycle, XBAR_XFER, self._tl_id,
                                           port, packet.uid, out)
@@ -172,8 +173,12 @@ class Crossbar(LiveInputs, Component):
         ``_heads``, which the input queues keep current: a packet popped
         in one round has already exposed its successor (or left the live
         list) when the next round groups.  Under a flit-invariant
-        policy a sole candidate is granted without calling the policy;
-        a tick with one live input runs :meth:`_run_sole` instead.
+        policy ``allowed_inputs`` is not asked and a sole candidate is
+        granted without calling the policy; a tick with one live input
+        runs :meth:`_run_sole` instead.  A single-flit packet granted
+        from scratch crosses whole, with one ``push``; a longer one
+        reserves its output space at the first flit and commits at the
+        last.
 
         A first round that groups nothing means no live head can move
         this cycle: the tick sets ``_blocked`` and :meth:`idle_until`
@@ -187,9 +192,12 @@ class Crossbar(LiveInputs, Component):
         reserved = self._reserved
         progress = self._progress
         heads = self._heads
+        policies = self._policies
         input_budget = [self.input_width] * len(inputs)
         output_budget = [self.width] * len(outputs)
         invariant = self._invariant
+        tracer = self._tracer
+        completed = 0
         blocked = True  # until a round groups a port
         while True:
             moved = False
@@ -201,51 +209,60 @@ class Crossbar(LiveInputs, Component):
                 out = route(head)
                 if output_budget[out] <= 0:
                     continue
-                if reserved[p] or outputs[out].can_reserve(head.flits):
+                if reserved[p] or head.flits <= outputs[out]._free:
                     per_output.setdefault(out, []).append(p)
             if not per_output:
                 break
             blocked = False
             for out in sorted(per_output):
                 candidates = per_output[out]
-                policy = self._policies[out]
-                allowed = policy.allowed_inputs(cycle)
-                if allowed is not None:
-                    candidates = [p for p in candidates if p in allowed]
-                    if not candidates:
-                        continue
-                if invariant and len(candidates) == 1:
-                    port = candidates[0]
+                policy = policies[out]
+                if invariant:
+                    if len(candidates) == 1:
+                        port = candidates[0]
+                    else:
+                        port = policy.choose(candidates, heads, cycle)
                 else:
+                    allowed = policy.allowed_inputs(cycle)
+                    if allowed is not None:
+                        candidates = [p for p in candidates if p in allowed]
+                        if not candidates:
+                            continue
                     port = policy.choose(candidates, heads, cycle)
                 packet = heads[port]
-                if not reserved[port]:
-                    outputs[out].reserve(packet.flits)
-                    reserved[port] = True
-                if self._tracer is not None:
-                    if progress[port] == 0:
-                        self._tracer.emit(cycle, XBAR_GRANT, self._tl_id,
-                                          port, packet.uid, out)
+                sent = progress[port]
+                if tracer is not None:
+                    if sent == 0:
+                        tracer.emit(cycle, XBAR_GRANT, self._tl_id,
+                                    port, packet.uid, out)
                     self._tl_out[out].add(cycle, 1)
-                progress[port] += 1
                 input_budget[port] -= 1
                 output_budget[out] -= 1
-                last = progress[port] >= packet.flits
-                policy.note_flit(port, packet, last)
-                if last:
-                    inputs[port].pop()  # refreshes heads[port] and live
+                moved = True
+                if sent + 1 < packet.flits:
+                    if not reserved[port]:
+                        outputs[out].reserve(packet.flits)
+                        reserved[port] = True
+                    progress[port] = sent + 1
+                    policy.note_flit(port, packet, False)
+                    continue
+                policy.note_flit(port, packet, True)
+                inputs[port].pop()  # refreshes heads[port] and live
+                if reserved[port]:
                     outputs[out].commit(packet)
                     progress[port] = 0
                     reserved[port] = False
-                    if self.stats is not None:
-                        self.stats.incr(self._packets_key)
-                    if self._tracer is not None:
-                        self._tracer.emit(cycle, XBAR_XFER, self._tl_id,
-                                          port, packet.uid, out)
-                moved = True
+                else:
+                    outputs[out].push(packet)  # fit was checked
+                completed += 1
+                if tracer is not None:
+                    tracer.emit(cycle, XBAR_XFER, self._tl_id,
+                                port, packet.uid, out)
             if not moved:
                 break
         self._blocked = blocked
+        if completed and self._counters is not None:
+            self._counters[self._packets_key] += completed
 
     def _run_sole(self, cycle: int, port: int) -> None:
         """:meth:`_tick_sparse` for one live input, as a flit run.
@@ -255,9 +272,10 @@ class Crossbar(LiveInputs, Component):
         takes ``min(flits left, input budget, its output's budget)``
         flits; after a completion the next head goes on while input
         budget remains and it fits its own output's space and budget
-        (kept per output).  A run of a packet reports one
-        ``note_flit(False)`` (none if its only flit is the last), then
-        ``note_flit(True)`` if it ends the packet.
+        (kept per output).  A run that ends its packet reports one
+        ``note_flit(True)``, and one that does not one
+        ``note_flit(False)``; a packet that crosses whole in the run is
+        one ``push``.
         """
         heads = self._heads
         packet = heads[port]
@@ -265,12 +283,13 @@ class Crossbar(LiveInputs, Component):
         outputs = self.outputs
         route = self.route
         out = route(packet)
-        if not reserved[port] and not outputs[out].can_reserve(packet.flits):
+        if not reserved[port] and packet.flits > outputs[out]._free:
             self._blocked = True
             return
         self._blocked = False
         progress = self._progress
         tracer = self._tracer
+        pop = self.inputs[port].pop
         width = self.width
         budget = self.input_width
         spent = {}  # flits sent to each output this tick
@@ -278,9 +297,6 @@ class Crossbar(LiveInputs, Component):
         while True:
             output = outputs[out]
             flits = packet.flits
-            if not reserved[port]:
-                output.reserve(flits)
-                reserved[port] = True
             room = width - spent.get(out, 0)
             if room > budget:
                 room = budget
@@ -291,6 +307,9 @@ class Crossbar(LiveInputs, Component):
             policy = self._policies[out]
             n = flits - sent
             if n > room:
+                if not reserved[port]:
+                    output.reserve(flits)
+                    reserved[port] = True
                 progress[port] = sent + room
                 if tracer is not None:
                     self._tl_out[out].add(cycle, room)
@@ -298,13 +317,14 @@ class Crossbar(LiveInputs, Component):
                 break
             if tracer is not None:
                 self._tl_out[out].add(cycle, n)
-            if n > 1:
-                policy.note_flit(port, packet, False)
             policy.note_flit(port, packet, True)
-            self.inputs[port].pop()  # refreshes heads[port] and live
-            output.commit(packet)
-            progress[port] = 0
-            reserved[port] = False
+            pop()  # refreshes heads[port] and live
+            if reserved[port]:
+                output.commit(packet)
+                progress[port] = 0
+                reserved[port] = False
+            else:
+                output.push(packet)  # fit was checked
             completed += 1
             if tracer is not None:
                 tracer.emit(cycle, XBAR_XFER, self._tl_id,
@@ -316,10 +336,10 @@ class Crossbar(LiveInputs, Component):
                 break
             out = route(packet)
             if (spent.get(out, 0) >= width
-                    or not outputs[out].can_reserve(packet.flits)):
+                    or packet.flits > outputs[out]._free):
                 break
-        if completed and self.stats is not None:
-            self.stats.incr(self._packets_key, completed)
+        if completed and self._counters is not None:
+            self._counters[self._packets_key] += completed
 
     def idle_until(self, cycle: int) -> Optional[int]:
         """Purely reactive: idle when no input can move a flit.

@@ -9,7 +9,8 @@ which is why seven write-streaming TPCs only lose ~15% (Figure 5b).
 Transmission uses virtual cut-through: output space for the whole packet is
 reserved when its first flit crosses, and the packet is committed to the
 output queue when its last flit crosses, i.e. a packet of F flits takes
-ceil(F / width_share) cycles of channel occupancy.
+ceil(F / width_share) cycles of channel occupancy.  A packet whose flits
+all cross in one tick of the sparse paths is pushed whole instead.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class Mux(LiveInputs, Component):
         #: A lone live input under a flit-invariant policy is served by
         #: :meth:`_run_sole` (see :attr:`ArbitrationPolicy.flit_invariant`).
         self._invariant = policy.flit_invariant
-        self.stats = stats
+        #: The registry's counter dict, bumped directly on the hot path.
+        self._counters = None if stats is None else stats.counters
         # Counter keys are interned once: the flits counter is bumped on
         # every granted flit, and per-flit f-string formatting was
         # measurable at Table-1 scale.
@@ -125,13 +127,13 @@ class Mux(LiveInputs, Component):
                 self.output.commit(packet)
                 self._progress[port] = 0
                 self._reserved[port] = False
-                if self.stats is not None:
-                    self.stats.incr(self._packets_key)
+                if self._counters is not None:
+                    self._counters[self._packets_key] += 1
                 if self._tracer is not None:
                     self._tracer.emit(cycle, MUX_XFER, self._tl_id,
                                       port, packet.uid)
-            if self.stats is not None:
-                self.stats.incr(self._flits_key)
+            if self._counters is not None:
+                self._counters[self._flits_key] += 1
         if moved and self._tl_link is not None:
             self._tl_link.add(cycle, moved)
 
@@ -151,19 +153,23 @@ class Mux(LiveInputs, Component):
         * within a tick only the granted port's head changes, so on
           packet completion only that port is re-read (and dropped if
           it is now empty or its new head does not fit);
-        * the output's free space only shrinks — ``reserve`` lowers it
-          and ``commit`` moves reserved flits to used — so a port that
-          did not fit never fits later in the tick, and after each new
-          reservation the unreserved heads that no longer fit drop out.
+        * the output's free space only shrinks — a grant that starts a
+          packet takes its space, and ``commit`` moves reserved flits to
+          used — so a port that did not fit never fits later in the
+          tick, and after each started packet the unreserved heads that
+          no longer fit drop out.
 
-        ``allowed_inputs`` is applied once, and candidates stay in
-        ascending port order, so every policy (including the rng draw
-        of RANDOM) sees exactly the list the scalar tick builds.  Under
-        a flit-invariant policy a single candidate skips the policy call,
-        and the chosen packet takes ``min(budget, flits left)`` flits in
-        one pass: the policy would keep choosing it, and its repeated
-        mid-packet ``note_flit`` calls change nothing.  Grant-for-grant
-        and counter-for-counter identical to the scalar tick.
+        Candidates stay in ascending port order, so every policy
+        (including the rng draw of RANDOM) sees exactly the list the
+        scalar tick builds.  Under a flit-invariant policy
+        ``allowed_inputs`` is not asked (it is unrestricted), a single
+        candidate skips the policy call, and the chosen packet takes
+        ``min(budget, flits left)`` flits in one pass: the policy would
+        keep choosing it, and one ``note_flit`` call stands for the run.
+        A packet whose every flit crosses in one pass goes to the output
+        with one ``push``; one that spans cycles reserves its space at
+        the first flit and commits at the last.  Grant-for-grant and
+        counter-for-counter identical to the scalar tick.
 
         When no live port is a candidate — every head is unreserved and
         larger than the output's free space — the tick sets ``_blocked``
@@ -180,7 +186,7 @@ class Mux(LiveInputs, Component):
         progress = self._progress
         heads = self._heads
         output = self.output
-        free = output.free_flits
+        free = output._free
         if free >= self._max_flits:
             candidates = live[:]
         else:
@@ -191,10 +197,12 @@ class Mux(LiveInputs, Component):
                 self._blocked = True
                 return
         self._blocked = False
-        allowed = policy.allowed_inputs(cycle)
-        if allowed is not None:
-            candidates = [p for p in candidates if p in allowed]
         forced = self._invariant
+        if not forced:
+            allowed = policy.allowed_inputs(cycle)
+            if allowed is not None:
+                candidates = [p for p in candidates if p in allowed]
+        tracer = self._tracer
         budget = self.width
         moved = 0
         completed = 0
@@ -204,54 +212,55 @@ class Mux(LiveInputs, Component):
             else:
                 port = policy.choose(candidates, heads, cycle)
             packet = heads[port]
-            if not reserved[port]:
-                output.reserve(packet.flits)
-                reserved[port] = True
-                free -= packet.flits
-                # The list is only read by later grants of this tick.
-                if budget > 1 and free < self._max_flits:
-                    candidates = [
-                        p for p in candidates
-                        if reserved[p] or heads[p].flits <= free
-                    ]
+            flits = packet.flits
             sent = progress[port]
-            if self._tracer is not None and sent == 0:
-                self._tracer.emit(cycle, MUX_GRANT, self._tl_id,
-                                  port, packet.uid)
+            if tracer is not None and sent == 0:
+                tracer.emit(cycle, MUX_GRANT, self._tl_id, port, packet.uid)
             # A flit-invariant policy keeps choosing a mid-packet port,
             # so its packet takes every flit of budget it still needs.
-            n = 1
-            if forced:
-                n = packet.flits - sent
-                if n > budget:
-                    n = budget
-            sent += n
-            progress[port] = sent
+            n = flits - sent if forced else 1
+            if n > budget:
+                n = budget
             budget -= n
             moved += n
-            last = sent >= packet.flits
-            if n > 1 and last:
+            fresh = not reserved[port]
+            if fresh:
+                free -= flits
+            if sent + n < flits:
+                if fresh:
+                    output.reserve(flits)
+                    reserved[port] = True
+                progress[port] = sent + n
                 policy.note_flit(port, packet, False)
-            policy.note_flit(port, packet, last)
-            if last:
+            else:
+                policy.note_flit(port, packet, True)
                 inputs[port].pop()  # refreshes heads[port] and live
-                output.commit(packet)
-                progress[port] = 0
-                reserved[port] = False
+                if fresh:
+                    output.push(packet)  # room was checked: cannot fail
+                else:
+                    output.commit(packet)
+                    progress[port] = 0
+                    reserved[port] = False
                 completed += 1
-                if self._tracer is not None:
-                    self._tracer.emit(cycle, MUX_XFER, self._tl_id,
-                                      port, packet.uid)
+                if tracer is not None:
+                    tracer.emit(cycle, MUX_XFER, self._tl_id,
+                                port, packet.uid)
                 if budget:
                     head = heads[port]
                     if head is None or head.flits > free:
                         candidates.remove(port)
+            # The list is only read by later grants of this tick.
+            if budget and fresh and free < self._max_flits:
+                candidates = [
+                    p for p in candidates
+                    if reserved[p] or heads[p].flits <= free
+                ]
         if moved:
-            stats = self.stats
-            if stats is not None:
-                stats.incr(self._flits_key, moved)
+            counters = self._counters
+            if counters is not None:
+                counters[self._flits_key] += moved
                 if completed:
-                    stats.incr(self._packets_key, completed)
+                    counters[self._packets_key] += completed
             if self._tl_link is not None:
                 self._tl_link.add(cycle, moved)
 
@@ -261,59 +270,62 @@ class Mux(LiveInputs, Component):
         A sole candidate always wins, so no candidate list or policy
         call is needed.  The head takes ``min(flits left, budget)``
         flits; after a completion the next head goes on while budget
-        remains and it fits the output.  A run of a packet reports one
-        ``note_flit(False)`` (none if its only flit is the last), then
-        ``note_flit(True)`` if it ends the packet, as the general tick.
+        remains and it fits the output.  A run that ends its packet
+        reports one ``note_flit(True)``, and one that does not reports
+        one ``note_flit(False)``, as the general tick; a packet that
+        crosses whole is one ``push``, as there.
         """
         heads = self._heads
         packet = heads[port]
         reserved = self._reserved
         output = self.output
-        if not reserved[port] and packet.flits > output.free_flits:
+        if not reserved[port] and packet.flits > output._free:
             self._blocked = True
             return
         self._blocked = False
         progress = self._progress
         policy = self.policy
         tracer = self._tracer
+        pop = self.inputs[port].pop
         budget = self.width
         moved = 0
         completed = 0
         while True:
             flits = packet.flits
-            if not reserved[port]:
-                output.reserve(flits)
-                reserved[port] = True
             sent = progress[port]
             if tracer is not None and sent == 0:
                 tracer.emit(cycle, MUX_GRANT, self._tl_id, port, packet.uid)
             n = flits - sent
             if n > budget:
+                if not reserved[port]:
+                    output.reserve(flits)
+                    reserved[port] = True
                 progress[port] = sent + budget
                 moved += budget
                 policy.note_flit(port, packet, False)
                 break
             budget -= n
             moved += n
-            if n > 1:
-                policy.note_flit(port, packet, False)
             policy.note_flit(port, packet, True)
-            self.inputs[port].pop()  # refreshes heads[port] and live
-            output.commit(packet)
-            progress[port] = 0
-            reserved[port] = False
+            pop()  # refreshes heads[port] and live
+            if reserved[port]:
+                output.commit(packet)
+                progress[port] = 0
+                reserved[port] = False
+            else:
+                output.push(packet)  # room was checked: cannot fail
             completed += 1
             if tracer is not None:
                 tracer.emit(cycle, MUX_XFER, self._tl_id, port, packet.uid)
             packet = heads[port]
             if (not budget or packet is None
-                    or packet.flits > output.free_flits):
+                    or packet.flits > output._free):
                 break
-        stats = self.stats
-        if stats is not None:
-            stats.incr(self._flits_key, moved)
+        counters = self._counters
+        if counters is not None:
+            counters[self._flits_key] += moved
             if completed:
-                stats.incr(self._packets_key, completed)
+                counters[self._packets_key] += completed
         if self._tl_link is not None:
             self._tl_link.add(cycle, moved)
 

@@ -361,6 +361,8 @@ class StatsRegistry:
         return out
 
     def reset(self) -> None:
+        # Cleared in place, never replaced: hot-path components hold the
+        # counter dict itself and bump it without calling :meth:`incr`.
         self.counters.clear()
         for sampler in self.samplers.values():
             sampler.reset()

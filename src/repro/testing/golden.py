@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shlex
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,6 +74,11 @@ class DriftResult:
         return text
 
 
+def _default_root() -> Path:
+    """The golden directory a command without ``--golden-dir`` uses."""
+    return Path(os.environ.get(GOLDEN_DIR_ENV) or DEFAULT_GOLDEN_DIR)
+
+
 class StaleGoldenError(RuntimeError):
     """The snapshot was recorded under a different configuration."""
 
@@ -105,8 +111,19 @@ class GoldenStore:
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         if root is None:
-            root = os.environ.get(GOLDEN_DIR_ENV) or DEFAULT_GOLDEN_DIR
+            root = _default_root()
         self.root = Path(root)
+
+    def _command(self, scale: str, action: str) -> str:
+        """The CLI command that runs ``golden <action>`` on this store.
+
+        It names the store's root with ``--golden-dir`` unless that root
+        is where the command would write without the flag.
+        """
+        command = f"python -m repro --scale {scale} golden {action}"
+        if self.root != _default_root():
+            command += f" --golden-dir {shlex.quote(str(self.root))}"
+        return command
 
     def path(self, artifact_id: str, scale: str) -> Path:
         return self.root / scale / f"{artifact_id}.json"
@@ -123,7 +140,7 @@ class GoldenStore:
             raise MissingGoldenError(
                 f"no golden for {artifact_id!r} at scale {scale!r} "
                 f"(expected {path}); record one with "
-                f"`python -m repro --scale {scale} golden record`"
+                f"`{self._command(scale, 'record')}`"
             ) from None
 
     def record(
@@ -189,8 +206,8 @@ class GoldenStore:
             raise StaleGoldenError(
                 f"golden for {artifact_id!r}/{scale!r} was recorded under "
                 f"config {recorded_hash} but the current config hashes to "
-                f"{fresh_hash}; re-record with `python -m repro --scale "
-                f"{scale} golden update`"
+                f"{fresh_hash}; re-record with "
+                f"`{self._command(scale, 'update')}`"
             )
         results: List[DriftResult] = []
         golden_metrics = entry.get("metrics", {})

@@ -440,25 +440,14 @@ class InvariantChecker(Component):
     def _audit_queue(
         self, cycle: int, queue: PacketQueue, expected_reserved: int
     ) -> None:
-        used = queue._used_flits
+        free = queue._free
         reserved = queue._reserved_flits
-        if used < 0 or reserved < 0:
+        capacity = queue.capacity_flits
+        if free < 0 or reserved < 0 or reserved > capacity:
             self._raise(
                 cycle, queue.name, "capacity",
-                f"negative accounting: used={used} reserved={reserved}"
-            )
-        if used + reserved > queue.capacity_flits:
-            self._raise(
-                cycle, queue.name, "capacity",
-                f"used({used}) + reserved({reserved}) exceeds "
-                f"capacity({queue.capacity_flits})"
-            )
-        actual = sum(packet.flits for packet in queue._queue)
-        if used != actual:
-            self._raise(
-                cycle, queue.name, "used-accounting",
-                f"used_flits={used} but queued packets hold {actual} "
-                f"flits"
+                f"free={free} reserved={reserved} outside "
+                f"0..capacity({capacity})"
             )
         if reserved != expected_reserved:
             self._raise(
@@ -466,6 +455,17 @@ class InvariantChecker(Component):
                 f"reserved_flits={reserved} but upstream switches hold "
                 f"in-flight packets for {expected_reserved} flits (every "
                 f"reserve must be matched by exactly one commit)"
+            )
+        # ``used`` is derived from the free counter, so a wrong reserved
+        # count shows here too; the reservation audit above names it
+        # first.
+        used = capacity - free - reserved
+        actual = sum(packet.flits for packet in queue._queue)
+        if used != actual:
+            self._raise(
+                cycle, queue.name, "used-accounting",
+                f"used_flits={used} but queued packets hold {actual} "
+                f"flits"
             )
 
     def _raise(

@@ -1,5 +1,7 @@
 """Unit and property tests for the arbitration policies (Sections 2.3, 6)."""
 
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -373,3 +375,16 @@ class TestFlitInvariantContract:
         for _ in range(data.draw(st.integers(1, 5))):
             policy.note_flit(port, heads[port], False)
             assert policy.state_digest() == digest
+
+    @pytest.mark.parametrize("name", FLIT_INVARIANT)
+    @given(st.data())
+    def test_last_note_ignores_mid_packet_notes_before_it(self, name, data):
+        # A run that ends its packet reports note_flit(True) alone.
+        policy, heads, candidates = data.draw(_arbitrated_state(name))
+        port = data.draw(st.sampled_from(candidates))
+        noted = copy.deepcopy(policy)
+        for _ in range(data.draw(st.integers(1, 3))):
+            noted.note_flit(port, heads[port], False)
+        noted.note_flit(port, heads[port], True)
+        policy.note_flit(port, heads[port], True)
+        assert noted.state_digest() == policy.state_digest()

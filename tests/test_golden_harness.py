@@ -6,6 +6,7 @@ shrunken) fig7_8 sweeps through a throwaway ``ResultCache``.
 """
 
 import json
+import shlex
 
 import pytest
 
@@ -112,6 +113,39 @@ class TestGoldenStore:
     def test_config_hash_ignores_seed(self, cfg):
         assert config_hash(cfg) == config_hash(cfg.replace(seed=777))
         assert config_hash(cfg) != config_hash(cfg.replace(arbitration="srr"))
+
+    def test_missing_golden_hint_names_the_store_dir(self, store, cfg):
+        with pytest.raises(MissingGoldenError) as excinfo:
+            store.check("fig2", "small", cfg, SAMPLES)
+        assert (
+            "`python -m repro --scale small golden record --golden-dir "
+            f"{shlex.quote(str(store.root))}`"
+        ) in str(excinfo.value)
+
+    def test_stale_golden_hint_names_the_store_dir(self, store, cfg):
+        store.record("fig2", "small", cfg, [11], SAMPLES)
+        with pytest.raises(StaleGoldenError) as excinfo:
+            store.check("fig2", "small", cfg.replace(arbitration="srr"),
+                        SAMPLES)
+        assert (
+            "`python -m repro --scale small golden update --golden-dir "
+            f"{shlex.quote(str(store.root))}`"
+        ) in str(excinfo.value)
+
+    def test_default_dir_hints_need_no_flag(self, tmp_path, monkeypatch,
+                                            cfg):
+        monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path / "elsewhere"))
+        store = GoldenStore()
+        with pytest.raises(MissingGoldenError) as excinfo:
+            store.load("fig2", "small")
+        assert str(excinfo.value).endswith(
+            "`python -m repro --scale small golden record`")
+        store.record("fig2", "small", cfg, [11], SAMPLES)
+        with pytest.raises(StaleGoldenError) as excinfo:
+            store.check("fig2", "small", cfg.replace(arbitration="srr"),
+                        SAMPLES)
+        assert str(excinfo.value).endswith(
+            "`python -m repro --scale small golden update`")
 
     def test_env_var_overrides_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path / "elsewhere"))

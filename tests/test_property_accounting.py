@@ -1,4 +1,4 @@
-"""Property-based accounting tests for PacketQueue and Mux.
+"""Property-based accounting tests for PacketQueue, Mux and Crossbar.
 
 Seeded ``random`` only (no extra dependencies): each property runs a few
 hundred randomized operation sequences against a trivially-correct model
@@ -12,6 +12,7 @@ import pytest
 from repro.config import ARBITRATION_POLICIES
 from repro.noc.arbiter import make_policy
 from repro.noc.buffer import PacketQueue
+from repro.noc.crossbar import Crossbar
 from repro.noc.mux import Mux
 from repro.noc.packet import Packet, READ, WRITE
 from repro.sim.engine import Engine
@@ -91,6 +92,8 @@ class TestPacketQueueProperties:
                 pending.clear()
 
             # The invariants, every step:
+            assert queue.free_flits + queue.used_flits \
+                + queue._reserved_flits == capacity
             assert queue.used_flits == model.used
             assert queue._reserved_flits == model.reserved
             assert len(queue) == len(model.packets)
@@ -106,6 +109,73 @@ class TestPacketQueueProperties:
         queue = PacketQueue("q", 16)
         with pytest.raises(RuntimeError):
             queue.commit(make_packet(random.Random(0)))
+
+
+def _build_switch(kind, inputs):
+    if kind == "mux":
+        return Mux("prop.mux", inputs, PacketQueue("prop.out", 8), width=1,
+                   policy=make_policy("rr", len(inputs)))
+    return Crossbar("prop.xbar", inputs, [PacketQueue("prop.out", 8)],
+                    route=lambda packet: 0, width=1)
+
+
+class TestLiveInputsProperties:
+    """The queues keep their switch's live list exactly current.
+
+    A switch never rescans its inputs: every ``push``, ``commit``,
+    ``pop`` and ``clear`` of an input queue updates its ``_live``,
+    ``_heads`` and ``_max_flits`` inline.  After every step of a random
+    sequence over several inputs, those must equal a rescan.
+    """
+
+    @pytest.mark.parametrize("kind", ["mux", "crossbar"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_live_list_matches_a_rescan(self, kind, seed):
+        rng = random.Random(seed)
+        inputs = [
+            PacketQueue(f"prop.in{i}", rng.randint(4, 16))
+            for i in range(rng.randint(1, 5))
+        ]
+        # Packets already queued when the switch attaches count too.
+        inputs[0].push(make_packet(rng))
+        switch = _build_switch(kind, inputs)
+        pending = [[] for _ in inputs]  # reserved, not yet committed
+
+        for _ in range(300):
+            port = rng.randrange(len(inputs))
+            queue = inputs[port]
+            op = rng.choice(["reserve", "commit", "push", "pop", "pop",
+                             "clear"])
+            if op == "reserve":
+                packet = make_packet(rng)
+                if queue.can_reserve(packet.flits):
+                    queue.reserve(packet.flits)
+                    pending[port].append(packet)
+            elif op == "commit" and pending[port]:
+                queue.commit(pending[port].pop(0))
+            elif op == "push":
+                queue.push(make_packet(rng))
+            elif op == "pop" and queue:
+                queue.pop()
+            elif op == "clear":
+                queue.clear()
+                pending[port].clear()
+
+            for q in inputs:
+                assert q.free_flits + q.used_flits + q._reserved_flits \
+                    == q.capacity_flits
+                assert q.used_flits == sum(p.flits for p in q._queue)
+            heads = [q.head() for q in inputs]
+            assert switch._live == [
+                p for p, head in enumerate(heads) if head is not None
+            ]
+            assert all(
+                cached is head for cached, head in zip(switch._heads, heads)
+            )
+            assert all(
+                head.flits <= switch._max_flits
+                for head in heads if head is not None
+            )
 
 
 class TestMuxFlitConservation:

@@ -208,6 +208,35 @@ class TestCreditsAndScheduling:
         device.engine.step(600)  # drain the posted writes
         assert device.sms[0]._write_credits == config.sm_write_buffer
 
+    def test_streaming_writer_parks_instead_of_retrying(self):
+        # A tick that spends its issue budget and leaves no room for the
+        # next write parks the SM at once, so issue attempts are refused
+        # only in ticks that start a new op (8 here), not once per cycle
+        # the full injection queue holds it back (246 before parking).
+        config = small_config(timing_noise=0)
+        device = GpuDevice(config)
+        device.preload_region(0, 64 * LINE)
+        sm = device.sms[0]
+        refused = []
+        issue = sm._issue_one
+
+        def counting_issue(warp, cycle):
+            accepted = issue(warp, cycle)
+            if not accepted:
+                refused.append(cycle)
+            return accepted
+
+        sm._issue_one = counting_issue
+
+        def program(ctx):
+            for _ in range(8):
+                yield MemOp(
+                    WRITE, lane_addresses_uncoalesced(0, LINE, lanes=32)
+                )
+
+        device.run_kernels([Kernel(program, num_blocks=1, name="t")])
+        assert len(refused) <= 8
+
     def test_multiple_warps_share_lsu(self):
         config = small_config(timing_noise=0)
         device = GpuDevice(config)

@@ -181,7 +181,7 @@ class TestFaultInjection:
         engine, in_q, out_q, mux, checker = _bare_switch_rig()
         in_q.push(Packet(kind=READ, address=64, flits=1, src_sm=0,
                          slice_id=0, birth_cycle=0))
-        in_q._used_flits += 3  # lie about occupancy
+        in_q._free -= 3  # lie about occupancy
         with pytest.raises(InvariantViolation) as excinfo:
             engine.step(1)
         assert excinfo.value.kind == "used-accounting"
