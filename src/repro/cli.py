@@ -384,13 +384,13 @@ def cmd_linkchan(args) -> int:
 def _serve_queries(path: Optional[str], grid: List[int]) -> List[dict]:
     """Load ``serve --queries`` as ``{"iterations": x, ...}`` mappings.
 
-    Each entry must be a finite number or an object with a finite
-    numeric ``"iterations"``; anything else (``NaN`` and ``Infinity``
-    included) raises ``ValueError`` naming it.  Without a file the
-    queries are the swept grid itself.
+    Each entry must be a whole number or an object whose
+    ``"iterations"`` is one: an iteration count is an integer, so ``1.5``
+    is refused while ``2.0`` is taken.  Anything else (``NaN`` and
+    ``Infinity`` included) raises ``ValueError`` naming it.  Without a
+    file the queries are the swept grid itself.
     """
     import json as _json
-    import math
 
     if path is None:
         return [{"iterations": float(count)} for count in grid]
@@ -402,22 +402,21 @@ def _serve_queries(path: Optional[str], grid: List[int]) -> List[dict]:
     if not isinstance(raw_queries, list):
         raise ValueError("--queries must be a JSON list")
 
-    def numeric(value) -> bool:
-        return (
-            isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value)
-        )
+    def whole(value) -> bool:
+        if isinstance(value, float):
+            return value.is_integer()  # False for NaN and the infinities
+        return isinstance(value, int) and not isinstance(value, bool)
 
     queries = []
     for index, raw in enumerate(raw_queries):
-        if numeric(raw):
+        if whole(raw):
             queries.append({"iterations": raw})
-        elif isinstance(raw, dict) and numeric(raw.get("iterations")):
+        elif isinstance(raw, dict) and whole(raw.get("iterations")):
             queries.append(raw)
         else:
             raise ValueError(
                 f"--queries entry {index} ({_json.dumps(raw)}) must be a "
-                f"finite number or an object with a finite numeric "
+                f"whole number or an object with a whole-number "
                 f"\"iterations\""
             )
     return queries
@@ -1007,8 +1006,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="payload bits per sweep point")
     serve.add_argument(
         "--queries", default=None, metavar="FILE",
-        help="JSON list of queries: iteration counts or "
-             "{\"iterations\": x} objects (default: the swept grid)",
+        help="JSON list of queries: whole iteration counts or "
+             "{\"iterations\": n} objects (default: the swept grid)",
     )
     serve.add_argument(
         "--answers", default="serve-answers.json", metavar="FILE",

@@ -73,6 +73,13 @@ class MemoryController(Component):
         return len(self._queue) + len(self._in_flight)
 
     def tick(self, cycle: int) -> None:
+        """Complete and start accesses, then write the park horizon.
+
+        The controller parks until its next in-flight completion, or
+        until the bank of a queued head frees; with an empty queue and
+        nothing in flight it is purely reactive (:meth:`enqueue` wakes
+        it).  A queued head whose bank is ready keeps it busy.
+        """
         # Complete finished accesses.
         if self._in_flight:
             still = [
@@ -86,9 +93,25 @@ class MemoryController(Component):
                     self.on_complete(token, cycle)
             self._in_flight = still
         # Start new accesses on ready banks (FIFO, one start per cycle).
-        if not self._queue:
-            return
-        address, is_write, token = self._queue[0]
+        queue = self._queue
+        if queue:
+            self._start(cycle, *queue[0])
+        wake = FOREVER
+        for ready, _, _ in self._in_flight:
+            if ready < wake:
+                wake = ready
+        if queue:
+            bank = (queue[0][0] // self.ROW_BYTES) % self.NUM_BANKS
+            bank_ready = self._bank_ready.get(bank, 0)
+            if bank_ready <= cycle:
+                wake = None  # the head can start next tick
+            elif bank_ready < wake:
+                wake = bank_ready
+        self._until = wake
+
+    def _start(self, cycle: int, address: int, is_write: bool,
+               token: object) -> None:
+        """Start the queued head access if its bank is ready."""
         row = address // self.ROW_BYTES
         bank = row % self.NUM_BANKS
         if self._bank_ready.get(bank, 0) > cycle:
@@ -112,27 +135,6 @@ class MemoryController(Component):
         self._in_flight.append((cycle + latency, token, address))
         if self._tracer is not None:
             self._tracer.emit(cycle, DRAM_ISSUE, self._tl_id, address)
-
-    def idle_until(self, cycle: int):
-        """Idle until the next in-flight completion or bank-ready time.
-
-        With an empty queue and no in-flight accesses the controller is
-        purely reactive (:meth:`enqueue` wakes it).  A queued head whose
-        bank is still busy parks the controller until the bank frees.
-        """
-        wake = FOREVER
-        for ready, _, _ in self._in_flight:
-            if ready < wake:
-                wake = ready
-        if self._queue:
-            address = self._queue[0][0]
-            bank = (address // self.ROW_BYTES) % self.NUM_BANKS
-            bank_ready = self._bank_ready.get(bank, 0)
-            if bank_ready <= cycle:
-                return None  # head can start next tick
-            if bank_ready < wake:
-                wake = bank_ready
-        return wake
 
     def state_digest(self):
         """Queue/bank/in-flight state (lockstep oracle).

@@ -69,6 +69,14 @@ class L2Slice(Component):
         self._misses_key = f"{self.name}.misses"
         #: Slice-interleaving stride for :meth:`_local`.
         self._interleave = config.l2_line_bytes * config.num_l2_slices
+        self._line_bytes = config.l2_line_bytes
+        # Config constants the tick reads on every request.
+        self._ports = config.l2_ports
+        self._latency = config.l2_latency
+        self._read_reply_flits = config.read_reply_flits
+        self._write_reply_flits = config.write_reply_flits
+        #: Writes retire at acceptance and get no reply packet.
+        self._posted_writes = config.write_reply_flits == 0
         #: FIFO of (ready_cycle, request packet) — hits in pipeline order.
         self._pipeline: Deque[Tuple[int, Packet]] = deque()
         #: Requests waiting on DRAM, completed by the MC callback.
@@ -83,60 +91,82 @@ class L2Slice(Component):
         self._tl_id = hub.register(self.name)
 
     def tick(self, cycle: int) -> None:
-        self._drain_pipeline(cycle)
-        self._drain_mshr_ready(cycle)
-        # Accept new requests (l2_ports per cycle).
-        for _ in range(self.config.l2_ports):
-            packet = self.request_queue.head()
-            if packet is None:
-                break
-            self.request_queue.pop()
-            if self._counters is not None:
-                self._counters[self._requests_key] += 1
-            hit = self.cache.access(self._local(packet.address), allocate=True)
-            if self._tracer is not None:
-                self._tracer.emit(cycle, L2_HIT if hit else L2_MISS,
-                                  self._tl_id, packet.uid, packet.src_sm)
-            posted_write = (
-                packet.kind != READ and self.config.write_reply_flits == 0
-            )
-            if posted_write:
-                # Posted stores retire at L2 acceptance: the write buffer
-                # credit returns now (the store is in the memory system's
-                # domain), regardless of hit or DRAM detour.
-                if self.write_done is not None:
-                    self.write_done(packet, cycle)
-                if not hit and self.controller is not None:
-                    # Miss traffic still reaches DRAM (write-no-allocate),
-                    # it just no longer gates the SM.
-                    self.controller.enqueue(
-                        packet.address, True, (self, packet)
-                    )
-                continue
-            if hit or self.controller is None:
-                self._pipeline.append((cycle + self.config.l2_latency, packet))
-            else:
-                if self._counters is not None:
-                    self._counters[self._misses_key] += 1
-                self.controller.enqueue(
-                    packet.address, packet.kind != READ, (self, packet)
-                )
+        """Complete due requests, accept new ones, write the horizon.
 
-    def _drain_pipeline(self, cycle: int) -> None:
+        The pipeline and the DRAM-fill list are drained only when their
+        head is due.  The slice then parks until its pipeline head is
+        due, or with no timer (``FOREVER``) once the pipeline is empty;
+        a queued request or a waiting DRAM fill keeps it busy, and so
+        does a due head its reply queue refused (backpressure: retry
+        every cycle).  New requests wake the slice through the request
+        queue it consumes, DRAM fills through :meth:`dram_complete`.
+        """
         pipeline = self._pipeline
-        while pipeline and pipeline[0][0] <= cycle:
-            ready, packet = pipeline[0]
-            if not self._complete(packet, cycle):
-                break  # reply queue backpressure: retry next cycle
-            pipeline.popleft()
-
-    def _drain_mshr_ready(self, cycle: int) -> None:
-        """Complete requests whose lines arrived from DRAM."""
-        ready = self._mshr_ready
-        while ready:
-            if not self._complete(ready[0], cycle):
-                break
-            ready.popleft()
+        if pipeline and pipeline[0][0] <= cycle:
+            complete = self._complete
+            # A refused reply stays at the head: retry next cycle.
+            while complete(pipeline[0][1], cycle):
+                pipeline.popleft()
+                if not pipeline or pipeline[0][0] > cycle:
+                    break
+        filled = self._mshr_ready
+        if filled:
+            complete = self._complete
+            while complete(filled[0], cycle):
+                filled.popleft()
+                if not filled:
+                    break
+        requests = self.request_queue._queue
+        if requests:
+            # Accept up to l2_ports queued requests, one pop each.
+            pop = self.request_queue.pop
+            counters = self._counters
+            tracer = self._tracer
+            controller = self.controller
+            interleave = self._interleave
+            line_bytes = self._line_bytes
+            for _ in range(self._ports):
+                packet = pop()
+                if counters is not None:
+                    counters[self._requests_key] += 1
+                hit = self.cache.access(
+                    (packet.address // interleave) * line_bytes,
+                    allocate=True,
+                )
+                if tracer is not None:
+                    tracer.emit(cycle, L2_HIT if hit else L2_MISS,
+                                self._tl_id, packet.uid, packet.src_sm)
+                if packet.kind != READ and self._posted_writes:
+                    # Posted stores retire at L2 acceptance: the write
+                    # buffer credit returns now (the store is in the
+                    # memory system's domain), regardless of hit or DRAM
+                    # detour.
+                    if self.write_done is not None:
+                        self.write_done(packet, cycle)
+                    if not hit and controller is not None:
+                        # Miss traffic still reaches DRAM
+                        # (write-no-allocate), it just no longer gates
+                        # the SM.
+                        controller.enqueue(
+                            packet.address, True, (self, packet)
+                        )
+                elif hit or controller is None:
+                    pipeline.append((cycle + self._latency, packet))
+                else:
+                    if counters is not None:
+                        counters[self._misses_key] += 1
+                    controller.enqueue(
+                        packet.address, packet.kind != READ, (self, packet)
+                    )
+                if not requests:
+                    break
+        if requests or filled:
+            self._until = None
+        elif pipeline:
+            ready = pipeline[0][0]
+            self._until = None if ready <= cycle else ready
+        else:
+            self._until = FOREVER
 
     def _complete(self, packet: Packet, cycle: int) -> bool:
         """Finish a request by sending its reply packet.
@@ -146,13 +176,12 @@ class L2Slice(Component):
         posted write arriving here is a DRAM write-back completing in the
         background: nothing more to do.
         """
-        config = self.config
         if packet.kind == READ:
-            flits = config.read_reply_flits
+            flits = self._read_reply_flits
+        elif self._posted_writes:
+            return True
         else:
-            flits = config.write_reply_flits
-            if flits == 0:
-                return True
+            flits = self._write_reply_flits
         queue = self.reply_queues[self.reply_route(packet)]
         return queue.push(packet.make_reply(flits, cycle))
 
@@ -162,29 +191,13 @@ class L2Slice(Component):
         self._mshr_ready.append(packet)
         self.wake()
 
-    def idle_until(self, cycle: int):
-        """Idle when no request is queued and the pipeline has nothing due.
-
-        A nonempty pipeline whose head is already due means the reply
-        queue is backpressuring — stay active and retry every cycle.
-        New requests wake the slice through the request queue it
-        consumes; DRAM fills through :meth:`dram_complete`.
-        """
-        if self.request_queue or self._mshr_ready:
-            return None
-        if self._pipeline:
-            ready = self._pipeline[0][0]
-            return None if ready <= cycle else ready
-        return FOREVER
-
     def _local(self, address: int) -> int:
         """Slice-local address: drop the slice-interleaving bits.
 
         Without this, every line a slice owns (global lines ``s``,
         ``s + num_slices``, …) would alias to the same cache set.
         """
-        line_bytes = self.config.l2_line_bytes
-        return (address // self._interleave) * line_bytes
+        return (address // self._interleave) * self._line_bytes
 
     # -- preloading ------------------------------------------------------ #
     def preload(self, address: int) -> None:

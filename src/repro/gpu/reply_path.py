@@ -16,7 +16,7 @@ never stress the request path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..config import GpuConfig
 from ..noc.buffer import PacketQueue
@@ -55,8 +55,14 @@ class GpcReplyDistributor(Component):
         self._sms_per_tpc = config.sms_per_tpc
         #: Flits of the head packet already moved this + previous cycles.
         self._progress = 0
-        #: Per-TPC residual budget for the current cycle.
-        self._tpc_budget: Dict[int, int] = {}
+        self._width = config.gpc_reply_width
+        #: Flits per cycle of each TPC reply channel, or None when it is
+        #: at least the GPC channel's width: a TPC then cannot take more
+        #: than the whole channel moves, so its budget never binds.
+        self._tpc_width = (
+            config.tpc_reply_width
+            if config.tpc_reply_width < config.gpc_reply_width else None
+        )
         # -- telemetry (None unless the device enables it) -------------- #
         self._tracer = None
         self._tl_id = 0
@@ -71,48 +77,59 @@ class GpcReplyDistributor(Component):
         )
 
     def tick(self, cycle: int) -> None:
-        queue = self.input_queue
-        if not queue:
-            self._tpc_budget.clear()
+        """Move up to ``gpc_reply_width`` flits; park when the queue empties.
+
+        The distributor is purely reactive: it parks (``FOREVER``)
+        exactly when its reply queue is empty, and the queue's next
+        arrival wakes it.
+        """
+        packets = self.input_queue._queue
+        if not packets:
+            self._until = FOREVER
             return
-        budget = self.config.gpc_reply_width
-        tpc_width = self.config.tpc_reply_width
-        tpc_budget: Dict[int, int] = {}
-        while budget > 0:
-            packet = queue.head()
-            if packet is None:
-                break
+        width = self._width
+        budget = width
+        progress = self._progress
+        tpc_width = self._tpc_width
+        tpc_budget = None if tpc_width is None else {}
+        pop = self.input_queue.pop
+        while True:
+            packet = packets[0]
             tpc = packet.src_sm // self._sms_per_tpc
             if tpc not in self._member_tpcs:
                 raise RuntimeError(
                     f"{self.name}: reply for SM {packet.src_sm} (TPC {tpc}) "
                     f"routed to wrong GPC"
                 )
-            remaining_tpc = tpc_budget.get(tpc, tpc_width)
-            if remaining_tpc <= 0:
-                # Head-of-line: this TPC's channel is saturated this cycle.
-                break
-            step = min(budget, remaining_tpc, packet.flits - self._progress)
-            self._progress += step
+            step = packet.flits - progress
+            if step > budget:
+                step = budget
+            if tpc_budget is not None:
+                remaining = tpc_budget.get(tpc, tpc_width)
+                if remaining <= 0:
+                    # Head-of-line: this TPC's channel is saturated.
+                    break
+                if step > remaining:
+                    step = remaining
+                tpc_budget[tpc] = remaining - step
             budget -= step
-            tpc_budget[tpc] = remaining_tpc - step
-            if self._progress >= packet.flits:
-                queue.pop()
-                self._progress = 0
-                if self._tracer is not None:
-                    self._tracer.emit(cycle, REPLY_DELIVER, self._tl_id,
-                                      packet.uid, packet.src_sm)
-                self.deliver(packet, cycle)
-                if self._counters is not None:
-                    self._counters[self._packets_key] += 1
-        self._tpc_budget = tpc_budget
-        moved = self.config.gpc_reply_width - budget
-        if moved and self._tl_link is not None:
-            self._tl_link.add(cycle, moved)
-
-    def idle_until(self, cycle: int) -> Optional[int]:
-        """Purely reactive: idle exactly when the reply queue is empty."""
-        return None if self.input_queue else FOREVER
+            progress += step
+            if progress < packet.flits:
+                break  # out of GPC (or TPC) budget mid-packet
+            pop()
+            progress = 0
+            if self._tracer is not None:
+                self._tracer.emit(cycle, REPLY_DELIVER, self._tl_id,
+                                  packet.uid, packet.src_sm)
+            self.deliver(packet, cycle)
+            if self._counters is not None:
+                self._counters[self._packets_key] += 1
+            if not budget or not packets:
+                break
+        self._progress = progress
+        self._until = None if packets else FOREVER
+        if self._tl_link is not None and budget < width:
+            self._tl_link.add(cycle, width - budget)
 
     def state_digest(self):
         """Head progress plus the reply queue feeding this GPC."""
@@ -120,7 +137,6 @@ class GpcReplyDistributor(Component):
 
     def reset(self) -> None:
         self._progress = 0
-        self._tpc_budget.clear()
         self.input_queue.clear()
         if self._tl_link is not None:
             self._tl_link.reset()

@@ -15,7 +15,7 @@ order whenever slots are free.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..config import GpuConfig
 from ..sim.engine import Component, FOREVER
@@ -68,9 +68,37 @@ class ThreadBlockScheduler(Component):
 
     # ------------------------------------------------------------------ #
     def tick(self, cycle: int) -> None:
+        """Retire, promote and dispatch, then write the park horizon.
+
+        The scheduler only has work after a launch or a warp completion.
+        It stays busy while a stream can promote a kernel, a running
+        kernel has undispatched blocks, or a resident block has finished
+        (retirement pending).  Those conditions can only *become* true
+        through ``add_stream``/``Stream.enqueue`` (the device wakes the
+        scheduler on launch) or a warp finishing (each SM's
+        ``on_warp_done`` hook wakes the scheduler), so parking
+        (``FOREVER``) in every other state is exact.
+        """
         self._retire_blocks()
         self._promote_streams()
         self._dispatch(cycle)
+        for stream in self.streams:
+            running = stream.running
+            if running is None:
+                if stream.pending:
+                    self._until = None
+                    return
+            elif running.done or any(
+                block.sm_id is None for block in running.blocks
+            ):
+                self._until = None  # undispatched work remains
+                return
+        for resident in self._resident:
+            for block in resident:
+                if block.done:
+                    self._until = None
+                    return
+        self._until = FOREVER
 
     def _retire_blocks(self) -> None:
         for sm_index, resident in enumerate(self._resident):
@@ -137,35 +165,6 @@ class ThreadBlockScheduler(Component):
     @property
     def all_idle(self) -> bool:
         return all(not stream.busy for stream in self.streams)
-
-    def idle_until(self, cycle: int) -> Optional[int]:
-        """Event-driven: the scheduler only has work after a launch or a
-        warp completion.
-
-        It stays active while a stream can promote a kernel, a running
-        kernel has undispatched blocks, or a resident block has finished
-        (retirement pending).  All those conditions can only *become* true
-        through ``add_stream``/``Stream.enqueue`` (the device wakes the
-        scheduler on launch) or a warp finishing (each SM's
-        ``on_warp_done`` hook wakes the scheduler), so parking in every
-        other state is exact.
-        """
-        for stream in self.streams:
-            running = stream.running
-            if running is None:
-                if stream.pending:
-                    return None
-            elif running.done:
-                return None
-            else:
-                for block in running.blocks:
-                    if block.sm_id is None:
-                        return None  # undispatched work remains
-        for resident in self._resident:
-            for block in resident:
-                if block.done:
-                    return None
-        return FOREVER
 
     def state_digest(self):
         """Dispatch state by counts (kernel ids are process-global)."""

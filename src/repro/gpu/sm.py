@@ -119,6 +119,7 @@ class StreamingMultiprocessor(Component):
         self._largest_request = max(
             config.read_request_flits, config.write_request_flits
         )
+        self._issue_width = config.sm_issue_width
         self._read_credits = config.sm_mshrs
         self._write_credits = config.sm_write_buffer
         self._group_counter = 0
@@ -192,50 +193,88 @@ class StreamingMultiprocessor(Component):
     # Per-cycle execution.
     # ------------------------------------------------------------------ #
     def tick(self, cycle: int) -> None:
+        """Run warps and the LSU for one cycle, then write the horizon.
+
+        An SM sleeps when no warp is runnable.  Warps in ``NEW``/
+        ``READY``/``ISSUING`` keep it busy every cycle, except
+        ``ISSUING`` behind a backpressure-blocked LSU, which parks until
+        queue space or credits wake the SM; ``SLEEP`` warps and pending
+        L1 returns contribute their wake-up cycles; ``WAIT_MEM``/``DONE``
+        warps are purely reactive (the reply path calls
+        :meth:`deliver_reply`, which wakes the SM when the op
+        completes).  The warp scan leaves no warp ``NEW`` or ``READY``,
+        so it collects the sleepers' earliest wake-up and counts the
+        issuing warps; the LSU then accounts for each warp whose issue
+        phase it finishes.
+        """
         warps = self.warps
-        if not warps and not self._l1_returns:
-            return
         if self._l1_returns:
             self._complete_l1_returns(cycle)
+        elif not warps:
+            self._until = FOREVER
+            return
         # Resume runnable warps (generator steps are cheap and represent
         # ALU work done in parallel with memory: all runnable warps may
         # advance to their next action in one cycle).
+        wake = FOREVER
+        issuing = 0
         for warp in warps:
             state = warp.state
             if state == NEW or state == READY:
                 self._advance(warp, cycle)
+                state = warp.state
             elif state == SLEEP and cycle >= warp.wake_cycle:
                 warp.state = READY
                 self._advance(warp, cycle)
+                state = warp.state
+            if state == SLEEP:
+                if warp.wake_cycle < wake:
+                    wake = warp.wake_cycle
+            elif state == ISSUING:
+                issuing += 1
         # LSU: inject up to issue-width transactions.  A warp memory
         # instruction's transactions are issued *contiguously* (the
         # coalescer emits them as one batch), so packets from different
         # warps never interleave mid-op — which is also what makes
         # warp-group (CRR) arbitration meaningful downstream.  The LSU
         # rotates between warps only at op boundaries.
-        budget = self.config.sm_issue_width
-        num = len(warps)
-        if num == 0:
+        ready = False
+        if warps:
+            self._blocked = False
+            budget = self._issue_width
+            while issuing and budget > 0:
+                current = self._current_issue_warp()
+                if current is None:
+                    break
+                if self._issue_one(current, cycle):
+                    budget -= 1
+                    if not current.pending_issue:
+                        # Op batch complete: rotate to the next warp.
+                        self._sched_pointer = (
+                            warps.index(current) + 1
+                        ) % len(warps)
+                        issuing -= 1
+                        state = current.state
+                        if state == SLEEP:
+                            if current.wake_cycle < wake:
+                                wake = current.wake_cycle
+                        elif state == READY:
+                            ready = True
+                else:
+                    self._blocked = True
+                    break  # blocked on credits or queue space
+            if not budget:
+                # A spent budget says nothing about the next attempt; if
+                # it would be refused, park now instead of after a no-op
+                # retry.
+                self._blocked = self._next_issue_refused()
+        if ready or (issuing and not self._blocked):
+            self._until = None
             return
-        self._blocked = False
-        while budget > 0:
-            current = self._current_issue_warp()
-            if current is None:
-                break
-            if self._issue_one(current, cycle):
-                budget -= 1
-                if not current.pending_issue:
-                    # Op batch complete: rotate to the next warp.
-                    self._sched_pointer = (
-                        warps.index(current) + 1
-                    ) % num
-            else:
-                self._blocked = True
-                break  # blocked on credits or queue space
-        if not budget:
-            # A spent budget says nothing about the next attempt; if it
-            # would be refused, park now instead of after a no-op retry.
-            self._blocked = self._next_issue_refused()
+        for due, _ in self._l1_returns:
+            if due < wake:
+                wake = due
+        self._until = wake
 
     def _next_issue_refused(self) -> bool:
         """Whether next cycle's first issue attempt is sure to be refused.
@@ -415,25 +454,24 @@ class StreamingMultiprocessor(Component):
         if queue is None:
             return False  # refused before a packet (and its uid) is made
         config = self.config
+        kind = txn.kind
+        # Positional fields (see Packet): keywords cost twice as much.
         packet = Packet(
-            kind=txn.kind,
-            address=txn.address,
-            flits=(
-                config.read_request_flits if txn.kind == READ
-                else config.write_request_flits
-            ),
-            src_sm=self.sm_id,
-            slice_id=config.address_to_slice(txn.address),
-            warp_ref=warp,
-            group_id=warp.op_group,
-            birth_cycle=cycle,
-            src_device=self.device_id,
-            dst_device=(
-                self.device_id if txn.device is None else txn.device
-            ),
+            kind,
+            txn.address,
+            (config.read_request_flits if kind == READ
+             else config.write_request_flits),
+            self.sm_id,
+            config.address_to_slice(txn.address),
+            False,
+            warp,
+            warp.op_group,
+            cycle,
+            self.device_id,
+            self.device_id if txn.device is None else txn.device,
         )
         queue.push(packet)
-        if txn.kind == READ:
+        if kind == READ:
             self._read_credits -= 1
         else:
             self._write_credits -= 1
@@ -443,7 +481,7 @@ class StreamingMultiprocessor(Component):
             self._counters[self._injected_key] += 1
         if self._tracer is not None:
             self._tracer.emit(cycle, SM_INJECT, self._tl_id, packet.uid,
-                              1 if txn.kind == WRITE else 0,
+                              1 if kind == WRITE else 0,
                               packet.slice_id)
         if self._validator is not None:
             self._validator.note_inject(packet, cycle)
@@ -531,36 +569,6 @@ class StreamingMultiprocessor(Component):
             else:
                 remaining.append((ready, warp))
         self._l1_returns = remaining
-
-    def idle_until(self, cycle: int) -> Optional[int]:
-        """Activity contract: an SM sleeps when no warp is runnable.
-
-        Warps in ``NEW``/``READY``/``ISSUING`` keep the SM active every
-        cycle, except ``ISSUING`` behind a backpressure-blocked LSU,
-        which parks until queue space or credits wake the SM; ``SLEEP``
-        warps and pending L1 returns contribute their wake-up cycles;
-        ``WAIT_MEM``/``DONE`` warps are purely reactive (the reply path
-        calls :meth:`deliver_reply`, which wakes the SM when the op
-        completes).
-        """
-        wake = FOREVER
-        blocked = self._blocked
-        for warp in self.warps:
-            state = warp.state
-            if state == SLEEP:
-                if warp.wake_cycle < wake:
-                    wake = warp.wake_cycle
-            elif state == ISSUING and blocked:
-                # The LSU is backpressure-blocked; retry ticks are no-ops
-                # until the injection queue's pop hook or a reply
-                # delivery wakes the SM, so park reactively.
-                continue
-            elif state != WAIT_MEM and state != DONE:
-                return None  # NEW / READY / ISSUING: busy
-        for ready, _ in self._l1_returns:
-            if ready < wake:
-                wake = ready
-        return wake
 
     def state_digest(self):
         """Warp, credit, rng and L1 tag state (lockstep oracle).

@@ -25,7 +25,7 @@ reply delivery path.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Tuple
 
 from ..noc.buffer import PacketQueue
 from ..noc.packet import Packet
@@ -99,42 +99,49 @@ class LinkPipe(Component):
 
     # ------------------------------------------------------------------ #
     def tick(self, cycle: int) -> None:
+        """Deliver due arrivals, maybe start the TX head, write the horizon.
+
+        The pipe parks until its next arrival or, with a packet waiting
+        in TX, until the serializer frees; on a credit stall it waits
+        for the RX queue's pop, and with nothing queued or in flight it
+        is purely reactive (the TX queue's commits wake it).
+        """
         # Deliver arrivals whose flight time has elapsed.  Space was
         # reserved at serialization start, so commit cannot fail.
-        while self._in_flight and self._in_flight[0][0] <= cycle:
-            _, packet = self._in_flight.popleft()
+        in_flight = self._in_flight
+        while in_flight and in_flight[0][0] <= cycle:
+            _, packet = in_flight.popleft()
             self.rx.commit(packet)
+        until = in_flight[0][0] if in_flight else FOREVER
         # Start serializing the next packet once the wire is free and
         # the far buffer has credits.
-        if cycle < self._busy_until:
+        tx = self.tx
+        busy_until = self._busy_until
+        if cycle < busy_until:
+            if tx and busy_until < until:
+                until = busy_until
+            self._until = until
             return
-        head = self.tx.head()
+        head = tx.head()
         if head is None:
+            self._until = until
             return
-        if not self.rx.can_reserve(head.flits):
+        flits = head.flits
+        if flits > self.rx._free:
             self._blocked = True  # credit stall; the next RX pop wakes us
+            self._until = until
             return
-        self.rx.reserve(head.flits)
-        self.tx.pop()
+        self.rx.reserve(flits)
+        tx.pop()
         if self._tl_link is not None:
-            self._tl_link.add(cycle, head.flits)
-        serialize = -(-head.flits // self.width)  # ceil division
-        self._busy_until = cycle + serialize
-        self._in_flight.append((cycle + serialize + self.latency, head))
-
-    def idle_until(self, cycle: int) -> Optional[int]:
-        nxt = FOREVER
-        if self._in_flight:
-            nxt = self._in_flight[0][0]
-        if self.tx:
-            if cycle < self._busy_until:
-                nxt = min(nxt, self._busy_until)
-            elif self.rx.can_reserve(self.tx.head().flits):
-                return None  # can start a packet right now
-            # else: credit-stalled (_blocked); woken by the next RX pop
-        if nxt == FOREVER:
-            return FOREVER
-        return nxt if nxt > cycle else None
+            self._tl_link.add(cycle, flits)
+        # Serialization takes ceil(flits / width) cycles.
+        busy_until = self._busy_until = cycle - (-flits // self.width)
+        in_flight.append((busy_until + self.latency, head))
+        until = in_flight[0][0]
+        if tx and busy_until < until:
+            until = busy_until
+        self._until = until
 
     def reset(self) -> None:
         self._busy_until = 0
@@ -181,12 +188,10 @@ class FabricIngress(Component):
             if not device.l2_request_queues[head.slice_id].push(head):
                 break  # L2 slice full; retry while our queue is nonempty
             queue.pop()
-
-    def idle_until(self, cycle: int) -> Optional[int]:
         # Busy-retry while holding packets (covers L2 back-pressure
         # without registering as the L2 request queue's producer,
         # which is the request crossbar).
-        return None if self.queue else FOREVER
+        self._until = None if queue else FOREVER
 
     def reset(self) -> None:
         self.queue.clear()

@@ -20,7 +20,8 @@ test reads; ``used_flits`` is derived from it.
 The queue is also what wakes the components around it, which register
 with it when they are built.  Its one consumer (a switch, an L2 slice, a
 reply distributor, a link pipe or a fabric ingress shim) is woken by
-every ``push`` and ``commit``.  A consuming switch (a :class:`LiveInputs`
+every ``push`` and ``commit``, which add it to the engine's active set
+inline (the body of :meth:`~repro.sim.engine.Component.wake`).  A consuming switch (a :class:`LiveInputs`
 subclass: :class:`~repro.noc.mux.Mux` or
 :class:`~repro.noc.crossbar.Crossbar`) registers with its input port, and
 the queue itself keeps that switch's ``_live``, ``_heads`` and
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from heapq import heappush
 from typing import Deque, List, Optional
 
 from .packet import Packet
@@ -154,7 +156,15 @@ class PacketQueue:
             self.meter.note(self.used_flits)
         consumer = self._consumer
         if consumer is not None:
-            consumer.wake()
+            # Component.wake, inlined: the consumer joins the active set.
+            engine = consumer._engine
+            if engine is not None:
+                index = consumer._engine_index
+                active = engine._active
+                if index not in active:
+                    active.add(index)
+                    if index > engine._scan_pos:
+                        heappush(engine._frontier, index)
 
     def push(self, packet: Packet) -> bool:
         """Take space for and enqueue a whole packet; False if no room."""
@@ -175,7 +185,15 @@ class PacketQueue:
             self.meter.note(self.used_flits)
         consumer = self._consumer
         if consumer is not None:
-            consumer.wake()
+            # Component.wake, inlined: the consumer joins the active set.
+            engine = consumer._engine
+            if engine is not None:
+                index = consumer._engine_index
+                active = engine._active
+                if index not in active:
+                    active.add(index)
+                    if index > engine._scan_pos:
+                        heappush(engine._frontier, index)
         return True
 
     # -- consumption --------------------------------------------------- #

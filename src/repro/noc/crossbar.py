@@ -99,11 +99,21 @@ class Crossbar(LiveInputs, Component):
         ]
 
     def tick(self, cycle: int) -> None:
+        """Move flits across and write the park horizon.
+
+        The crossbar is purely reactive: it parks (``FOREVER``) when
+        every input queue is empty, or when the sparse tick found every
+        live head blocked on space at its routed output (``_blocked``).
+        A commit to an input (which wakes the queue's consumer) or an
+        output's pop (which wakes its blocked producer) ends the wait.
+        """
         if self._sparse:
             live = self._live
-            if len(live) == 1 and self._invariant:
+            if not live:
+                self._until = FOREVER
+            elif len(live) == 1 and self._invariant:
                 self._run_sole(cycle, live[0])
-            elif live:
+            else:
                 self._tick_sparse(cycle)
             return
         num_inputs = len(self.inputs)
@@ -163,6 +173,7 @@ class Crossbar(LiveInputs, Component):
                 moved = True
             if not moved:
                 break
+        self._until = FOREVER if self._blocked or not self._live else None
 
     def _tick_sparse(self, cycle: int) -> None:
         """Slot-assignment tick walking only the live input ports.
@@ -181,9 +192,8 @@ class Crossbar(LiveInputs, Component):
         last.
 
         A first round that groups nothing means no live head can move
-        this cycle: the tick sets ``_blocked`` and :meth:`idle_until`
-        parks the crossbar until an output pops or an input exposes a
-        new head.
+        this cycle: the tick sets ``_blocked`` and parks the crossbar
+        until an output pops or an input exposes a new head.
         """
         live = self._live
         inputs = self.inputs
@@ -261,6 +271,7 @@ class Crossbar(LiveInputs, Component):
             if not moved:
                 break
         self._blocked = blocked
+        self._until = FOREVER if blocked or not live else None
         if completed and self._counters is not None:
             self._counters[self._packets_key] += completed
 
@@ -285,6 +296,7 @@ class Crossbar(LiveInputs, Component):
         out = route(packet)
         if not reserved[port] and packet.flits > outputs[out]._free:
             self._blocked = True
+            self._until = FOREVER
             return
         self._blocked = False
         progress = self._progress
@@ -338,19 +350,9 @@ class Crossbar(LiveInputs, Component):
             if (spent.get(out, 0) >= width
                     or packet.flits > outputs[out]._free):
                 break
+        self._until = None if self._live else FOREVER
         if completed and self._counters is not None:
             self._counters[self._packets_key] += completed
-
-    def idle_until(self, cycle: int) -> Optional[int]:
-        """Purely reactive: idle when no input can move a flit.
-
-        That is when every input queue is empty, or when the sparse tick
-        found every live head blocked on space at its routed output
-        (``_blocked``).  A commit to an input (which wakes the queue's
-        consumer) or an output's pop (which wakes its blocked producer)
-        ends the wait.
-        """
-        return FOREVER if self._blocked or not self._live else None
 
     def reserved_demand(self):
         """Yield ``(output_queue, flits)`` per held output reservation.

@@ -86,11 +86,22 @@ class Mux(LiveInputs, Component):
         self._tl_link = hub.timeline.register_link(self.name, self.width)
 
     def tick(self, cycle: int) -> None:
+        """Move up to ``width`` flits and write the park horizon.
+
+        The mux is purely reactive: it parks (``FOREVER``) when every
+        input queue is empty, or when the sparse tick found every live
+        head blocked on output space (``_blocked``).  A blocked tick is
+        a no-op, and only two events end the wait: a commit to an input,
+        which wakes the queue's consumer, and a pop of the output, which
+        wakes its blocked producer.
+        """
         if self._sparse:
             live = self._live
-            if len(live) == 1 and self._invariant:
+            if not live:
+                self._until = FOREVER
+            elif len(live) == 1 and self._invariant:
                 self._run_sole(cycle, live[0])
-            elif live:
+            else:
                 self._tick_sparse(cycle)
             return
         budget = self.width
@@ -136,6 +147,7 @@ class Mux(LiveInputs, Component):
                 self._counters[self._flits_key] += 1
         if moved and self._tl_link is not None:
             self._tl_link.add(cycle, moved)
+        self._until = FOREVER if self._blocked or not self._live else None
 
     def _tick_sparse(self, cycle: int) -> None:
         """Sparse tick: identical grants, candidacy from the live list.
@@ -173,7 +185,7 @@ class Mux(LiveInputs, Component):
 
         When no live port is a candidate — every head is unreserved and
         larger than the output's free space — the tick sets ``_blocked``
-        and returns, and :meth:`idle_until` parks the mux.  The test
+        and parks the mux.  The test
         comes before ``allowed_inputs``, so a port waiting for its SRR
         slot does not count as blocked.  :meth:`tick` calls this with at
         least one live port, and serves a lone one under a flit-invariant
@@ -195,6 +207,7 @@ class Mux(LiveInputs, Component):
             ]
             if not candidates:
                 self._blocked = True
+                self._until = FOREVER
                 return
         self._blocked = False
         forced = self._invariant
@@ -263,6 +276,7 @@ class Mux(LiveInputs, Component):
                     counters[self._packets_key] += completed
             if self._tl_link is not None:
                 self._tl_link.add(cycle, moved)
+        self._until = None if live else FOREVER
 
     def _run_sole(self, cycle: int, port: int) -> None:
         """:meth:`_tick_sparse` for one live input, as a flit run.
@@ -281,6 +295,7 @@ class Mux(LiveInputs, Component):
         output = self.output
         if not reserved[port] and packet.flits > output._free:
             self._blocked = True
+            self._until = FOREVER
             return
         self._blocked = False
         progress = self._progress
@@ -328,23 +343,13 @@ class Mux(LiveInputs, Component):
                 counters[self._packets_key] += completed
         if self._tl_link is not None:
             self._tl_link.add(cycle, moved)
+        self._until = None if self._live else FOREVER
 
     def _can_start(self, port: int, head: Packet) -> bool:
         """A packet may (continue to) transmit if output space is secured."""
         if self._reserved[port]:
             return True
         return self.output.can_reserve(head.flits)
-
-    def idle_until(self, cycle: int) -> Optional[int]:
-        """Purely reactive: idle when no input can move a flit.
-
-        That is when every input queue is empty, or when the sparse tick
-        found every live head blocked on output space (``_blocked``).
-        A blocked tick is a no-op, and only two events end the wait: a
-        commit to an input, which wakes the queue's consumer, and a pop
-        of the output, which wakes its blocked producer.
-        """
-        return FOREVER if self._blocked or not self._live else None
 
     def reserved_demand(self):
         """Yield ``(output_queue, flits)`` for each held output reservation.

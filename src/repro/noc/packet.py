@@ -71,23 +71,22 @@ class Packet:
     src_device: int = 0
     dst_device: int = 0
     req_uid: int = -1
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    #: Drawn from a process-global counter; the factory is the counter's
+    #: own ``__next__``, so building a packet runs no Python-level call
+    #: beyond ``__init__``.
+    uid: int = field(default_factory=_packet_ids.__next__)
 
     def make_reply(self, flits: int, cycle: int) -> "Packet":
-        """Build the reply packet for this request."""
+        """Build the reply packet for this request.
+
+        Fields go positionally, in declaration order (``is_reply`` is
+        True, ``birth_cycle`` is ``cycle``, ``req_uid`` is this uid):
+        keyword construction costs about twice as much per packet.
+        """
         return Packet(
-            kind=self.kind,
-            address=self.address,
-            flits=flits,
-            src_sm=self.src_sm,
-            slice_id=self.slice_id,
-            is_reply=True,
-            warp_ref=self.warp_ref,
-            group_id=self.group_id,
-            birth_cycle=cycle,
-            src_device=self.src_device,
-            dst_device=self.dst_device,
-            req_uid=self.uid,
+            self.kind, self.address, flits, self.src_sm, self.slice_id,
+            True, self.warp_ref, self.group_id, cycle,
+            self.src_device, self.dst_device, self.uid,
         )
 
     def signature(self):

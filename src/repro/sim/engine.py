@@ -18,16 +18,23 @@ Scheduling strategies
     this on full covert-channel runs).
 
 ``strategy="active"`` (default)
-    Active-set scheduling.  Components report, after each tick, whether
-    they have anything left to do via :meth:`Component.idle_until`:
+    Active-set scheduling.  Every ``tick`` ends by writing the
+    component's *park horizon* to :attr:`Component._until`, which the
+    engine reads right after the tick:
 
-    * ``None`` — busy; keep ticking every cycle (the safe default, so
-      components that never opt in behave exactly as under ``naive``);
+    * ``None`` — busy; keep ticking every cycle (the class default, so
+      components that never write it behave exactly as under ``naive``);
     * a future cycle ``c`` — quiescent until ``c`` barring new input; the
       engine parks the component and sets a timer;
     * :data:`FOREVER` — purely reactive; the component is parked until an
       external event (a queue push, a kernel launch, a DRAM completion)
-      calls :meth:`Component.wake`.
+      wakes it.
+
+    The horizon is an attribute, not a return value, so a wrapper around
+    ``tick`` that drops its result (a tracer) parks the same components
+    as the bare tick.  Each tick computes it from the state it already
+    holds, and a packet hop costs one call per side: the queue's
+    ``push`` or ``commit`` adds its consumer to the active set inline.
 
     Because an idle component's ``tick`` is by contract a no-op, skipping
     it is cycle-exact.  When *nothing* is active — every warp asleep in
@@ -66,8 +73,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable, List, Optional, Set
 
-#: Sentinel returned by :meth:`Component.idle_until` for "no self-scheduled
-#: work, ever — wake me only on external input".  Any cycle number at or
+#: Park horizon (:attr:`Component._until`) for "no self-scheduled work,
+#: ever — wake me only on external input".  Any cycle number at or
 #: beyond this is treated as "no timer".
 FOREVER = 1 << 62
 
@@ -93,7 +100,7 @@ class Component:
     observer: bool = False
 
     def tick(self, cycle: int) -> None:  # pragma: no cover - interface
-        """Advance one cycle of work."""
+        """Advance one cycle of work, then write :attr:`_until`."""
 
     def reset(self) -> None:
         """Return to the post-construction state.  Optional."""
@@ -111,25 +118,21 @@ class Component:
         return None
 
     # -- activity contract (active-set scheduling) ---------------------- #
-    def idle_until(self, cycle: int) -> Optional[int]:
-        """Earliest future cycle at which this component has work.
-
-        Called by the engine immediately after ``tick(cycle)`` under the
-        ``active`` strategy.  Return:
-
-        * ``None`` — busy: tick me again next cycle (default; always
-          correct);
-        * an ``int > cycle`` — my ``tick`` is a no-op until that cycle
-          unless new input arrives (the engine will park me and set a
-          timer);
-        * :data:`FOREVER` — purely reactive: park me until something
-          calls :meth:`wake`.
-
-        The contract is strict: while parked, the component's ``tick``
-        must be a state-preserving no-op, otherwise the active strategy
-        diverges from the naive reference.
-        """
-        return None
+    #: Park horizon, written by every exit of ``tick`` and read by the
+    #: ``active`` engine right after it:
+    #:
+    #: * ``None`` — busy: tick me again next cycle (default; always
+    #:   correct);
+    #: * an ``int > cycle`` — my ``tick`` is a no-op until that cycle
+    #:   unless new input arrives (the engine parks me and sets a timer);
+    #: * :data:`FOREVER` — purely reactive: park me until something
+    #:   wakes me.
+    #:
+    #: The contract is strict: while parked, the component's ``tick``
+    #: must be a state-preserving no-op, otherwise the active strategy
+    #: diverges from the naive reference.  An exit that leaves a stale
+    #: value behind parks the component on the previous tick's horizon.
+    _until: Optional[int] = None
 
     def wake(self) -> None:
         """Mark this component active (new external input arrived).
@@ -139,8 +142,9 @@ class Component:
         component joins the active set at once: if its pipeline position
         has not been passed this cycle it is ticked this very cycle,
         otherwise next cycle — exactly when the naive loop would next run
-        it.  Every queue commit and every pop that frees a blocked
-        producer lands here.
+        it.  Every pop that frees a blocked producer, every DRAM fill and
+        every launch lands here; a queue's ``push`` and ``commit`` do the
+        same for their consumer inline.
         """
         engine = self._engine
         if engine is not None:
@@ -301,6 +305,7 @@ class Engine:
             frontier = self._frontier = sorted(active)
             ticked = 0
             pos = -1
+            later = cycle + 1
             while frontier:
                 index = heappop(frontier)
                 if index <= pos:
@@ -309,8 +314,8 @@ class Engine:
                 component = components[index]
                 component.tick(cycle)
                 ticked += 1
-                until = component.idle_until(cycle)
-                if until is not None and until > cycle + 1:
+                until = component._until
+                if until is not None and until > later:
                     # Park, with a timer unless purely reactive; an
                     # equal-or-earlier pending timer stands.
                     active.discard(index)
@@ -321,7 +326,7 @@ class Engine:
                             heappush(timers, (until, index))
             self._scan_pos = _NOT_SCANNING
             self.ticks_executed += ticked
-            self.cycle = cycle = cycle + 1
+            self.cycle = cycle = later
         return cycle
 
     def run_until(

@@ -198,28 +198,22 @@ class TimelineProbe(Component):
         self.timeline = timeline
         timeline.probe = self
         self._next_flush = timeline.epoch_cycles
-        #: True when this tick's flush left every metered queue empty.
-        self._drained = False
 
     def tick(self, cycle: int) -> None:
-        self._drained = False
         if cycle >= self._next_flush:
             epoch_cycles = self.timeline.epoch_cycles
-            # A wake after parking can land mid-epoch; the boundaries
-            # slept through had nothing to flush.
-            if cycle % epoch_cycles == 0:
-                self._drained = not self.timeline.flush(
-                    cycle // epoch_cycles - 1
-                )
             self._next_flush = (cycle // epoch_cycles + 1) * epoch_cycles
-
-    def idle_until(self, cycle: int) -> Optional[int]:
-        if self._drained:
-            self.timeline.probe_parked = True
-            return FOREVER
-        return self._next_flush
+            # A wake after parking can land mid-epoch; the boundaries
+            # slept through had nothing to flush.  A flush that leaves
+            # every metered queue empty parks the probe with no timer.
+            if cycle % epoch_cycles == 0 and not self.timeline.flush(
+                cycle // epoch_cycles - 1
+            ):
+                self.timeline.probe_parked = True
+                self._until = FOREVER
+                return
+        self._until = self._next_flush
 
     def reset(self) -> None:
         self._next_flush = self.timeline.epoch_cycles
-        self._drained = False
         self.timeline.probe_parked = False

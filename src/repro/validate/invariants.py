@@ -41,7 +41,7 @@ the hook sites cost one ``is not None`` branch (the telemetry pattern).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..noc.buffer import PacketQueue
 from ..noc.crossbar import Crossbar
@@ -288,11 +288,19 @@ class InvariantChecker(Component):
     # Per-cycle audit.
     # ------------------------------------------------------------------ #
     def tick(self, cycle: int) -> None:
-        if cycle < self._next_check:
-            return
-        self._next_check = cycle + self.check_every
-        self.checks_run += 1
-        self.audit(cycle)
+        """Audit on every ``check_every``-th cycle; park until the next.
+
+        With ``check_every == 1`` the checker stays in the active set —
+        validated runs trade quiescence fast-forward for per-cycle
+        coverage; larger intervals let idle stretches fast-forward in
+        audit-sized hops, exactly like the telemetry probe.
+        """
+        if cycle >= self._next_check:
+            self._next_check = cycle + self.check_every
+            self.checks_run += 1
+            self.audit(cycle)
+        after = self._next_check
+        self._until = None if after <= cycle + 1 else after
 
     def audit(self, cycle: int) -> None:
         """Audit every watched switch, link, and queue, raising on failure."""
@@ -473,19 +481,6 @@ class InvariantChecker(Component):
     ) -> None:
         self.violations += 1
         raise InvariantViolation(cycle, component, kind, detail)
-
-    # ------------------------------------------------------------------ #
-    # Engine contract.
-    # ------------------------------------------------------------------ #
-    def idle_until(self, cycle: int) -> Optional[int]:
-        """Park until the next audit cycle (``check_every`` hops).
-
-        With ``check_every == 1`` the checker stays in the active set —
-        validated runs trade quiescence fast-forward for per-cycle
-        coverage; larger intervals let idle stretches fast-forward in
-        audit-sized hops, exactly like the telemetry probe.
-        """
-        return None if self._next_check <= cycle + 1 else self._next_check
 
     def reset(self) -> None:
         self._in_flight.clear()

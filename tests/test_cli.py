@@ -615,9 +615,9 @@ class TestServeCommand:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         self.tmp_path = tmp_path
 
-    def _serve(self, *argv, name="answers.json"):
+    def _serve(self, *argv, name="answers.json", grid=GRID):
         path = self.tmp_path / name
-        code = main(["serve", *self.GRID, "--answers", str(path), *argv])
+        code = main(["serve", *grid, "--answers", str(path), *argv])
         manifest = json.loads(path.read_text()) if path.exists() else None
         return code, manifest
 
@@ -668,8 +668,13 @@ class TestServeCommand:
 
     def test_queries_file(self):
         queries = self.tmp_path / "queries.json"
-        queries.write_text(json.dumps([1.5, {"iterations": 9}]))
-        code, manifest = self._serve("--queries", str(queries))
+        # Iteration counts are whole numbers: 2 lies between the grid
+        # points 1 and 3, and a whole-valued float is a count too.
+        queries.write_text(json.dumps([2, {"iterations": 9.0}]))
+        code, manifest = self._serve(
+            "--queries", str(queries),
+            grid=["--iterations", "1", "3", "--bits", "2"],
+        )
         assert code == 0
         sources = [a["source"] for a in manifest["answers"]]
         assert sources == ["interpolated", "nearest"]
@@ -686,10 +691,13 @@ class TestServeCommand:
             ("[1, NaN]", "NaN"),
             ("[Infinity]", "Infinity"),
             ('[{"iterations": -Infinity}]', '{"iterations": -Infinity}'),
+            ("[2, 1.5]", "entry 1 (1.5)"),
+            ('[{"iterations": 2.5}]', '{"iterations": 2.5}'),
         ],
         ids=["string", "no-iterations", "bool", "string-iterations",
              "not-a-list", "bad-json", "nan", "infinity",
-             "negative-infinity-iterations"],
+             "negative-infinity-iterations", "fractional",
+             "fractional-iterations"],
     )
     def test_malformed_queries_exit_before_sweeping(
         self, capsys, monkeypatch, entries, named

@@ -223,9 +223,7 @@ class TestFastForward:
 
             def tick(self, cycle):
                 self.ticks.append(cycle)
-
-            def idle_until(self, cycle):
-                return 100 if cycle < 100 else FOREVER
+                self._until = 100 if cycle < 100 else FOREVER
 
         parked = Parked()
         engine = Engine([parked])
@@ -254,9 +252,7 @@ class TestFastForward:
                     self.armed = False
                     downstream.wake()
                     upstream.wake()
-
-            def idle_until(self, cycle):
-                return FOREVER
+                self._until = FOREVER
 
         class Quiet(Component):
             def __init__(self, name):
@@ -264,9 +260,7 @@ class TestFastForward:
 
             def tick(self, cycle):
                 log.append((self.name, cycle))
-
-            def idle_until(self, cycle):
-                return FOREVER
+                self._until = FOREVER
 
         upstream = Quiet("upstream")
         waker = Waker()
@@ -288,9 +282,7 @@ class TestFastForward:
 
             def tick(self, cycle):
                 self.ticks.append(cycle)
-
-            def idle_until(self, cycle):
-                return FOREVER
+                self._until = FOREVER
 
         reactive = Reactive()
         engine = Engine([reactive])
@@ -307,9 +299,7 @@ class TestFastForward:
 
             def tick(self, cycle):
                 self.ticks += 1
-
-            def idle_until(self, cycle):
-                return FOREVER
+                self._until = FOREVER
 
         lazy = Lazy()
         engine = Engine([lazy])

@@ -11,7 +11,7 @@ from repro.noc.buffer import PacketQueue
 from repro.noc.crossbar import Crossbar
 from repro.noc.mux import Mux
 from repro.noc.packet import Packet, READ
-from repro.sim.engine import FOREVER, Engine
+from repro.sim.engine import FOREVER, Component, Engine
 
 
 def make_packet(flits=1, uid_kind=READ):
@@ -135,15 +135,26 @@ class TestConsumer:
 
     def test_commit_wakes_a_portless_consumer(self):
         queue = PacketQueue("q", 8)
-        consumer = _StubComponent()
+        consumer = _ReactiveComponent()
         queue.attach_consumer(consumer)
+        queue.push(make_packet(2))  # no engine yet: nothing to wake
+        engine = Engine([consumer], strategy="active")
+        index = consumer._engine_index
+        engine.step(1)
+        assert index not in engine._active
         queue.push(make_packet(2))
-        queue.push(make_packet(2))
-        assert consumer.wakes == 2
+        assert index in engine._active
+        engine.step(1)
+        queue.reserve(2)
+        assert index not in engine._active
+        queue.commit(make_packet(2))
+        assert index in engine._active
+        engine.step(1)
         queue.pop()  # a pop frees space: it wakes producers, not consumers
         queue.clear()
-        assert consumer.wakes == 2
-        with pytest.raises(ValueError, match="consumed by stub$"):
+        assert index not in engine._active
+        assert consumer.ticks == [0, 1, 2]
+        with pytest.raises(ValueError, match="consumed by reactive$"):
             queue.attach_consumer(_StubComponent())
 
     def test_consumer_built_over_nonempty_queues(self):
@@ -176,6 +187,19 @@ def _sm_into(output):
 def _pipe_into(output):
     return LinkPipe("pipe", PacketQueue("pipe.tx", 8), output,
                     width=1, latency=1)
+
+
+class _ReactiveComponent(Component):
+    """Parks after every tick until its input queue wakes it."""
+
+    name = "reactive"
+
+    def __init__(self):
+        self.ticks = []
+
+    def tick(self, cycle):
+        self.ticks.append(cycle)
+        self._until = FOREVER
 
 
 class _StubComponent:
@@ -230,7 +254,7 @@ class TestProducer:
         queue.push(make_packet(2))
         engine.step(1)
         assert switch._blocked
-        assert switch.idle_until(0) == FOREVER
+        assert switch._until == FOREVER
         assert switch._engine_index not in engine._active
         engine.step(10)  # parked: no retry ticks
         assert engine.ticks_executed == 1 and len(queue) == 1
@@ -249,7 +273,7 @@ class TestProducer:
         engine = Engine([mux], strategy="active")
         mux.inputs[1].push(make_packet(1))
         engine.step(1)
-        assert not mux._blocked and mux.idle_until(0) is None
+        assert not mux._blocked and mux._until is None
         engine.step(1)
         assert not mux.inputs[1] and len(mux.output) == 1
 

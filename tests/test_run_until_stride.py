@@ -36,9 +36,7 @@ class _Alarm(Component):
     def tick(self, cycle):
         if cycle >= self.wake_at:
             self.fired = True
-
-    def idle_until(self, cycle):
-        return FOREVER if self.fired else self.wake_at
+        self._until = FOREVER if self.fired else self.wake_at
 
 
 def _count_steps(engine):
@@ -110,8 +108,8 @@ class _Metronome(Component):
     def __init__(self, period):
         self.period = period
 
-    def idle_until(self, cycle):
-        return (cycle // self.period + 1) * self.period
+    def tick(self, cycle):
+        self._until = (cycle // self.period + 1) * self.period
 
 
 class TestObserverTimers:

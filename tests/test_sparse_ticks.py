@@ -64,6 +64,7 @@ class _Source(Component):
         self.rng = random.Random(seed)
 
     def tick(self, cycle):
+        self._until = None if cycle + 1 < _INJECT_CYCLES else FOREVER
         if cycle >= _INJECT_CYCLES:
             return
         rng = self.rng
@@ -81,9 +82,6 @@ class _Source(Component):
                 birth_cycle=max(0, cycle - rng.randrange(8)),
             ))
 
-    def idle_until(self, cycle):
-        return None if cycle + 1 < _INJECT_CYCLES else FOREVER
-
 
 class _Sink(Component):
     """Pops one packet per output every ``every`` cycles (backpressure)."""
@@ -98,16 +96,14 @@ class _Sink(Component):
             queue.attach_consumer(self)
 
     def tick(self, cycle):
-        if cycle % self.every:
-            return
-        for out, queue in enumerate(self.queues):
-            if queue:
-                self.log.append((cycle, out, queue.pop().signature()))
-
-    def idle_until(self, cycle):
+        if not cycle % self.every:
+            for out, queue in enumerate(self.queues):
+                if queue:
+                    self.log.append((cycle, out, queue.pop().signature()))
         if any(self.queues):
-            return cycle + self.every - cycle % self.every
-        return FOREVER
+            self._until = cycle + self.every - cycle % self.every
+        else:
+            self._until = FOREVER
 
 
 def _run_lockstep(build, run_cycles=_RUN_CYCLES):
@@ -182,9 +178,7 @@ class _LiveMeter(Component):
     def tick(self, cycle):
         if cycle < _INJECT_CYCLES:
             self.samples.append(sum(1 for q in self.queues if q))
-
-    def idle_until(self, cycle):
-        return None if cycle + 1 < _INJECT_CYCLES else FOREVER
+        self._until = None if cycle + 1 < _INJECT_CYCLES else FOREVER
 
 
 def _mux_builder(policy_name, num_inputs, width, output_flits):
@@ -303,6 +297,7 @@ class _SoloSource(Component):
         self.sent = 0
 
     def tick(self, cycle):
+        self._until = None if cycle + 1 < _INJECT_CYCLES else FOREVER
         if cycle >= _INJECT_CYCLES:
             return
         while True:
@@ -313,9 +308,6 @@ class _SoloSource(Component):
             )):
                 return
             self.sent += 1
-
-    def idle_until(self, cycle):
-        return None if cycle + 1 < _INJECT_CYCLES else FOREVER
 
 
 class TestSparseCrossbar:

@@ -379,10 +379,8 @@ class _Pulses(Component):
                                        src_sm=0, slice_id=0))
             elif cycle == pop:
                 self.queue.pop()
-
-    def idle_until(self, cycle):
         upcoming = [c for pair in self.pulses for c in pair if c > cycle]
-        return min(upcoming, default=FOREVER)
+        self._until = min(upcoming, default=FOREVER)
 
 
 def _pulse_run(strategy, cycles=400):

@@ -287,9 +287,7 @@ class _Drain(Component):
     def tick(self, cycle):
         if self.queue:
             self.queue.pop()
-
-    def idle_until(self, cycle):
-        return None if self.queue else FOREVER
+        self._until = None if self.queue else FOREVER
 
 
 class TestConservationHooks:

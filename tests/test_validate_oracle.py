@@ -45,7 +45,7 @@ class LyingComponent(Component):
     """Claims to be idle for 5 cycles although it has work every cycle.
 
     Under the naive engine (ticks everything) its counter advances every
-    cycle; under the active engine the false ``idle_until`` parks it —
+    cycle; under the active engine the false park horizon parks it —
     exactly the class of scheduling bug the oracle exists to pinpoint.
     """
 
@@ -56,9 +56,7 @@ class LyingComponent(Component):
 
     def tick(self, cycle):
         self.count += 1
-
-    def idle_until(self, cycle):
-        return cycle + 5  # a lie: tick() has work every cycle
+        self._until = cycle + 5  # a lie: tick() has work every cycle
 
     def state_digest(self):
         return self.count
