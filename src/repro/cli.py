@@ -11,6 +11,7 @@ Gives downstream users a zero-code way to run the paper's experiments::
     python -m repro linkchan                # inter-GPU NVLink channel
     python -m repro fig15                   # arbitration countermeasures
     python -m repro table2                  # measured channel summary
+    python -m repro serve --queries q.json  # simulated point per query
     python -m repro bench                   # engine strategy benchmark
     python -m repro metrics --merge m.json  # fold and render manifests
     python -m repro trace --figure fig5     # Perfetto trace of a run
@@ -35,6 +36,11 @@ store as they finish, so after a crash or Ctrl-C the same command
 resumes: finished points come back from the store and only the rest
 execute.  ``--progress`` renders a live single-line status (done/total,
 cache hits, retries, per-worker elapsed) on stderr.
+
+``serve`` sends a fig10 grid plus every ``--queries`` iteration count
+through the async sweep service and answers each query with the point
+simulated at that count; a point an earlier ``fig10`` or ``serve`` ran
+with the same list comes back from the store.
 
 Every sweep (``serve`` too) writes its metrics manifest with
 ``--metrics FILE``: supervision and store counters plus the engine
@@ -296,11 +302,12 @@ def _run_sweep(args, jobs, name):
     return rows, outcome.failures
 
 
-def _fig10_jobs(args) -> list:
-    """One ``fig10_point`` job per ``--iterations`` count.
+def _fig10_jobs(args, counts) -> list:
+    """One ``fig10_point`` job per iteration count, seeded by position.
 
-    ``fig10`` and ``serve`` both build their grid here, so the same grid
-    keys the same artifact-store entries from either command.
+    ``fig10`` and ``serve`` both build their requests here, so the same
+    list of counts keys the same artifact-store entries from either
+    command.
     """
     from .runner import SimJob
 
@@ -316,12 +323,12 @@ def _fig10_jobs(args) -> list:
                 "seed": 1021 + index,
             },
         )
-        for index, count in enumerate(args.iterations)
+        for index, count in enumerate(counts)
     ]
 
 
 def cmd_fig10(args) -> int:
-    jobs = _fig10_jobs(args)
+    jobs = _fig10_jobs(args, args.iterations)
     rows, failures = _run_sweep(args, jobs, f"fig10-{args.scale}")
     print(format_table(
         ["iterations", "bit rate (kbps)", "error rate"],
@@ -381,19 +388,17 @@ def cmd_linkchan(args) -> int:
     return 1 if failures else 0
 
 
-def _serve_queries(path: Optional[str], grid: List[int]) -> List[dict]:
-    """Load ``serve --queries`` as ``{"iterations": x, ...}`` mappings.
+def _serve_queries(path: str) -> List[int]:
+    """Load ``serve --queries`` as a list of iteration counts.
 
-    Each entry must be a whole number or an object whose
-    ``"iterations"`` is one: an iteration count is an integer, so ``1.5``
-    is refused while ``2.0`` is taken.  Anything else (``NaN`` and
-    ``Infinity`` included) raises ``ValueError`` naming it.  Without a
-    file the queries are the swept grid itself.
+    Each entry must be a whole number of at least 1, or an object whose
+    only key, ``"iterations"``, is one: an iteration count is an
+    integer, so ``1.5`` is refused while ``2.0`` is taken.  Anything
+    else (``NaN``, ``Infinity`` and ``0`` included) raises
+    ``ValueError`` naming it.
     """
     import json as _json
 
-    if path is None:
-        return [{"iterations": float(count)} for count in grid]
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw_queries = _json.load(handle)
@@ -402,52 +407,59 @@ def _serve_queries(path: Optional[str], grid: List[int]) -> List[dict]:
     if not isinstance(raw_queries, list):
         raise ValueError("--queries must be a JSON list")
 
-    def whole(value) -> bool:
-        if isinstance(value, float):
-            return value.is_integer()  # False for NaN and the infinities
-        return isinstance(value, int) and not isinstance(value, bool)
+    def count(value) -> Optional[int]:
+        if isinstance(value, dict) and value.keys() == {"iterations"}:
+            value = value["iterations"]
+        if isinstance(value, float) and not value.is_integer():
+            return None  # fractional, NaN or an infinity
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            return None
+        return int(value) if value >= 1 else None
 
-    queries = []
+    counts = []
     for index, raw in enumerate(raw_queries):
-        if whole(raw):
-            queries.append({"iterations": raw})
-        elif isinstance(raw, dict) and whole(raw.get("iterations")):
-            queries.append(raw)
-        else:
+        value = count(raw)
+        if value is None:
             raise ValueError(
                 f"--queries entry {index} ({_json.dumps(raw)}) must be a "
-                f"whole number or an object with a whole-number "
-                f"\"iterations\""
+                f"whole number of at least 1 or an object whose only key, "
+                f"\"iterations\", is one"
             )
-    return queries
+        counts.append(value)
+    return counts
 
 
 def cmd_serve(args) -> int:
-    """Batch capacity-query service: sweep, build surface, answer queries.
+    """Batch capacity-query service: every answer is a simulated point.
 
-    The fig10-style grid is submitted as one request through the async
-    sweep service (content-hash dedup + supervised shards + shared
-    artifact store), a capacity surface is built from the completed
-    points, and every query in ``--queries`` (default: the grid itself)
-    is answered from the surface — no re-simulation for already-swept
-    points.  The queries are validated before anything runs.  Answers
-    plus service/cache counters land in the ``--answers`` JSON manifest,
-    which is what the CI ``service-smoke`` job asserts on; ``--metrics``
-    writes the service, store and shard-supervision counter families and
-    the engine profiles of the points swept fresh.
+    The request is the fig10-style ``--iterations`` grid followed by
+    each ``--queries`` count not already in it (default: the grid
+    itself), seeded by position as ``fig10`` seeds the same list.  It
+    runs through the async sweep service (content-hash dedup +
+    supervised shards + shared artifact store), so only points missing
+    from the store are simulated, and each query is answered with the
+    row simulated for its count.  The queries are validated before
+    anything runs.  Answers plus service/cache counters land in the
+    ``--answers`` JSON manifest, which is what the CI ``service-smoke``
+    job asserts on; ``--metrics`` writes the service, store and
+    shard-supervision counter families and the engine profiles of the
+    points swept fresh.
     """
-    from .runner import (
-        CapacitySurface,
-        JobFailure,
-        ResultCache,
-        serve_requests,
-    )
+    from .runner import JobFailure, ResultCache, serve_requests
 
-    try:
-        queries = _serve_queries(args.queries, args.iterations)
-    except (OSError, ValueError) as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
+    counts = list(args.iterations)
+    if args.queries is None:
+        slots = list(range(len(counts)))
+    else:
+        try:
+            queries = _serve_queries(args.queries)
+        except (OSError, ValueError) as exc:
+            print(f"serve: {exc}", file=sys.stderr)
+            return 2
+        for count in queries:
+            if count not in counts:
+                counts.append(count)
+        slots = [counts.index(count) for count in queries]
     registry = _metrics_registry(args)
     cache = None
     if not args.no_cache:
@@ -455,34 +467,32 @@ def cmd_serve(args) -> int:
             max_entries=args.cache_entries, max_bytes=args.cache_bytes,
             metrics=registry,
         )
-    results, service_manifest = serve_requests(
-        [_fig10_jobs(args)], cache=cache, policy=_sweep_policy(args),
+    (results,), service_manifest = serve_requests(
+        [_fig10_jobs(args, counts)], cache=cache,
+        policy=_sweep_policy(args),
         service=ServiceConfig(shards=args.shards), metrics=registry,
     )
     if registry is not None:
         _write_json(args.metrics, registry.to_manifest())
-    rows = [r for r in results[0] if not isinstance(r, JobFailure)]
-    failures = [r for r in results[0] if isinstance(r, JobFailure)]
+    failures = [r for r in results if isinstance(r, JobFailure)]
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
-    if not rows:
-        print("serve: every sweep point failed; no surface", file=sys.stderr)
+    if len(failures) == len(results):
+        print("serve: every sweep point failed", file=sys.stderr)
         return 1
 
-    surface = CapacitySurface.from_rows(rows)
     answers = [
-        {"query": params,
-         **surface.predict(params, max_age_s=args.max_age).to_dict()}
-        for params in queries
+        {key: results[slot][key]
+         for key in ("iterations", "bandwidth_kbps", "error_rate")}
+        for slot in slots if not isinstance(results[slot], JobFailure)
     ]
     print(format_table(
-        ["iterations", "bandwidth (kbps)", "error", "source"],
+        ["iterations", "bandwidth (kbps)", "error"],
         [
             (
-                answer["query"]["iterations"],
+                answer["iterations"],
                 f"{answer['bandwidth_kbps']:.2f}",
                 f"{answer['error_rate']:.3f}",
-                answer["source"],
             )
             for answer in answers
         ],
@@ -491,12 +501,7 @@ def cmd_serve(args) -> int:
         "scale": args.scale,
         "panel": args.panel,
         "bits": args.bits,
-        "grid": [float(count) for count in args.iterations],
-        "surface": {
-            "points": len(surface),
-            "axes": list(surface.axes),
-            "version": surface.version,
-        },
+        "grid": counts,
         "service": service_manifest,
         "answers": answers,
         "failures": [failure.to_dict() for failure in failures],
@@ -953,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, needs_ops in (("fig2", True), ("fig5", True), ("fig15", True)):
         p = sub.add_parser(name, help=f"reproduce {name}")
         if needs_ops:
-            p.add_argument("--ops", type=int, default=8)
+            p.add_argument("--ops", type=_POSITIVE_INT, default=8)
 
     sub.add_parser("fig6", help="reproduce fig6 (clock survey)")
 
@@ -985,15 +990,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--topology", choices=("ring", "full", "switch"), default="ring",
         help="fabric shape (default: ring)",
     )
-    linkchan.add_argument("--link-width", type=int, default=4,
+    linkchan.add_argument("--link-width", type=_POSITIVE_INT, default=4,
                           help="link bandwidth in flits/cycle")
-    linkchan.add_argument("--link-latency", type=int, default=150,
+    linkchan.add_argument("--link-latency", type=_POSITIVE_INT,
+                          default=150,
                           help="one-way link flight time in cycles")
 
     serve = sub.add_parser(
         "serve",
-        help="sweep service: run a fig10 grid through the async dedup "
-             "scheduler and answer capacity queries from the surface",
+        help="sweep service: run a fig10 grid plus the queried iteration "
+             "counts through the async dedup scheduler and answer each "
+             "query with its simulated point",
     )
     serve.add_argument(
         "--panel", choices=("tpc", "multi-tpc", "gpc", "multi-gpc"),
@@ -1001,12 +1008,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--iterations", type=_POSITIVE_INT, nargs="+",
                        default=[1, 2, 4],
-                       help="swept iteration counts (the surface grid)")
+                       help="swept iteration counts; query counts "
+                            "outside them are swept too")
     serve.add_argument("--bits", type=_POSITIVE_INT, default=8,
                        help="payload bits per sweep point")
     serve.add_argument(
         "--queries", default=None, metavar="FILE",
-        help="JSON list of queries: whole iteration counts or "
+        help="JSON list of queries: iteration counts of at least 1 or "
              "{\"iterations\": n} objects (default: the swept grid)",
     )
     serve.add_argument(
@@ -1018,17 +1026,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="service shard workers (default: %(default)s)",
     )
     serve.add_argument(
-        "--cache-entries", type=int, default=None, metavar="N",
+        "--cache-entries", type=_POSITIVE_INT, default=None, metavar="N",
         help="LRU-evict the artifact store beyond N entries",
     )
     serve.add_argument(
-        "--cache-bytes", type=int, default=None, metavar="BYTES",
+        "--cache-bytes", type=_POSITIVE_INT, default=None,
+        metavar="BYTES",
         help="LRU-evict the artifact store beyond BYTES total",
-    )
-    serve.add_argument(
-        "--max-age", type=float, default=None, metavar="SECONDS",
-        help="staleness bound: refuse answers from a surface older "
-             "than this",
     )
 
     # Every command that runs sweep jobs; ``_sweep_policy`` reads these.
@@ -1127,9 +1131,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output file (Chrome trace-event JSON)")
     trace.add_argument("--bits", type=_POSITIVE_INT, default=16,
                        help="payload bits for fig9/transmit")
-    trace.add_argument("--ops", type=int, default=8,
+    trace.add_argument("--ops", type=_POSITIVE_INT, default=8,
                        help="accesses per kernel for fig2/fig5")
-    trace.add_argument("--ring", type=int, default=262144,
+    trace.add_argument("--ring", type=_POSITIVE_INT, default=262144,
                        help="event ring-buffer capacity")
 
     fuzz = sub.add_parser(
@@ -1140,7 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of cases (default: 25, or 6 with --quick)")
     fuzz.add_argument("--seed", type=int, default=0,
                       help="first case seed (cases use seed..seed+runs-1)")
-    fuzz.add_argument("--cycles", type=int, default=200_000,
+    fuzz.add_argument("--cycles", type=_POSITIVE_INT, default=200_000,
                       help="per-case cycle budget before declaring no-drain")
     fuzz.add_argument("--no-oracle", action="store_true",
                       help="skip the lockstep engine comparison")

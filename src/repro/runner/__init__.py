@@ -27,16 +27,18 @@ The contract is drilled end-to-end by the chaos harness
 (:func:`repro.runner.chaos.run_chaos`, ``python -m repro chaos``).
 :func:`execute` runs a single job in-process, for debugging.
 
-The service shape (``repro.runner.service`` + ``repro.runner.surface``)
-stacks an asyncio scheduler on the same primitives: concurrent sweep
-requests are content-hash-deduped against one in-flight future per
-:func:`job_key`, dispatched to supervised shard workers, written through
-the (optionally size-bounded, LRU-evicting) :class:`ResultCache`, and
-served back as interpolated capacity surfaces::
+The service shape (``repro.runner.service``) stacks an asyncio
+scheduler on the same primitives: concurrent sweep requests are
+content-hash-deduped against one in-flight future per :func:`job_key`,
+dispatched to supervised shard workers and written through the
+(optionally size-bounded, LRU-evicting) :class:`ResultCache`; each
+request gets back its simulated rows, in job order::
 
     results, manifest = serve_requests([jobs_a, jobs_b], cache=ResultCache())
-    surface = CapacitySurface.from_rows(results[0])
-    surface.predict(iterations=3)   # -> Prediction(bandwidth, error, ...)
+    rows_a = results[0]   # one row (or JobFailure) per job in jobs_a
+
+:class:`CapacitySurface` (``repro.runner.surface``) pools such rows per
+iteration count and predicts between them.
 """
 
 from .._lazy import lazy_exports
@@ -49,7 +51,6 @@ __all__ = [
     "ResultCache",
     "ServiceError",
     "SimJob",
-    "StaleSurfaceError",
     "SweepError",
     "SweepOutcome",
     "SweepService",
@@ -75,6 +76,6 @@ __getattr__, __dir__ = lazy_exports(
         ".supervisor": (
             "JobFailure", "SweepError", "SweepOutcome", "run_supervised",
         ),
-        ".surface": ("CapacitySurface", "Prediction", "StaleSurfaceError"),
+        ".surface": ("CapacitySurface", "Prediction"),
     },
 )

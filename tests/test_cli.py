@@ -59,10 +59,22 @@ class TestNumericArguments:
         ["chaos", "--jobs", "0"],
         ["chaos", "--timeout", "0"],
         ["fuzz", "--runs", "0"],
+        ["linkchan", "--link-width", "0"],
+        ["linkchan", "--link-latency", "-5"],
+        ["serve", "--cache-entries", "0"],
+        ["serve", "--cache-bytes", "0"],
+        ["trace", "--ring", "0"],
+        ["trace", "--ops", "0"],
+        ["fig2", "--ops", "0"],
+        ["fig5", "--ops", "-1"],
+        ["fig15", "--ops", "0"],
+        ["fuzz", "--cycles", "0"],
     ], ids=["shards", "iterations", "bits", "timeout", "retries", "devices",
             "fig10-workers", "table2-workers", "linkchan-workers",
             "golden-workers", "chaos-workers", "chaos-jobs",
-            "chaos-timeout", "fuzz-runs"])
+            "chaos-timeout", "fuzz-runs", "link-width", "link-latency",
+            "cache-entries", "cache-bytes", "trace-ring", "trace-ops",
+            "fig2-ops", "fig5-ops", "fig15-ops", "fuzz-cycles"])
     def test_rejected_with_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -83,6 +95,22 @@ class TestNumericArguments:
         )
         assert (chaos.jobs, chaos.timeout, chaos.workers) == (1, 0.01, 1)
         assert build_parser().parse_args(["fuzz", "--runs", "1"]).runs == 1
+        link = build_parser().parse_args(
+            ["linkchan", "--link-width", "1", "--link-latency", "1"]
+        )
+        assert (link.link_width, link.link_latency) == (1, 1)
+        serve = build_parser().parse_args(
+            ["serve", "--cache-entries", "1", "--cache-bytes", "1"]
+        )
+        assert (serve.cache_entries, serve.cache_bytes) == (1, 1)
+        trace = build_parser().parse_args(
+            ["trace", "--ring", "1", "--ops", "1"]
+        )
+        assert (trace.ring, trace.ops) == (1, 1)
+        for name in ("fig2", "fig5", "fig15"):
+            assert build_parser().parse_args([name, "--ops", "1"]).ops == 1
+        assert build_parser().parse_args(
+            ["fuzz", "--cycles", "1"]).cycles == 1
 
 
 class TestCommands:
@@ -624,17 +652,21 @@ class TestServeCommand:
     def test_answers_manifest(self, capsys):
         code, manifest = self._serve()
         assert code == 0
-        assert [a["query"]["iterations"] for a in manifest["answers"]] == [
-            1.0, 2.0]
-        assert all(a["source"] == "exact" for a in manifest["answers"])
-        assert all("confidence" not in a for a in manifest["answers"])
+        assert manifest["grid"] == [1, 2]
+        answers = manifest["answers"]
+        assert [a["iterations"] for a in answers] == [1, 2]
+        assert all(
+            sorted(a) == ["bandwidth_kbps", "error_rate", "iterations"]
+            for a in answers
+        )
+        assert "surface" not in manifest
         service = manifest["service"]
         assert "execution" not in service
         assert service["dispatched"] == service["completed"] == 2
         assert service["shards"] == 2
         assert manifest["failures"] == []
         table = capsys.readouterr().out
-        assert "source" in table and "confidence" not in table
+        assert "bandwidth (kbps)" in table and "source" not in table
 
     def test_warm_run_answers_from_the_store(self):
         _, cold = self._serve(name="cold.json")
@@ -668,16 +700,65 @@ class TestServeCommand:
 
     def test_queries_file(self):
         queries = self.tmp_path / "queries.json"
-        # Iteration counts are whole numbers: 2 lies between the grid
-        # points 1 and 3, and a whole-valued float is a count too.
-        queries.write_text(json.dumps([2, {"iterations": 9.0}]))
+        # Off-grid counts join the request after the grid, in query
+        # order; a count already in it (3) or repeated (2) is not added
+        # again, and a whole-valued float is a count too.
+        queries.write_text(json.dumps([2, {"iterations": 9.0}, 3, 2]))
         code, manifest = self._serve(
             "--queries", str(queries),
             grid=["--iterations", "1", "3", "--bits", "2"],
         )
         assert code == 0
-        sources = [a["source"] for a in manifest["answers"]]
-        assert sources == ["interpolated", "nearest"]
+        assert manifest["grid"] == [1, 3, 2, 9]
+        assert manifest["service"]["dispatched"] == 4
+        answers = manifest["answers"]
+        assert [a["iterations"] for a in answers] == [2, 9, 3, 2]
+        assert answers[0] == answers[3]
+
+    def test_off_grid_answer_is_the_simulated_point(self):
+        from repro.config import small_config
+        from repro.runner import SimJob, execute
+
+        queries = self.tmp_path / "queries.json"
+        queries.write_text("[2]")
+        code, manifest = self._serve(
+            "--queries", str(queries),
+            grid=["--iterations", "1", "3", "--bits", "2"],
+        )
+        assert code == 0
+        # The query is the request's third job, so it takes seed 1023.
+        direct = execute(SimJob(
+            fn="repro.runner.workloads.fig10_point",
+            config=small_config(),
+            params={"kind": "tpc", "iteration_count": 2,
+                    "bits_per_channel": 2, "seed": 1023},
+        ))
+        (answer,) = manifest["answers"]
+        assert answer == {
+            key: direct[key]
+            for key in ("iterations", "bandwidth_kbps", "error_rate")
+        }
+
+    def test_fig10_with_the_request_list_answers_from_the_store(
+        self, capsys
+    ):
+        queries = self.tmp_path / "queries.json"
+        queries.write_text("[2]")
+        grid = ["--iterations", "1", "3", "--bits", "2"]
+        code, manifest = self._serve("--queries", str(queries), grid=grid)
+        assert code == 0
+        capsys.readouterr()
+        assert main(["fig10", "--iterations", "1", "3", "2",
+                     "--bits", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "3 of 3 point(s) answered from the store" in out
+        rows = {
+            int(fields[0]): float(fields[1])
+            for fields in map(str.split, out.splitlines())
+            if len(fields) == 3 and fields[0].isdigit()
+        }
+        (answer,) = manifest["answers"]
+        assert rows[2] == round(answer["bandwidth_kbps"], 3)
 
     @pytest.mark.parametrize(
         "entries, named",
@@ -693,11 +774,16 @@ class TestServeCommand:
             ('[{"iterations": -Infinity}]', '{"iterations": -Infinity}'),
             ("[2, 1.5]", "entry 1 (1.5)"),
             ('[{"iterations": 2.5}]', '{"iterations": 2.5}'),
+            ("[0]", "entry 0 (0)"),
+            ('[1, {"iterations": -3}]', '{"iterations": -3}'),
+            ('[{"iterations": 2, "bits": 99}]',
+             '{"iterations": 2, "bits": 99}'),
         ],
         ids=["string", "no-iterations", "bool", "string-iterations",
              "not-a-list", "bad-json", "nan", "infinity",
              "negative-infinity-iterations", "fractional",
-             "fractional-iterations"],
+             "fractional-iterations", "zero", "negative-iterations",
+             "extra-key"],
     )
     def test_malformed_queries_exit_before_sweeping(
         self, capsys, monkeypatch, entries, named
@@ -734,5 +820,21 @@ class TestServeCommand:
         code, manifest = self._serve()
         assert code == 1
         assert [f["index"] for f in manifest["failures"]] == [1]
-        assert len(manifest["answers"]) == 2
+        assert [a["iterations"] for a in manifest["answers"]] == [1]
         assert "FAILED JobFailure(job 1," in capsys.readouterr().err
+
+    def test_every_point_failing_exits_one(self, capsys, monkeypatch):
+        from repro.runner import JobFailure, service
+
+        def fail(jobs, **kwargs):
+            (job,) = jobs
+            failure = JobFailure(0, job.fn, job.key(None), "exception",
+                                 "injected", 1)
+            return SimpleNamespace(results=[failure], metrics={})
+
+        monkeypatch.setattr(service, "run_supervised", fail)
+        code, manifest = self._serve()
+        assert code == 1
+        assert manifest is None
+        err = capsys.readouterr().err
+        assert "every sweep point failed" in err and "surface" not in err

@@ -1,22 +1,16 @@
-"""Capacity-surface tests: interpolation, distance, staleness, metrics.
+"""Capacity-surface tests: interpolation, distance, metrics.
 
-:class:`CapacitySurface` turns swept (config → bandwidth/error) points
-into a queryable model.  These tests pin the query semantics — exact
-lookups pool repeated samples, off-grid 1-D queries interpolate
-piecewise-linearly between brackets, out-of-hull queries clamp to the
-nearest point and report how far they reach — plus the staleness contract
-(code-version and age bounds) and the query counters.
+:class:`CapacitySurface` turns swept (iterations → bandwidth/error)
+points into a queryable model.  These tests pin the query semantics —
+exact lookups pool repeated samples, off-grid queries interpolate
+piecewise-linearly between brackets, out-of-range queries clamp to the
+nearest point and report how far they reach — plus the query counters.
 """
 
 import pytest
 
 from repro.metrics.registry import MetricsRegistry
-from repro.runner.cache import code_version
-from repro.runner.surface import (
-    CapacitySurface,
-    Prediction,
-    StaleSurfaceError,
-)
+from repro.runner.surface import CapacitySurface, Prediction
 
 
 def _rows():
@@ -75,7 +69,7 @@ class TestQueries:
         near = surface.predict(iterations=2.2)
         far = surface.predict(iterations=40)
         assert exact.distance < near.distance < far.distance
-        assert "confidence" not in far.to_dict()
+        assert "confidence" not in vars(far)
 
     def test_query_accepts_params_dict_and_kwargs(self):
         surface = _surface()
@@ -97,44 +91,6 @@ class TestQueries:
         surface = CapacitySurface(metrics=MetricsRegistry())
         with pytest.raises(KeyError):
             surface.add({"bandwidth_kbps": 1.0, "error_rate": 0.0})
-
-    def test_two_dimensional_idw(self):
-        surface = CapacitySurface(
-            axes=("iterations", "bits"), metrics=MetricsRegistry()
-        )
-        for it, bits, bw in [(1, 4, 100.0), (1, 8, 80.0), (2, 4, 60.0), (2, 8, 40.0)]:
-            surface.add(
-                {
-                    "iterations": it,
-                    "bits": bits,
-                    "bandwidth_kbps": bw,
-                    "error_rate": 0.1,
-                }
-            )
-        exact = surface.predict(iterations=2, bits=8)
-        assert exact.source == "exact"
-        assert exact.bandwidth_kbps == pytest.approx(40.0)
-        mid = surface.predict(iterations=1.5, bits=6)
-        assert mid.source in ("interpolated", "nearest")
-        assert 40.0 <= mid.bandwidth_kbps <= 100.0
-
-
-class TestStaleness:
-    def test_fresh_surface_passes(self):
-        _surface().check_fresh(max_age_s=3600.0)
-
-    def test_version_mismatch_is_stale(self):
-        surface = _surface(version="not-the-current-tree")
-        with pytest.raises(StaleSurfaceError):
-            surface.predict(iterations=2)
-        pred = surface.predict(iterations=2, allow_stale=True)
-        assert pred.source == "exact"
-
-    def test_age_bound(self):
-        surface = _surface(version=code_version(), built_at=1.0)
-        with pytest.raises(StaleSurfaceError):
-            surface.predict(iterations=2, max_age_s=0.5)
-        assert surface.predict(iterations=2).source == "exact"
 
 
 class TestMetrics:
