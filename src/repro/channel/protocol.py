@@ -174,6 +174,12 @@ def sender_program(context: WarpContext) -> WarpProgram:
         if params.initial_sync_mask is None
         else params.initial_sync_mask
     )
+    iterations = params.iterations
+    # Unique-line count -> this warp's op for each address phase.  An
+    # op's lane addresses depend only on its phase and line count, and
+    # the SM never mutates a ``MemOp``, so each distinct op is built
+    # once and yielded again.
+    ops_for: Dict[int, List[MemOp]] = {}
     yield WaitClockMask(first_mask, target & first_mask)
     slot_start = yield ReadClock()
     for index, symbol in enumerate(bits):
@@ -186,13 +192,19 @@ def sender_program(context: WarpContext) -> WarpProgram:
                 if levels is not None
                 else params.sender_lines
             )
-            local = params.with_(sender_lines=lines)
-            for op in range(params.iterations):
-                addresses = sender_addresses(local, base, line_bytes, op)
-                yield MemOp(
-                    params.sender_kind, addresses,
-                    wait_for_completion=False, device=target_device,
-                )
+            ops = ops_for.get(lines)
+            if ops is None:
+                local = params.with_(sender_lines=lines)
+                ops = ops_for[lines] = [
+                    MemOp(
+                        params.sender_kind,
+                        sender_addresses(local, base, line_bytes, phase),
+                        wait_for_completion=False, device=target_device,
+                    )
+                    for phase in range(min(iterations, REGION_OPS))
+                ]
+            for op in range(iterations):
+                yield ops[op % REGION_OPS]
         now = yield ReadClock()
         slot_end = slot_start + slot
         if now < slot_end:
@@ -227,6 +239,16 @@ def receiver_program(context: WarpContext) -> WarpProgram:
         if params.initial_sync_mask is None
         else params.initial_sync_mask
     )
+    iterations = params.iterations
+    # One probe per address phase, built once (see sender_program).
+    probes = [
+        MemOp(
+            READ,
+            receiver_addresses(params, base, line_bytes, phase),
+            device=target_device,
+        )
+        for phase in range(min(iterations, REGION_OPS))
+    ]
     yield WaitClockMask(first_mask, target & first_mask)
     slot_start = yield ReadClock()
     for index in range(num_symbols):
@@ -234,9 +256,8 @@ def receiver_program(context: WarpContext) -> WarpProgram:
             yield WaitClockMask(params.sync_mask, target)
             slot_start = yield ReadClock()
         total_latency = 0
-        for op in range(params.iterations):
-            addresses = receiver_addresses(params, base, line_bytes, op)
-            latency = yield MemOp(READ, addresses, device=target_device)
+        for op in range(iterations):
+            latency = yield probes[op % REGION_OPS]
             total_latency += latency
         measurements[(context.block_id, index)] = total_latency
         now = yield ReadClock()

@@ -7,11 +7,15 @@ uncoalesced requests per warp make contention robust to sender/receiver
 misalignment (Figure 12) and drop the error rate from >50% to ~0.1%
 (Figure 13) — so the coalescer is a first-class, controllable mechanism
 here rather than an implementation detail.
+
+:func:`coalesce` returns plain line-aligned addresses in one pass; the SM
+keeps them as the warp's pending transactions, with no per-transaction
+object.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 
 def coalesce(addresses: Sequence[int], line_bytes: int) -> List[int]:
@@ -19,16 +23,12 @@ def coalesce(addresses: Sequence[int], line_bytes: int) -> List[int]:
 
     Returns one representative (line-aligned) address per touched cache
     line, in first-touch order — the transactions a real coalescer would
-    emit for this warp instruction.
+    emit for this warp instruction.  The list is new on every call, so
+    the caller may consume it.
     """
-    seen = set()
-    transactions: List[int] = []
-    for address in addresses:
-        line = (address // line_bytes) * line_bytes
-        if line not in seen:
-            seen.add(line)
-            transactions.append(line)
-    return transactions
+    return list(dict.fromkeys(
+        [(address // line_bytes) * line_bytes for address in addresses]
+    ))
 
 
 def lane_addresses_coalesced(

@@ -8,12 +8,19 @@ multiprogramming the paper uses to co-locate the trojan and the spy
 (Section 2.2, 4.3): blocks are dispatched in launch order, so launching the
 sender's grid first and the receiver's grid second places them on opposite
 SMs of every TPC.
+
+Completion is counted, not scanned: a block's ``live`` count is set to
+its warp count when the scheduler places it and drops as each warp's
+program ends, and a kernel's ``open_blocks`` drops as each block's count
+reaches zero.  ``ThreadBlock.done`` and ``Kernel.done`` are O(1) reads
+of those counts, so polling a grid for completion costs the same for
+one block as for eighty.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from .warp import WarpContext, WarpProgram
@@ -32,14 +39,20 @@ class ThreadBlock:
     block_id: int
     #: SM the scheduler placed this block on (set at dispatch).
     sm_id: Optional[int] = None
-    #: Live warp slots (populated at dispatch).
-    warp_slots: List = field(default_factory=list)
+    #: Warps placed and not yet finished: set to the block's warp count
+    #: at dispatch, decremented by the SM as each warp's program ends.
+    live: int = 0
 
     @property
     def done(self) -> bool:
-        return bool(self.warp_slots) and all(
-            slot.done for slot in self.warp_slots
-        )
+        """Dispatched, and every warp's program has ended."""
+        return self.sm_id is not None and not self.live
+
+    def warp_finished(self) -> None:
+        """One of this block's warps ended; close the block at zero."""
+        self.live -= 1
+        if not self.live:
+            self.kernel.open_blocks -= 1
 
 
 class Kernel:
@@ -76,14 +89,20 @@ class Kernel:
         self.blocks: List[ThreadBlock] = [
             ThreadBlock(self, block_id) for block_id in range(num_blocks)
         ]
+        #: Blocks placed on an SM so far.  The scheduler places a
+        #: kernel's blocks in id order, so ``blocks[placed:]`` are the
+        #: undispatched ones.
+        self.placed = 0
+        #: Blocks not yet finished (undispatched blocks included).
+        self.open_blocks = num_blocks
 
     @property
     def dispatched(self) -> bool:
-        return all(block.sm_id is not None for block in self.blocks)
+        return self.placed == self.num_blocks
 
     @property
     def done(self) -> bool:
-        return all(block.done for block in self.blocks)
+        return not self.open_blocks
 
     def placement(self) -> List[Optional[int]]:
         """block id -> SM id (None while undisatched)."""

@@ -11,6 +11,12 @@ The scheduler here implements that policy exactly and deterministically:
 SM dispatch slots are ordered by (SM-slot within TPC, TPC round within
 GPC, GPC id), and pending blocks from all streams are placed in launch
 order whenever slots are free.
+
+Completion is counted (see :mod:`repro.gpu.kernel`): retiring, promoting
+and the park test read O(1) block and kernel counts, and the blocks a
+kernel has yet to dispatch are the suffix past its ``placed`` count, so
+a scheduler tick costs one check per resident block and stream rather
+than a rescan of every block and warp of every grid.
 """
 
 from __future__ import annotations
@@ -88,23 +94,19 @@ class ThreadBlockScheduler(Component):
                 if stream.pending:
                     self._until = None
                     return
-            elif running.done or any(
-                block.sm_id is None for block in running.blocks
-            ):
+            elif running.done or running.placed < running.num_blocks:
                 self._until = None  # undispatched work remains
                 return
-        for resident in self._resident:
-            for block in resident:
-                if block.done:
-                    self._until = None
-                    return
+        # No resident block is finished here: _retire_blocks dropped
+        # every finished one, dispatch adds only live blocks, and no
+        # warp runs between the two.
         self._until = FOREVER
 
     def _retire_blocks(self) -> None:
         for sm_index, resident in enumerate(self._resident):
             if not resident:
                 continue
-            still = [block for block in resident if not block.done]
+            still = [block for block in resident if block.live]
             if len(still) != len(resident):
                 self._resident[sm_index] = still
                 self.sms[sm_index].retire_finished_warps()
@@ -142,14 +144,14 @@ class ThreadBlockScheduler(Component):
         ]
         running.sort(key=lambda kernel: kernel.kernel_id)
         for kernel in running:
-            blocks.extend(
-                block for block in kernel.blocks if block.sm_id is None
-            )
+            blocks.extend(kernel.blocks[kernel.placed:])
         return blocks
 
     def _place(self, block: ThreadBlock, sm: StreamingMultiprocessor) -> None:
         kernel = block.kernel
         block.sm_id = sm.sm_id
+        block.live = kernel.warps_per_block
+        kernel.placed += 1
         for warp_id in range(kernel.warps_per_block):
             context = WarpContext(
                 block_id=block.block_id,
@@ -159,7 +161,7 @@ class ThreadBlockScheduler(Component):
                 args=kernel.args,
             )
             program = kernel.program_factory(context)
-            block.warp_slots.append(sm.add_warp(context, program))
+            sm.add_warp(context, program, block)
         self._resident[sm.sm_id].append(block)
 
     @property

@@ -17,6 +17,15 @@ Timing behaviour that the paper's contention shapes depend on:
   the other SM's bandwidth (Figures 2, 5a, 8).
 * **One transaction injected per cycle** through the LSU, backpressured by
   the injection queue; this is the per-SM demand the muxes arbitrate.
+
+The front end costs a fixed number of calls per event.  A memory op is coalesced once
+into plain line addresses (``WarpSlot.pending_issue``, with the op's kind
+and target device on the slot); a bypassed L1 is skipped without a
+per-line lookup; and each injected transaction is an ``_issue_one``
+call that asks ``_admit`` for the queue, builds the packet and pushes
+it.  The LSU finds the next issuing warp by scanning only at op
+boundaries.  When a warp's program ends, its thread block's live-warp
+count drops (see :mod:`repro.gpu.kernel`).
 """
 
 from __future__ import annotations
@@ -48,27 +57,6 @@ from .warp import (
     WarpProgram,
     WarpSlot,
 )
-
-
-class _Transaction:
-    """One coalesced memory transaction in flight from a warp."""
-
-    __slots__ = ("warp", "kind", "address", "sm_id", "device")
-
-    def __init__(
-        self,
-        warp: WarpSlot,
-        kind: str,
-        address: int,
-        sm_id: int,
-        device: Optional[int] = None,
-    ):
-        self.warp = warp
-        self.kind = kind
-        self.address = address
-        self.sm_id = sm_id
-        #: Remote target device id; None for a local (on-chip) access.
-        self.device = device
 
 
 class StreamingMultiprocessor(Component):
@@ -114,11 +102,15 @@ class StreamingMultiprocessor(Component):
         )
         self.warps: List[WarpSlot] = []
         self._sched_pointer = 0
+        #: Packet geometry, hoisted off the per-transaction path
+        #: (``_issue_one`` inlines ``config.address_to_slice`` with it).
+        self._line_bytes = config.l2_line_bytes
+        self._num_slices = config.num_l2_slices
+        self._read_flits = config.read_request_flits
+        self._write_flits = config.write_request_flits
         #: Flits of the larger request kind: queues with this much room
-        #: accept any transaction (see :meth:`_next_issue_refused`).
-        self._largest_request = max(
-            config.read_request_flits, config.write_request_flits
-        )
+        #: accept any transaction (see :meth:`tick`).
+        self._largest_request = max(self._read_flits, self._write_flits)
         self._issue_width = config.sm_issue_width
         self._read_credits = config.sm_mshrs
         self._write_credits = config.sm_write_buffer
@@ -149,7 +141,7 @@ class StreamingMultiprocessor(Component):
         #: True when this tick's last issue attempt was refused (queue
         #: full or out of credits), or when a tick that spent its issue
         #: budget found the next attempt sure to be refused (see
-        #: :meth:`_next_issue_refused`); cleared whenever the LSU runs.  A
+        #: :meth:`tick`); cleared whenever the LSU runs.  A
         #: blocked LSU parks reactively instead of retrying every cycle:
         #: a pop of a queue it produces into (its injection queue, the
         #: fabric egress queue) or a reply returning credits wakes it.
@@ -176,10 +168,13 @@ class StreamingMultiprocessor(Component):
         """The clock() intrinsic: per-SM 32-bit cycle register."""
         return self._read_clock(self.sm_id)
 
-    def add_warp(self, context: WarpContext, program: WarpProgram) -> WarpSlot:
+    def add_warp(
+        self, context: WarpContext, program: WarpProgram, block=None
+    ) -> WarpSlot:
+        """Make ``program`` resident; ``block`` is told when it ends."""
         if len(self.warps) >= self.config.max_warps_per_sm:
             raise RuntimeError(f"{self.name}: warp occupancy exceeded")
-        slot = WarpSlot(context, program)
+        slot = WarpSlot(context, program, block)
         self.warps.append(slot)
         self.wake()
         return slot
@@ -237,37 +232,64 @@ class StreamingMultiprocessor(Component):
         # coalescer emits them as one batch), so packets from different
         # warps never interleave mid-op — which is also what makes
         # warp-group (CRR) arbitration meaningful downstream.  The LSU
-        # rotates between warps only at op boundaries.
+        # rotates between warps only at op boundaries: the warp at
+        # ``_sched_pointer`` keeps the LSU while its batch lasts, and the
+        # round-robin scan runs only when that warp has none.
         ready = False
         if warps:
-            self._blocked = False
+            blocked = False
             budget = self._issue_width
-            while issuing and budget > 0:
-                current = self._current_issue_warp()
-                if current is None:
+            while issuing and budget:
+                pointer = self._sched_pointer
+                current = warps[pointer]
+                if current.state != ISSUING or not current.pending_issue:
+                    current = self._current_issue_warp()
+                    if current is None:
+                        break
+                    pointer = self._sched_pointer
+                if not self._issue_one(current, cycle):
+                    blocked = True  # out of credits or queue space
                     break
-                if self._issue_one(current, cycle):
-                    budget -= 1
-                    if not current.pending_issue:
-                        # Op batch complete: rotate to the next warp.
-                        self._sched_pointer = (
-                            warps.index(current) + 1
-                        ) % len(warps)
-                        issuing -= 1
-                        state = current.state
-                        if state == SLEEP:
-                            if current.wake_cycle < wake:
-                                wake = current.wake_cycle
-                        elif state == READY:
-                            ready = True
-                else:
-                    self._blocked = True
-                    break  # blocked on credits or queue space
-            if not budget:
-                # A spent budget says nothing about the next attempt; if
-                # it would be refused, park now instead of after a no-op
-                # retry.
-                self._blocked = self._next_issue_refused()
+                budget -= 1
+                if not current.pending_issue:
+                    # Op batch complete: rotate to the next warp.
+                    self._sched_pointer = (pointer + 1) % len(warps)
+                    issuing -= 1
+                    state = current.state
+                    if state == SLEEP:
+                        if current.wake_cycle < wake:
+                            wake = current.wake_cycle
+                    elif state == READY:
+                        ready = True
+            if not budget and (
+                self._read_credits <= 0
+                or self._write_credits <= 0
+                or self.inject_queue._free < self._largest_request
+                or (
+                    self.remote_queue is not None
+                    and self.remote_queue._free < self._largest_request
+                )
+            ):
+                # A spent budget says nothing about the next attempt:
+                # park now if it is sure to be refused, instead of after
+                # a no-op retry.  (With credits of both kinds and room
+                # for the larger request everywhere, any attempt is
+                # accepted.)  It is refused when the warp at the pointer,
+                # where the next attempt starts, is issuing and
+                # :meth:`_admit` refuses it.  Nothing can change that
+                # before the SM ticks again except a pop of its queue or
+                # a returned credit, which both wake a blocked SM, so the
+                # skipped retry is exactly the no-op a refused attempt
+                # is.  A retry that would scan on to a later warp moves
+                # the pointer, which is not a no-op, so the SM stays
+                # busy then.
+                head = warps[self._sched_pointer]
+                blocked = (
+                    head.state == ISSUING
+                    and bool(head.pending_issue)
+                    and self._admit(head) is None
+                )
+            self._blocked = blocked
         if ready or (issuing and not self._blocked):
             self._until = None
             return
@@ -276,35 +298,11 @@ class StreamingMultiprocessor(Component):
                 wake = due
         self._until = wake
 
-    def _next_issue_refused(self) -> bool:
-        """Whether next cycle's first issue attempt is sure to be refused.
-
-        True when the warp at ``_sched_pointer`` is issuing and
-        :meth:`_admit` refuses its next transaction: that is the warp
-        :meth:`_current_issue_warp` returns without moving the pointer.
-        Nothing can change the refusal before the SM ticks again except
-        a pop of its queue or a returned credit, which both wake a
-        blocked SM, so the skipped retry is exactly the no-op a refused
-        attempt is.  When the scan would find a later warp, the retry
-        moves the pointer, which is not a no-op, so the SM stays busy.
-        """
-        if self._read_credits > 0 and self._write_credits > 0:
-            largest = self._largest_request
-            remote = self.remote_queue
-            if self.inject_queue._free >= largest and (
-                remote is None or remote._free >= largest
-            ):
-                return False  # any transaction would be accepted
-        warp = self.warps[self._sched_pointer]
-        if warp.state != ISSUING or not warp.pending_issue:
-            return False
-        return self._admit(warp.pending_issue[0]) is None
-
     def _current_issue_warp(self) -> Optional[WarpSlot]:
-        """The warp whose op batch the LSU is currently draining.
+        """The next ISSUING warp with transactions left, in round robin.
 
-        Sticks with an in-progress batch; otherwise picks the next
-        ISSUING warp in round-robin order from the scheduler pointer.
+        Scans from the scheduler pointer and moves the pointer to the
+        warp it returns.
         """
         warps = self.warps
         num = len(warps)
@@ -326,6 +324,8 @@ class StreamingMultiprocessor(Component):
                 )
             except StopIteration:
                 warp.state = DONE
+                if warp.block is not None:
+                    warp.block.warp_finished()
                 if self.on_warp_done is not None:
                     self.on_warp_done()
                 return
@@ -379,103 +379,110 @@ class StreamingMultiprocessor(Component):
 
     # -- memory pipeline ------------------------------------------------ #
     def _start_mem_op(self, warp: WarpSlot, op: MemOp, cycle: int) -> None:
-        if op.kind not in (READ, WRITE):
-            raise ValueError(f"bad MemOp kind {op.kind!r}")
-        lines = coalesce(op.addresses, self.config.l2_line_bytes)
+        kind = op.kind
+        if kind != READ and kind != WRITE:
+            raise ValueError(f"bad MemOp kind {kind!r}")
+        lines = coalesce(op.addresses, self._line_bytes)
         if self._counters is not None:
             self._counters[self._mem_ops_key] += 1
             self._counters[self._transactions_key] += len(lines)
         warp.op_start_cycle = cycle
-        warp.op_blocking = op.blocking()
+        warp.op_blocking = blocking = op.blocking()
         self._group_counter += 1
         warp.op_group = (self.sm_id << 20) | self._group_counter
         warp.outstanding = 0
-        remote = op.device is not None and op.device != self.device_id
-        if remote and self.remote_queue is None:
-            raise RuntimeError(
-                f"{self.name}: remote MemOp targets device {op.device} "
-                "but this SM has no inter-GPU fabric attached"
-            )
-        if remote:
+        warp.op_kind = kind
+        device = op.device
+        if device is not None and device != self.device_id:
+            if self.remote_queue is None:
+                raise RuntimeError(
+                    f"{self.name}: remote MemOp targets device {device} "
+                    "but this SM has no inter-GPU fabric attached"
+                )
             # Peer accesses bypass the local L1 entirely (NVLink peer
             # loads/stores are not cached on the requesting die) and
             # enter the fabric egress instead of the on-chip NoC.
-            warp.pending_issue = [
-                _Transaction(warp, op.kind, address, self.sm_id, op.device)
-                for address in lines
-            ]
+            warp.op_device = device
+            warp.pending_issue = lines
             warp.state = ISSUING
             return
-        pending: List[_Transaction] = []
-        for address in lines:
-            if op.kind == READ and self.l1.lookup_read(address):
-                # L1 hit: completes locally after the hit latency.
-                warp.outstanding += 1
-                self._l1_returns.append(
-                    (cycle + self.l1.hit_latency, warp)
-                )
-                if self._counters is not None:
-                    self._counters[self._l1_hits_key] += 1
-                continue
-            if op.kind == WRITE:
-                self.l1.note_write(address)
-            pending.append(_Transaction(warp, op.kind, address, self.sm_id))
-        warp.pending_issue = pending
-        if pending or (warp.op_blocking and warp.outstanding):
-            warp.state = ISSUING if pending else WAIT_MEM
+        warp.op_device = None
+        l1 = self.l1
+        if l1.enabled:
+            pending: List[int] = []
+            for address in lines:
+                if kind == READ and l1.lookup_read(address):
+                    # L1 hit: completes locally after the hit latency.
+                    warp.outstanding += 1
+                    self._l1_returns.append((cycle + l1.hit_latency, warp))
+                    if self._counters is not None:
+                        self._counters[self._l1_hits_key] += 1
+                    continue
+                if kind == WRITE:
+                    l1.note_write(address)
+                pending.append(address)
+            lines = pending
+        # A bypassed L1 is never read or written: every line is issued.
+        warp.pending_issue = lines
+        if lines or (blocking and warp.outstanding):
+            warp.state = ISSUING if lines else WAIT_MEM
         else:
             # Entire op served by L1 without blocking (pure hit, posted).
-            warp.resume_value = self.l1.hit_latency
+            warp.resume_value = l1.hit_latency
             warp.state = SLEEP
             warp.wake_cycle = cycle + 1
 
-    def _admit(self, txn: _Transaction) -> Optional[PacketQueue]:
-        """The queue ``txn`` would enter, or None if it would be refused.
+    def _admit(self, warp: WarpSlot) -> Optional[PacketQueue]:
+        """The queue the warp's next transaction would enter, or None if
+        it would be refused.
 
         A transaction is refused when its kind has no credit left or its
         queue has no room for its request flits.
         """
-        config = self.config
-        if txn.kind == READ:
+        if warp.op_kind == READ:
             if self._read_credits <= 0:
                 return None
-            flits = config.read_request_flits
+            flits = self._read_flits
         else:
             if self._write_credits <= 0:
                 return None
-            flits = config.write_request_flits
-        queue = self.inject_queue if txn.device is None else self.remote_queue
+            flits = self._write_flits
+        queue = (
+            self.inject_queue if warp.op_device is None
+            else self.remote_queue
+        )
         return queue if flits <= queue._free else None
 
     def _issue_one(self, warp: WarpSlot, cycle: int) -> bool:
         """Try to inject the warp's next transaction; True on success."""
-        txn: _Transaction = warp.pending_issue[0]
-        queue = self._admit(txn)
+        queue = self._admit(warp)
         if queue is None:
             return False  # refused before a packet (and its uid) is made
-        config = self.config
-        kind = txn.kind
+        kind = warp.op_kind
+        device = warp.op_device
+        pending = warp.pending_issue
+        address = pending[0]
         # Positional fields (see Packet): keywords cost twice as much.
+        # The slice is GpuConfig.address_to_slice, inlined.
         packet = Packet(
             kind,
-            txn.address,
-            (config.read_request_flits if kind == READ
-             else config.write_request_flits),
+            address,
+            self._read_flits if kind == READ else self._write_flits,
             self.sm_id,
-            config.address_to_slice(txn.address),
+            (address // self._line_bytes) % self._num_slices,
             False,
             warp,
             warp.op_group,
             cycle,
             self.device_id,
-            self.device_id if txn.device is None else txn.device,
+            self.device_id if device is None else device,
         )
         queue.push(packet)
         if kind == READ:
             self._read_credits -= 1
         else:
             self._write_credits -= 1
-        warp.pending_issue.pop(0)
+        del pending[0]
         warp.outstanding += 1
         if self._counters is not None:
             self._counters[self._injected_key] += 1
@@ -485,7 +492,7 @@ class StreamingMultiprocessor(Component):
                               packet.slice_id)
         if self._validator is not None:
             self._validator.note_inject(packet, cycle)
-        if not warp.pending_issue:
+        if not pending:
             self._finish_issue_phase(warp, cycle)
         return True
 

@@ -142,9 +142,14 @@ class WarpSlot:
         "op_start_cycle",
         "op_blocking",
         "op_group",
+        "op_kind",
+        "op_device",
+        "block",
     )
 
-    def __init__(self, context: WarpContext, program: WarpProgram) -> None:
+    def __init__(
+        self, context: WarpContext, program: WarpProgram, block=None
+    ) -> None:
         self.context = context
         self.program = program
         self.state = NEW
@@ -152,13 +157,23 @@ class WarpSlot:
         self.resume_value: object = None
         #: Engine cycle at which a SLEEP state ends.
         self.wake_cycle = 0
-        #: Transactions of the current MemOp not yet injected.
-        self.pending_issue: List = []
+        #: Line addresses of the current MemOp not yet injected, in
+        #: coalescer (first-touch) order.
+        self.pending_issue: List[int] = []
         #: Injected transactions whose replies are still outstanding.
         self.outstanding = 0
         self.op_start_cycle = 0
         self.op_blocking = False
         self.op_group = -1
+        #: Kind of the current MemOp (``READ`` or ``WRITE``).
+        self.op_kind = READ
+        #: Remote target device of the current MemOp; None when it is
+        #: served by the issuing SM's own device.
+        self.op_device: Optional[int] = None
+        #: The :class:`~repro.gpu.kernel.ThreadBlock` this warp belongs
+        #: to, whose live-warp count drops when the program ends; None
+        #: for a warp added outside the block scheduler.
+        self.block = block
 
     @property
     def done(self) -> bool:

@@ -53,6 +53,18 @@ class MultiGpuSystem:
     ) -> None:
         self.config = config
         self.link = link if link is not None else LinkConfig()
+        # Link buffers count flits and a packet enters one whole, so a
+        # buffer smaller than the largest packet would wedge its link.
+        largest = max(
+            config.read_request_flits, config.write_request_flits,
+            config.read_reply_flits, config.write_reply_flits,
+        )
+        if self.link.link_buffer_depth < largest:
+            raise ValueError(
+                f"link_buffer_depth {self.link.link_buffer_depth} flits "
+                f"is smaller than the largest fabric packet ({largest} "
+                "flits); no such packet could ever cross a link"
+            )
         self.topology: FabricTopology = build_topology(self.link)
         self.engine = Engine(strategy=config.engine_strategy)
         #: The member devices; ``devices[d].device_id == d``.

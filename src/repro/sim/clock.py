@@ -60,13 +60,14 @@ class ClockSystem:
         ]
         self._read_jitter = skew.read_jitter
         self._fuzz = config.clock_fuzz
-        #: Per-SM static offsets, precomputed once: ``sm_to_gpc`` walks
-        #: the TPC→GPC topology map, which is far too expensive to
-        #: rebuild on every clock() read (receivers read the clock every
-        #: probe iteration).
+        #: Per-SM static offsets, precomputed once from one TPC→GPC
+        #: map: clock() is read every probe iteration, and building the
+        #: map is far too expensive to repeat per read (or per SM).
+        tpc_to_gpc = config.tpc_to_gpc_map()
+        sms_per_tpc = config.sms_per_tpc
         self._base_offsets: List[int] = [
-            self._gpc_base[config.sm_to_gpc(sm)]
-            + self._tpc_offset[config.sm_to_tpc(sm)]
+            self._gpc_base[tpc_to_gpc[sm // sms_per_tpc]]
+            + self._tpc_offset[sm // sms_per_tpc]
             + self._sm_offset[sm]
             for sm in range(config.num_sms)
         ]
@@ -90,7 +91,7 @@ class ClockSystem:
         ``clock_fuzz`` knob is nonzero, a uniform random fuzz term
         (Section 6's clock-fuzzing countermeasure).
         """
-        value = self._engine.cycle + self.base_offset(sm_id)
+        value = self._engine.cycle + self._base_offsets[sm_id]
         if self._read_jitter:
             value += self._rng.randrange(0, self._read_jitter + 1)
         if self._fuzz:

@@ -153,6 +153,45 @@ class TestRemotePath:
         assert system.all_idle
 
 
+class TestLinkBufferDepth:
+    """A link buffer counts flits and takes whole packets, so one smaller
+    than the largest fabric packet would hold that packet forever."""
+
+    def test_depth_below_largest_packet_is_refused(self):
+        config = quiet_cfg()
+        largest = max(config.read_request_flits, config.write_request_flits,
+                      config.read_reply_flits, config.write_reply_flits)
+        with pytest.raises(ValueError) as excinfo:
+            MultiGpuSystem(
+                config,
+                LinkConfig(num_devices=2, link_buffer_depth=largest - 1),
+            )
+        message = str(excinfo.value)
+        assert f"link_buffer_depth {largest - 1}" in message
+        assert f"({largest} flits)" in message
+
+    @pytest.mark.parametrize("kind", [WRITE, READ])
+    def test_depth_equal_to_largest_packet_drains(self, kind):
+        config = quiet_cfg()
+        largest = max(config.read_request_flits, config.write_request_flits,
+                      config.read_reply_flits, config.write_reply_flits)
+        system = MultiGpuSystem(
+            config, LinkConfig(num_devices=2, link_buffer_depth=largest)
+        )
+        system.devices[1].preload_region(0, 1 << 16)
+        kernel = remote_kernel(kind, 1, ops=2, wait=kind == READ)
+        system.devices[0].launch(kernel)
+        queues = [system.devices[0].fabric_inject,
+                  system.devices[1].fabric_reply,
+                  *system._tx.values(), *system._rx.values(),
+                  *system.delivery_queues]
+        system.engine.run_until(
+            lambda: kernel.done and not any(queues),
+            max_cycles=20_000, check_every=16,
+        )
+        assert kernel.done
+
+
 def bidirectional_stimulus(system):
     """Remote traffic both ways plus local background on device 0."""
     system.devices[0].preload_region(0, 1 << 16)
